@@ -16,6 +16,7 @@ from orbitconics import (
     BilliardShape,
     PoristicShape,
     circumbilliard,
+    fit_circle,
     inradius_to_circumradius,
     poristic_cb_aspect,
     poristic_triangle,
@@ -39,15 +40,10 @@ print("  spread:     ", aspects.max() - aspects.min())
 print("  closed form:", poristic_cb_aspect(ps))
 
 # the Mittenpunkt wanders, but on a perfect circle
-xs = np.array([p.x for p in x9s])
-ys = np.array([p.y for p in x9s])
-M = np.column_stack([xs, ys, np.ones_like(xs)])
-sol, *_ = np.linalg.lstsq(M, -(xs**2 + ys**2), rcond=None)
-cx, cy = -sol[0] / 2, -sol[1] / 2
-radius = math.sqrt(cx * cx + cy * cy - sol[2])
-rms = math.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2))
-print(f"\nMittenpunkt locus: circle center=({cx:.9f}, {cy:.9f}) radius={radius:.9f}")
-print(f"circle-fit rms: {rms:.2e}")
+circle = fit_circle(x9s)
+print(f"\nMittenpunkt locus: circle center=({circle.center.x:.9f}, {circle.center.y:.9f}) "
+      f"radius={circle.radius:.9f}")
+print(f"circle-fit rms: {circle.rms:.2e}")
 
 # closing the loop with the billiard family: the orbit family of an
 # (a, b) billiard has a fixed rho, and feeding that rho back into the

@@ -17,17 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidShape
-from .kernel import Conic, EllipseParams, Point, Triangle
-
-# Cosine dead band separating acute / right / obtuse.
-RIGHT_DEADBAND = 1e-12
+from .errors import DegenerateTriangle, InvalidShape
+from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, perp_foot, where
 
 
 class ShapeClass(Enum):
     ACUTE = "acute"
     RIGHT = "right"
     OBTUSE = "obtuse"
+
+
+#: Shape classes by the code ``kernel.Tri.shape_code`` returns.
+SHAPE_CLASSES = tuple(ShapeClass)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,28 @@ class OrbitSample:
     shape_class: ShapeClass
 
 
+@dataclass(frozen=True)
+class Family:
+    """A whole orbit family as struct-of-arrays.
+
+    ``vertices`` is an ``(n, 3, 2)`` coordinate array, read as complex
+    vertices through ``tri``; ``codes`` are the shape classes as indices
+    into ``SHAPE_CLASSES``.
+    """
+
+    t: np.ndarray
+    vertices: np.ndarray
+
+    @cached_property
+    def tri(self) -> Tri:
+        z = self.vertices.view(np.complex128)[..., 0]
+        return Tri(z[:, 0], z[:, 1], z[:, 2])
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return self.tri.shape_code().astype(np.int8)
+
+
 def caustic(shape: BilliardShape) -> EllipseParams:
     """Confocal ellipse tangent to every orbit side.
 
@@ -96,39 +119,58 @@ def caustic(shape: BilliardShape) -> EllipseParams:
 
 def classify_triangle(t: Triangle) -> ShapeClass:
     """Acute / right / obtuse from the sign of the largest-angle cosine."""
-    cmin = min(t.cosines())
-    if cmin < -RIGHT_DEADBAND:
-        return ShapeClass.OBTUSE
-    if cmin <= RIGHT_DEADBAND:
-        return ShapeClass.RIGHT
-    return ShapeClass.ACUTE
+    return SHAPE_CLASSES[t.tri.shape_code()]
 
 
-def orbit(shape: BilliardShape, t: float) -> OrbitSample:
+def _orbit_vertices(shape: BilliardShape, t, lib, atan2):
+    """Vertex coordinates (x1, y1, x2, y2, x3, y3) of the orbit at t.
+
+    ``t`` is a number (``lib`` math) or an array (``lib`` numpy).  The
+    normals n of the two sides through p1 = (x, y) make them tangent to
+    the caustic x^2/A + y^2/B = 1: n^T (diag(A, B) - p1 p1^T) n = 0.  That
+    2x2 form factors in closed form as n ~ (r, A - x^2) and
+    n ~ (B - y^2, r), with the root r taken so that it loses no digits.
+    Each side then meets the boundary once more.
+    """
+    a2, b2 = shape.a**2, shape.b**2
+    caus = caustic(shape)
+    A, B = caus.semi_major**2, caus.semi_minor**2
+    x, y = shape.a * lib.cos(t), shape.b * lib.sin(t)
+    xy = x * y
+    r = xy + lib.copysign(lib.sqrt(A * y * y + B * x * x - A * B), xy)
+    partners = []
+    # side directions (-n_y, n_x)
+    for ux, uy in ((x * x - A, r), (-r, B - y * y)):
+        k = -2.0 * (x * ux / a2 + y * uy / b2) / (ux * ux / a2 + uy * uy / b2)
+        qx, qy = x + k * ux, y + k * uy
+        forward = (atan2(qy / shape.b, qx / shape.a) - t) % (2.0 * math.pi)
+        partners.append((qx, qy, forward))
+    (qx, qy, fq), (sx, sy, fs) = partners
+    swap = fs < fq
+    return (x, y, where(swap, sx, qx), where(swap, sy, qy), where(swap, qx, sx), where(swap, qy, sy))
+
+
+def orbit(shape: BilliardShape, t):
     """Orbit triangle with first vertex at (a cos t, b sin t).
 
     The second vertex is the nearer bounce in increasing boundary
     parameter, the third the farther one, so the vertices wind
-    counterclockwise for every t.
+    counterclockwise for every t.  For an array of parameters the whole
+    ``Family`` is built at once; it raises the failure of the first
+    degenerate member.
     """
-    p1 = shape.boundary_point(t)
-    caus = caustic(shape)
-    ac2, bc2 = caus.semi_major**2, caus.semi_minor**2
-    x1, y1 = p1.x, p1.y
-    S = np.array([[ac2 - x1 * x1, -x1 * y1], [-x1 * y1, bc2 - y1 * y1]])
-    w, V = np.linalg.eigh(S)
-    partners = []
-    for sign in (1.0, -1.0):
-        n = math.sqrt(-w[0]) * V[:, 1] + sign * math.sqrt(w[1]) * V[:, 0]
-        u = Point(-n[1], n[0])
-        qa = u.x**2 / shape.a**2 + u.y**2 / shape.b**2
-        qb = 2.0 * (p1.x * u.x / shape.a**2 + p1.y * u.y / shape.b**2)
-        q = p1 + (-qb / qa) * u
-        forward = (math.atan2(q.y / shape.b, q.x / shape.a) - t) % (2.0 * math.pi)
-        partners.append((forward, q))
-    partners.sort(key=lambda z: z[0])
-    tri = Triangle(p1, partners[0][1], partners[1][1])
-    return OrbitSample(t, tri, classify_triangle(tri))
+    if np.ndim(t) == 0:
+        x1, y1, x2, y2, x3, y3 = _orbit_vertices(shape, t, math, math.atan2)
+        tri = Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
+        return OrbitSample(t, tri, classify_triangle(tri))
+    t = np.asarray(t, dtype=float)
+    coords = _orbit_vertices(shape, t, np, np.arctan2)
+    fam = Family(t, np.stack(coords, axis=-1).reshape(t.shape + (3, 2)))
+    skips = Skips(t.size)
+    skips.check(~np.isfinite(fam.vertices).all(axis=(-2, -1)), ValueError, "non-finite orbit vertex")
+    skips.check(fam.tri.thin(), DegenerateTriangle, "orbit triangle area below tolerance")
+    skips.raise_first()
+    return fam
 
 
 def classify_orbit(shape: BilliardShape, t: float) -> ShapeClass:
@@ -175,10 +217,8 @@ def orthic_center_transition(shape: BilliardShape) -> Point:
     tri = orbit(shape, t).triangle
     i = min(range(3), key=lambda k: abs(tri.cosines()[k]))
     verts = tri.vertices
-    pv, q, r = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
-    d = r - q
-    foot = q + ((pv - q).dot(d) / d.dot(d)) * d
-    return 0.5 * (pv + foot)
+    pv, q, r = verts[i].z, verts[(i + 1) % 3].z, verts[(i + 2) % 3].z
+    return Point.from_complex(0.5 * (pv + perp_foot(pv, q, r)))
 
 
 def isosceles_dimensions(shape: BilliardShape) -> tuple[float, float]:

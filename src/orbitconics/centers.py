@@ -6,17 +6,19 @@ sec, cos of angle differences) are always computed from sidelengths via
 the law of cosines.  A handful of centers are composite: they are
 defined as a named center of a derived triangle or as an affine
 combination of other centers.
+
+Every rule is written once on ``kernel.Tri`` (``center_of``,
+``derived_of``), so it evaluates one triangle for the scalar API below
+and a whole family of triangles for the batched kernel.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
+from .billiard import SHAPE_CLASSES
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
-from .kernel import Point, Triangle
-
-# Largest-angle cosine dead band for acute/right/obtuse branch switches.
-RIGHT_DEADBAND = 1e-12
+from .kernel import RAISE, RIGHT_DEADBAND, Point, Skips, Tri, Triangle, perp_foot, where
 
 #: Kimberling indices with a direct or composite rule below.
 SUPPORTED_CENTERS = frozenset(
@@ -28,26 +30,28 @@ SUPPORTED_CENTERS = frozenset(
 ORTHIC_CB_CENTER = "X6star"
 
 
+def _point_of(v: Tri, tri, guard):
+    w1, w2, w3 = v.s1 * tri[0], v.s2 * tri[1], v.s3 * tri[2]
+    den = w1 + w2 + w3
+    guard.check(
+        abs(den) <= 1e-12 * (abs(w1) + abs(w2) + abs(w3)),
+        PointAtInfinity,
+        "trilinears lie on the line at infinity",
+    )
+    return (w1 * v.p1 + w2 * v.p2 + w3 * v.p3) * (1.0 / den)
+
+
 def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:
     """Cartesian position of homogeneous trilinears (t1 : t2 : t3)."""
-    s1, s2, s3 = t.sidelengths()
-    w1, w2, w3 = s1 * tri[0], s2 * tri[1], s3 * tri[2]
-    den = w1 + w2 + w3
-    if abs(den) <= 1e-12 * (abs(w1) + abs(w2) + abs(w3)):
-        raise PointAtInfinity("trilinears lie on the line at infinity")
-    return (w1 * t.p1 + w2 * t.p2 + w3 * t.p3) / den
+    return Point.from_complex(_point_of(t.tri, tri, RAISE))
 
 
-def _sines(cos_a: float, cos_b: float, cos_c: float) -> tuple[float, float, float]:
-    return (
-        math.sqrt(max(1.0 - cos_a * cos_a, 0.0)),
-        math.sqrt(max(1.0 - cos_b * cos_b, 0.0)),
-        math.sqrt(max(1.0 - cos_c * cos_c, 0.0)),
-    )
+def _sines(cos_a, cos_b, cos_c):
+    return tuple(np.sqrt(np.maximum(1.0 - c * c, 0.0)) for c in (cos_a, cos_b, cos_c))
 
 
-def _direct_trilinears(t: Triangle, index: int) -> tuple[float, float, float]:
-    s1, s2, s3 = t.sidelengths()
+def _direct_trilinears(v: Tri, index: int, guard):
+    s1, s2, s3 = v.s1, v.s2, v.s3
     if index == 1:
         return (1.0, 1.0, 1.0)
     if index == 2:
@@ -67,17 +71,21 @@ def _direct_trilinears(t: Triangle, index: int) -> tuple[float, float, float]:
     if index == 10:
         return ((s2 + s3) / s1, (s3 + s1) / s2, (s1 + s2) / s3)
     if index == 1156:
-        return (
-            1.0 / ((s2 - s3) ** 2 + s1 * (s2 + s3 - 2 * s1)),
-            1.0 / ((s3 - s1) ** 2 + s2 * (s3 + s1 - 2 * s2)),
-            1.0 / ((s1 - s2) ** 2 + s3 * (s1 + s2 - 2 * s3)),
-        )
-    ca, cb, cc = t.cosines()
+        d1 = (s2 - s3) ** 2 + s1 * (s2 + s3 - 2 * s1)
+        d2 = (s3 - s1) ** 2 + s2 * (s3 + s1 - 2 * s2)
+        d3 = (s1 - s2) ** 2 + s3 * (s1 + s2 - 2 * s3)
+        guard.check((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0), UndefinedForShape,
+                    "X1156 is undefined for an equilateral triangle")
+        return (1.0 / d1, 1.0 / d2, 1.0 / d3)
+    ca, cb, cc = v.cosines()
     if index == 3:
         return (ca, cb, cc)
     if index == 4:
-        if min(abs(ca), abs(cb), abs(cc)) < 1e-15:
-            raise UndefinedForShape("orthocenter of a right triangle is at a vertex-altitude limit")
+        guard.check(
+            (abs(ca) < 1e-15) | (abs(cb) < 1e-15) | (abs(cc) < 1e-15),
+            UndefinedForShape,
+            "orthocenter of a right triangle is at a vertex-altitude limit",
+        )
         return (1.0 / ca, 1.0 / cb, 1.0 / cc)
     if index == 5:
         sa, sb, sc = _sines(ca, cb, cc)
@@ -92,102 +100,142 @@ def _direct_trilinears(t: Triangle, index: int) -> tuple[float, float, float]:
     raise KeyError(index)
 
 
+def center_of(v: Tri, center_id, guard):
+    """Complex position of a supported center of ``v``.
+
+    ``guard`` is RAISE for one triangle or a Skips for a stack.
+    """
+    if center_id == ORTHIC_CB_CENTER:
+        return orthic_cb_center_of(v, guard)[0]
+    index = int(center_id)
+    if index not in SUPPORTED_CENTERS:
+        raise KeyError(f"center X{index} not supported")
+    if index == 40:
+        return center_of(derived_of(v, "excentral", guard), 3, guard)
+    if index == 69:
+        return center_of(derived_of(v, "act", guard), 6, guard)
+    if index == 100:
+        return 2.0 * center_of(v, 9, guard) - center_of(v, 1156, guard)
+    if index == 142:
+        return 0.5 * (center_of(v, 9, guard) + center_of(v, 7, guard))
+    if index == 144:
+        return 3.0 * center_of(v, 2, guard) - 2.0 * center_of(v, 7, guard)
+    if index == 168:
+        return center_of(derived_of(v, "excentral", guard), 9, guard)
+    return _point_of(v, _direct_trilinears(v, index, guard), guard)
+
+
 def center(t: Triangle, center_id) -> Point:
     """Cartesian position of a supported triangle center.
 
     ``center_id`` is a Kimberling index from SUPPORTED_CENTERS or the
     string ORTHIC_CB_CENTER.
     """
-    if center_id == ORTHIC_CB_CENTER:
-        return orthic_cb_center(t)
-    index = int(center_id)
-    if index not in SUPPORTED_CENTERS:
-        raise KeyError(f"center X{index} not supported")
-    if index == 40:
-        return center(excentral(t), 3)
-    if index == 69:
-        return center(act(t), 6)
-    if index == 100:
-        return 2.0 * center(t, 9) - center(t, 1156)
-    if index == 142:
-        return 0.5 * (center(t, 9) + center(t, 7))
-    if index == 144:
-        return 3.0 * center(t, 2) - 2.0 * center(t, 7)
-    if index == 168:
-        return center(excentral(t), 9)
-    return trilinear_to_cartesian(t, _direct_trilinears(t, index))
+    return Point.from_complex(center_of(t.tri, center_id, RAISE))
+
+
+def derived_of(v: Tri, which: str, guard) -> Tri:
+    """Excentral, anticomplementary ("act"), medial or orthic triangle of ``v``.
+
+    The orthic triangle is refused (RightTriangle) when an angle is right
+    within the dead band, since two feet then coincide with the
+    right-angle vertex.
+    """
+    p1, p2, p3 = v.vertices
+    degenerate = DegenerateTriangle
+    if which == "excentral":
+        s1, s2, s3 = v.s1, v.s2, v.s3
+        out = Tri(
+            (-s1 * p1 + s2 * p2 + s3 * p3) * (1.0 / (s2 + s3 - s1)),
+            (s1 * p1 - s2 * p2 + s3 * p3) * (1.0 / (s3 + s1 - s2)),
+            (s1 * p1 + s2 * p2 - s3 * p3) * (1.0 / (s1 + s2 - s3)),
+        )
+    elif which == "act":
+        out = Tri(p2 + p3 - p1, p3 + p1 - p2, p1 + p2 - p3)
+    elif which == "medial":
+        out = Tri(0.5 * (p2 + p3), 0.5 * (p3 + p1), 0.5 * (p1 + p2))
+    elif which == "orthic":
+        ca, cb, cc = v.cosines()
+        guard.check(
+            (abs(ca) <= RIGHT_DEADBAND) | (abs(cb) <= RIGHT_DEADBAND) | (abs(cc) <= RIGHT_DEADBAND),
+            RightTriangle,
+            "orthic of a right triangle collapses to a segment",
+        )
+        out = Tri(perp_foot(p1, p2, p3), perp_foot(p2, p3, p1), perp_foot(p3, p1, p2))
+        degenerate = RightTriangle
+    else:
+        raise KeyError(f"unknown derived triangle {which!r}")
+    guard.check(out.thin(), degenerate, "derived triangle area below tolerance")
+    return out
 
 
 def excentral(t: Triangle) -> Triangle:
     """Triangle of the three excenters."""
-    s1, s2, s3 = t.sidelengths()
-    p1, p2, p3 = t.vertices
-    e1 = (-s1 * p1 + s2 * p2 + s3 * p3) / (s2 + s3 - s1)
-    e2 = (s1 * p1 - s2 * p2 + s3 * p3) / (s3 + s1 - s2)
-    e3 = (s1 * p1 + s2 * p2 - s3 * p3) / (s1 + s2 - s3)
-    return Triangle(e1, e2, e3)
+    return Triangle.from_tri(derived_of(t.tri, "excentral", RAISE))
 
 
 def medial(t: Triangle) -> Triangle:
     """Triangle of the side midpoints."""
-    return Triangle(
-        0.5 * (t.p2 + t.p3),
-        0.5 * (t.p3 + t.p1),
-        0.5 * (t.p1 + t.p2),
-    )
+    return Triangle.from_tri(derived_of(t.tri, "medial", RAISE))
 
 
 def act(t: Triangle) -> Triangle:
     """Anticomplementary triangle: vertex i maps to p_j + p_k - p_i."""
-    return Triangle(
-        t.p2 + t.p3 - t.p1,
-        t.p3 + t.p1 - t.p2,
-        t.p1 + t.p2 - t.p3,
-    )
-
-
-def _altitude_foot(t: Triangle, i: int) -> Point:
-    verts = t.vertices
-    p, q, r = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
-    d = r - q
-    return q + ((p - q).dot(d) / d.dot(d)) * d
+    return Triangle.from_tri(derived_of(t.tri, "act", RAISE))
 
 
 def orthic(t: Triangle) -> Triangle:
-    """Triangle of the altitude feet.
+    """Triangle of the altitude feet; RightTriangle for right triangles."""
+    return Triangle.from_tri(derived_of(t.tri, "orthic", RAISE))
 
-    Raises RightTriangle when an angle is right within the dead band,
-    since two feet then coincide with the right-angle vertex.
+
+def orthic_cb_center_of(v: Tri, guard):
+    """Orthic-CB center of ``v``, with its shape code.
+
+    Acute: X6.  Obtuse at vertex P: X6 of the triangle spanned by the
+    other two vertices and the orthocenter.  Right (within the dead
+    band): the common limit of both rules, the midpoint of the altitude
+    from the right-angle vertex.  Only the chosen rule's failures count:
+    one triangle runs that rule alone, a stack runs each rule with its
+    own Skips and keeps the failures of the members that use it.
     """
-    nearest_right = min(t.cosines(), key=abs)
-    if abs(nearest_right) <= RIGHT_DEADBAND:
-        raise RightTriangle("orthic of a right triangle collapses to a segment")
-    try:
-        return Triangle(*(_altitude_foot(t, i) for i in range(3)))
-    except DegenerateTriangle as exc:
-        raise RightTriangle("orthic numerically degenerate") from exc
+    code = v.shape_code()
+    ca, cb, cc = v.cosines()
+    # P is the vertex of the largest angle (the first, on ties), then Q and R
+    first, second = (ca <= cb) & (ca <= cc), cb <= cc
+    p, q, r = (
+        where(first, u1, where(second, u2, u3))
+        for u1, u2, u3 in ((v.p1, v.p2, v.p3), (v.p2, v.p3, v.p1), (v.p3, v.p1, v.p2))
+    )
+
+    def obtuse_rule(g):
+        aux = Tri(q, r, center_of(v, 4, g))
+        g.check(aux.thin(), DegenerateTriangle, "auxiliary triangle area below tolerance")
+        return center_of(aux, 6, g)
+
+    def right_rule():
+        return 0.5 * (p + perp_foot(p, q, r))
+
+    if not isinstance(code, np.ndarray):
+        if code == 0:
+            return center_of(v, 6, guard), code
+        return (obtuse_rule(guard) if code == 2 else right_rule()), code
+    acute, obtuse = Skips(code.size), Skips(code.size)
+    point = np.where(code == 0, center_of(v, 6, acute),
+                     np.where(code == 2, obtuse_rule(obtuse), right_rule()))
+    guard.absorb(acute, code == 0)
+    guard.absorb(obtuse, code == 2)
+    return point, code
 
 
 def orthic_cb_center(t: Triangle, return_branch: bool = False):
     """Center of the orthic triangle's circumbilliard (symbolic X6*).
 
-    Acute triangles: the symmedian point X6 of ``t``.  Triangles obtuse
-    at vertex P: X6 of the triangle spanned by the other two vertices
-    and the orthocenter.  Right triangles (within the dead band): the
-    two branches share the limit value, the midpoint of the altitude
-    from the right-angle vertex, which is returned flagged as "right".
+    With ``return_branch`` also the rule used: "acute", "obtuse" or
+    "right".
     """
-    cos_vals = t.cosines()
-    i = min(range(3), key=lambda k: cos_vals[k])
-    cmin = cos_vals[i]
-    if cmin > RIGHT_DEADBAND:
-        point, branch = center(t, 6), "acute"
-    elif cmin < -RIGHT_DEADBAND:
-        verts = t.vertices
-        t2 = Triangle(verts[(i + 1) % 3], verts[(i + 2) % 3], center(t, 4))
-        point, branch = center(t2, 6), "obtuse"
-    else:
-        point, branch = 0.5 * (t.vertices[i] + _altitude_foot(t, i)), "right"
+    z, code = orthic_cb_center_of(t.tri, RAISE)
+    point = Point.from_complex(z)
     if return_branch:
-        return point, branch
+        return point, SHAPE_CLASSES[code].value
     return point

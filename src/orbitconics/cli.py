@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -22,44 +21,30 @@ import tempfile
 import numpy as np
 
 from . import centers as centers_mod
-from .billiard import BilliardShape, caustic, orbit
-from .circumbilliard import circumbilliard
+from .billiard import SHAPE_CLASSES, BilliardShape, caustic, orbit
+from .circumbilliard import circumbilliard, circumbilliard_of
 from .conic_invariants import (
     PoristicShape,
     count_interior_maxima,
     focal_profile,
     focal_ratio_closed_form,
     poristic_cb_aspect,
-    poristic_triangle,
+    poristic_of,
 )
 from .errors import OrbitConicsError
-from .kernel import Triangle
-from .loci import fit_by_shape_class, fit_locus, invariant_report, sample_grid, sweep_locus
-from .svgout import render_svg
+from .kernel import Skips, Triangle
+from .loci import (
+    MIN_SAMPLES,
+    fit_by_shape_class,
+    fit_circle,
+    fit_locus,
+    invariant_report,
+    sample_grid,
+    sweep_locus,
+)
+from .svgout import fmt, render_svg
 
 SCHEMA = "orbitconics-report/1"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("ORBITCONICS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    cap = thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -109,6 +94,17 @@ def parse_center(text: str):
     return index
 
 
+def sample_count(text: str) -> int:
+    """argparse type of --n: an integer of at least MIN_SAMPLES."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(f"need an integer >= {MIN_SAMPLES}, got {text!r}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -123,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family", help="orbit samples over the family")
     fam.add_argument("--a", type=float, required=True)
     fam.add_argument("--b", type=float, required=True)
-    fam.add_argument("--n", type=int, default=72)
+    fam.add_argument("--n", type=sample_count, default=72)
     fam.add_argument("--format", choices=("csv", "json"), default="csv")
     fam.add_argument("--out")
 
@@ -136,26 +132,26 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--b", type=float, required=True)
     loc.add_argument("--center", required=True)
     loc.add_argument("--derived", choices=("excentral", "act", "medial", "orthic"))
-    loc.add_argument("--n", type=int, default=720)
+    loc.add_argument("--n", type=sample_count, default=720)
     loc.add_argument("--fit", action="store_true")
     loc.add_argument("--out")
 
     inv = sub.add_parser("invariants", help="family invariance report")
     inv.add_argument("--a", type=float, required=True)
     inv.add_argument("--b", type=float, required=True)
-    inv.add_argument("--n", type=int, default=720)
+    inv.add_argument("--n", type=sample_count, default=720)
     inv.add_argument("--out")
 
     por = sub.add_parser("poristic", help="poristic aspect sweep")
     por.add_argument("--r", type=float, required=True)
     por.add_argument("--R", type=float, required=True, dest="R")
-    por.add_argument("--n", type=int, default=360)
+    por.add_argument("--n", type=sample_count, default=360)
     por.add_argument("--out")
 
     hyp = sub.add_parser("hyperbolae", help="focal length profile and ratio")
     hyp.add_argument("--a", type=float, required=True)
     hyp.add_argument("--b", type=float, required=True)
-    hyp.add_argument("--n", type=int, default=720)
+    hyp.add_argument("--n", type=sample_count, default=720)
     hyp.add_argument("--out")
 
     ren = sub.add_parser("render", help="render a locus CSV to SVG")
@@ -174,26 +170,21 @@ def _require_shape(parser, a: float, b: float) -> BilliardShape:
 
 
 def cmd_family(args) -> int:
-    shape = BilliardShape(args.a, args.b)
-
-    def one(t: float):
-        sample = orbit(shape, t)
-        tri = sample.triangle
-        return (
-            t,
-            tri,
-            sample.shape_class.value,
-            tri.perimeter(),
-            tri.inradius() / tri.circumradius(),
-        )
-
-    records = _pmap(one, [float(t) for t in sample_grid(args.n)])
+    fam = orbit(BilliardShape(args.a, args.b), sample_grid(args.n))
+    v = fam.tri
+    records = zip(
+        fam.t.tolist(),
+        fam.vertices.tolist(),
+        [SHAPE_CLASSES[c].value for c in fam.codes],
+        v.perimeter().tolist(),
+        (v.inradius() / v.circumradius()).tolist(),
+    )
     if args.format == "csv":
         header = ["t", "x1", "y1", "x2", "y2", "x3", "y3", "shape_class", "perimeter", "rho"]
-        rows = []
-        for t, tri, cls, per, rho in records:
-            coords = [c for p in tri.vertices for c in (p.x, p.y)]
-            rows.append([_fmt(t)] + [_fmt(c) for c in coords] + [cls, _fmt(per), _fmt(rho)])
+        rows = [
+            [fmt(t)] + [fmt(c) for p in verts for c in p] + [cls, fmt(per), fmt(rho)]
+            for t, verts, cls, per, rho in records
+        ]
         _emit(_csv_text(header, rows), args.out)
     else:
         payload = {
@@ -203,14 +194,8 @@ def cmd_family(args) -> int:
             "b": args.b,
             "n": args.n,
             "samples": [
-                {
-                    "t": t,
-                    "vertices": [[p.x, p.y] for p in tri.vertices],
-                    "shape_class": cls,
-                    "perimeter": per,
-                    "rho": rho,
-                }
-                for t, tri, cls, per, rho in records
+                {"t": t, "vertices": verts, "shape_class": cls, "perimeter": per, "rho": rho}
+                for t, verts, cls, per, rho in records
             ],
         }
         _emit(_json_dump(payload), args.out)
@@ -244,7 +229,7 @@ def cmd_locus(args, parser) -> int:
     sweep = sweep_locus(shape, center_id, derived=args.derived, n=args.n)
     header = ["t", "x", "y"]
     rows = [
-        [_fmt(t), _fmt(p.x), _fmt(p.y)]
+        [fmt(t), fmt(p.x), fmt(p.y)]
         for t, p in zip(sweep.t_values, sweep.points)
     ]
     _emit(_csv_text(header, rows), args.out)
@@ -292,23 +277,15 @@ def cmd_poristic(args, parser) -> int:
     if not (args.R > 2 * args.r > 0):
         parser.error(f"require R > 2 r > 0, got r={args.r}, R={args.R}")
     ps = PoristicShape(args.r, args.R)
-    aspects = []
-    x9s = []
-    for theta in sample_grid(args.n):
-        tri = poristic_triangle(ps, float(theta))
-        result = circumbilliard(tri)
-        aspects.append(result.aspect)
-        x9s.append(result.mittenpunkt)
-    aspects_arr = np.array(aspects)
+    skips = Skips(args.n)
+    with np.errstate(all="ignore"):
+        tri = poristic_of(ps, sample_grid(args.n), skips)
+        cb = circumbilliard_of(tri, skips)
+        x9 = centers_mod.center_of(tri, 9, skips)
+    skips.raise_first()
+    aspects_arr = cb.semi_major / cb.semi_minor
     closed = poristic_cb_aspect(ps)
-    xs = np.array([p.x for p in x9s])
-    ys = np.array([p.y for p in x9s])
-    # circle through the swept Mittenpunkt positions, algebraic least squares
-    M = np.column_stack([xs, ys, np.ones_like(xs)])
-    sol, *_ = np.linalg.lstsq(M, -(xs * xs + ys * ys), rcond=None)
-    cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
-    radius = math.sqrt(max(cx * cx + cy * cy - sol[2], 0.0))
-    rms = float(np.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2)))
+    circle = fit_circle(np.column_stack([x9.real, x9.imag]))
     payload = {
         "schema": SCHEMA,
         "command": "poristic",
@@ -320,9 +297,9 @@ def cmd_poristic(args, parser) -> int:
         "closed_form": closed,
         "closed_form_abs_diff": abs(float(aspects_arr.mean()) - closed),
         "mittenpunkt_circle": {
-            "center": [float(cx), float(cy)],
-            "radius": float(radius),
-            "rms": rms,
+            "center": [circle.center.x, circle.center.y],
+            "radius": circle.radius,
+            "rms": circle.rms,
         },
     }
     _emit(_json_dump(payload), args.out)
@@ -331,11 +308,9 @@ def cmd_poristic(args, parser) -> int:
 
 def cmd_hyperbolae(args, parser) -> int:
     shape = _require_shape(parser, args.a, args.b)
-    if args.n < 8:
-        parser.error("need --n >= 8")
     profile = focal_profile(shape, n=args.n)
     header = ["t", "feuerbach_focal_length", "jerabek_excentral_focal_length"]
-    rows = [[_fmt(s.t), _fmt(s.feuerbach), _fmt(s.jerabek_excentral)] for s in profile]
+    rows = [[fmt(s.t), fmt(s.feuerbach), fmt(s.jerabek_excentral)] for s in profile]
     _emit(_csv_text(header, rows), args.out)
     ratios = np.array([s.ratio for s in profile])
     payload = {
@@ -387,8 +362,6 @@ def main(argv=None) -> int:
         if args.command == "cb":
             return cmd_cb(args)
         if args.command == "locus":
-            if args.n < 8:
-                parser.error("need --n >= 8")
             return cmd_locus(args, parser)
         if args.command == "invariants":
             return cmd_invariants(args, parser)

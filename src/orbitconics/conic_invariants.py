@@ -9,6 +9,7 @@ forms in the reference inradius and circumradius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import centers
 from .billiard import BilliardShape, inradius_to_circumradius, orbit
-from .errors import ClosureFailure, DegenerateConic, InvalidShape
-from .kernel import Conic, Point, Triangle
+from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
+from .kernel import RAISE, Conic, Point, Skips, Tri, Triangle, cross, dot, length, where
 
 # Relative focal-length floor below which a hyperbola counts as collapsed.
 FOCAL_COLLAPSE_TOL = 1e-6
@@ -50,31 +51,41 @@ class PoristicShape:
         return self.r / self.R
 
 
-def poristic_triangle(ps: PoristicShape, theta: float) -> Triangle:
-    """Family member with first vertex at angle theta on the circumcircle.
+def poristic_of(ps: PoristicShape, theta, guard) -> Tri:
+    """Family members with first vertex at angle theta on the circumcircle.
 
     The two tangents from the vertex to the incircle meet the
     circumcircle again at the other two vertices; tangency of the third
-    side then holds by the Poncelet porism and is verified before
-    returning.
+    side then holds by the Poncelet porism and is verified
+    (ClosureFailure).  ``theta`` is a number (``guard`` RAISE) or an
+    array (``guard`` a Skips).
     """
-    inc = Point(ps.d, 0.0)
-    v1 = Point(ps.R * math.cos(theta), ps.R * math.sin(theta))
+    inc = complex(ps.d, 0.0)
+    v1 = ps.R * (np.cos(theta) + 1j * np.sin(theta))
     w = inc - v1
-    reach = w.norm()
-    base = math.atan2(w.y, w.x)
-    half = math.asin(min(1.0, ps.r / reach))
-    others = []
-    for sign in (1.0, -1.0):
-        ang = base + sign * half
-        u = Point(math.cos(ang), math.sin(ang))
-        others.append(v1 + (-2.0 * v1.dot(u)) * u)
-    v2, v3 = others
-    n = Point(v3.y - v2.y, v2.x - v3.x)
-    closure = abs(abs((inc - v2).dot(n)) / n.norm() - ps.r)
-    if closure > 1e-9 * ps.R:
-        raise ClosureFailure(f"third side misses the incircle by {closure:.3e}")
-    return Triangle(v1, v2, v3)
+    reach = length(w)
+    # sine and cosine of the half angle between the two tangents
+    sin_half = np.minimum(1.0, ps.r / reach)
+    cos_half = np.sqrt(1.0 - sin_half * sin_half)
+    # unit directions of the tangents: w / reach turned by +-half
+    ex, ey = w.real * (1.0 / reach), w.imag * (1.0 / reach)
+    v2, v3 = (
+        v1 + (-2.0 * dot(v1, u)) * u
+        for u in (
+            (ex * cos_half - ey * sin_half) + 1j * (ey * cos_half + ex * sin_half),
+            (ex * cos_half + ey * sin_half) + 1j * (ey * cos_half - ex * sin_half),
+        )
+    )
+    closure = abs(abs(cross(v3 - v2, inc - v2)) / length(v3 - v2) - ps.r)
+    guard.check(closure > 1e-9 * ps.R, ClosureFailure, "third side misses the incircle")
+    out = Tri(v1, v2, v3)
+    guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
+    return out
+
+
+def poristic_triangle(ps: PoristicShape, theta: float) -> Triangle:
+    """Family member with first vertex at angle theta on the circumcircle."""
+    return Triangle.from_tri(poristic_of(ps, theta, RAISE))
 
 
 def poristic_cb_aspect(ps: PoristicShape) -> float:
@@ -98,7 +109,8 @@ class RectHyperbola:
 
     @property
     def focal_length(self) -> float:
-        return math.sqrt(abs(8.0 * self.c1 * self.c2 / (self.c3 * self.c3)))
+        """Distance between the foci; elementwise when the coefficients are arrays."""
+        return np.sqrt(8.0 * abs(self.c1 / self.c3) * abs(self.c2 / self.c3))
 
     @property
     def center(self) -> Point:
@@ -120,55 +132,70 @@ class RectHyperbola:
         return Conic(0.0, 0.0, -1.0 / k, 0.0, 0.0)
 
 
-def _xy_circumconic(tri: Triangle) -> RectHyperbola:
-    """Conic c1 x + c2 y + c3 xy = 0 through three points and the origin.
+def _row_cross(u, w):
+    return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+
+
+def _row_dot(u, w):
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _largest(*xs):
+    return functools.reduce(np.maximum, xs)
+
+
+def _xy_hyperbola(v: Tri, guard) -> RectHyperbola:
+    """Conic c1 x + c2 y + c3 xy = 0 through the vertices of ``v`` and the origin.
 
     Exists only when the 3x3 coefficient matrix is singular, which for
     orbit triangles (and their excentrals) holds because the conic also
     passes through the stationary Mittenpunkt at the origin.  The
     coefficient vector is the null vector, taken as the largest cross
-    product of two rows.
+    product of two rows (the first, on ties).  Elementwise arithmetic
+    only, so one triangle runs on numbers and a stack row by row.
     """
-    rows = [np.array([p.x, p.y, p.x * p.y]) for p in tri.vertices]
-    candidates = [
-        np.cross(rows[1], rows[2]),
-        np.cross(rows[2], rows[0]),
-        np.cross(rows[0], rows[1]),
-    ]
-    c = max(candidates, key=np.linalg.norm)
-    scale = max(np.abs(np.array(rows)).max(), 1e-300) * np.linalg.norm(c)
-    residual = max(abs(float(r @ c)) for r in rows) / scale
-    if residual > 1e-9:
-        raise DegenerateConic(
-            "no axis-parallel circumhyperbola through the origin "
-            f"(null residual {residual:.3e}); is the Mittenpunkt at the origin?"
-        )
-    L = tri.scale()
+    rows = [(p.real, p.imag, p.real * p.imag) for p in v.vertices]
+    candidates = (_row_cross(rows[1], rows[2]), _row_cross(rows[2], rows[0]),
+                  _row_cross(rows[0], rows[1]))
+    n0, n1, n2 = (np.sqrt(_row_dot(c, c)) for c in candidates)
+    first, second = (n0 >= n1) & (n0 >= n2), n1 >= n2
+    c = tuple(where(first, x0, where(second, x1, x2)) for x0, x1, x2 in zip(*candidates))
+    biggest = _largest(*(abs(x) for row in rows for x in row))
+    scale = _largest(biggest, 1e-300) * where(first, n0, where(second, n1, n2))
+    residual = _largest(*(abs(_row_dot(row, c)) for row in rows)) / scale
+    guard.check(residual > 1e-9, DegenerateConic,
+                "no axis-parallel circumhyperbola through the origin; "
+                "is the Mittenpunkt at the origin?")
+    L = _largest(v.s1, v.s2, v.s3)
     norm = abs(c[0]) + abs(c[1]) + abs(c[2]) * L
-    if abs(c[2]) * L <= 1e-12 * norm:
-        raise DegenerateConic("hyperbola center at infinity")
-    hyp = RectHyperbola(float(c[0]), float(c[1]), float(c[2]))
-    if hyp.focal_length <= FOCAL_COLLAPSE_TOL * L:
-        raise DegenerateConic("focal points collapsed (isosceles configuration)")
+    guard.check(abs(c[2]) * L <= 1e-12 * norm, DegenerateConic, "hyperbola center at infinity")
+    hyp = RectHyperbola(*c)
+    guard.check(hyp.focal_length <= FOCAL_COLLAPSE_TOL * L, DegenerateConic,
+                "focal points collapsed (isosceles configuration)")
     return hyp
 
 
-def feuerbach_hyperbola(t: Triangle) -> RectHyperbola:
+def _as_tri(t) -> Tri:
+    return t.tri if isinstance(t, Triangle) else t
+
+
+def feuerbach_hyperbola(t, guard=RAISE) -> RectHyperbola:
     """Feuerbach circumhyperbola of an orbit triangle centered at the origin.
 
     Passes through the vertices, the incenter, the orthocenter and the
-    origin; centered on the Feuerbach point X11.
+    origin; centered on the Feuerbach point X11.  ``t`` is a Triangle,
+    or a stacked ``Tri`` with ``guard`` a Skips, which gives array fields.
     """
-    return _xy_circumconic(t)
+    return _xy_hyperbola(_as_tri(t), guard)
 
 
-def jerabek_excentral(t: Triangle) -> RectHyperbola:
+def jerabek_excentral(t, guard=RAISE) -> RectHyperbola:
     """Jerabek circumhyperbola of the excentral triangle.
 
     Passes through the three excenters, the incenter and the origin;
-    centered on X100.
+    centered on X100.  ``t`` and ``guard`` as for ``feuerbach_hyperbola``.
     """
-    return _xy_circumconic(centers.excentral(t))
+    return _xy_hyperbola(centers.derived_of(_as_tri(t), "excentral", guard), guard)
 
 
 def focal_ratio_closed_form(shape: BilliardShape) -> float:
@@ -191,22 +218,21 @@ def focal_profile(shape: BilliardShape, n: int = 720) -> list[FocalSample]:
     """Focal lengths of both hyperbolas over t in (0, pi/2).
 
     Parameters within 1e-3 rad of the isosceles endpoints are excluded
-    (the hyperbolas degenerate there).
+    (the hyperbolas degenerate there).  Raises the failure of the first
+    sample whose hyperbola degenerates.
     """
-    out = []
-    for k in range(n):
-        t = (k + 0.5) * (0.5 * math.pi / n)
-        if t < 1e-3 or (0.5 * math.pi - t) < 1e-3:
-            continue
-        tri = orbit(shape, t).triangle
-        out.append(
-            FocalSample(
-                t,
-                feuerbach_hyperbola(tri).focal_length,
-                jerabek_excentral(tri).focal_length,
-            )
-        )
-    return out
+    t = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+    t = t[(t >= 1e-3) & (0.5 * math.pi - t >= 1e-3)]
+    fam = orbit(shape, t)
+    skips = Skips(t.size)
+    with np.errstate(all="ignore"):
+        feuerbach = feuerbach_hyperbola(fam.tri, skips).focal_length
+        jerabek = jerabek_excentral(fam.tri, skips).focal_length
+    skips.raise_first()
+    return [
+        FocalSample(*sample)
+        for sample in zip(t.tolist(), feuerbach.tolist(), jerabek.tolist())
+    ]
 
 
 def count_interior_maxima(values) -> int:
@@ -252,11 +278,13 @@ def excentral_inconic_axes(t: Triangle, which: str) -> tuple[float, float]:
     ``which`` is "x3" for the inconic centered on the excentral
     circumcenter, giving (R + d, R - d), or "macbeath" for the inconic
     centered on the excentral nine-point center, giving
-    (R, sqrt(R^2 - d^2)); r, R, d are metric quantities of the
-    reference triangle.
+    (R, sqrt(R^2 - d^2)); R is the circumradius of the reference
+    triangle and d = sqrt(R (R - 2r)) its incenter-circumcenter
+    distance (Euler).  d is measured as that distance, since R - 2r
+    cancels for nearly equilateral triangles.
     """
-    r, R = t.inradius(), t.circumradius()
-    d = math.sqrt(max(R * (R - 2.0 * r), 0.0))
+    R = t.circumradius()
+    d = centers.center(t, 3).dist(centers.center(t, 1))
     if which == "x3":
         return (R + d, R - d)
     if which == "macbeath":

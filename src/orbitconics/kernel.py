@@ -1,5 +1,12 @@
 """Planar points, triangles and general conic algebra.
 
+Triangles are also available as ``Tri``: complex vertices with side
+lengths, where each vertex is either one complex number or an array of
+them.  The triangle-center, derived-triangle and circumbilliard formulas
+are written once on ``Tri``, so the same code serves the scalar API (one
+triangle, failures raise through ``RAISE``) and the batched family
+kernel (arrays, failures recorded per sample in ``Skips``).
+
 Conics use the five-coefficient form
 
     1 + c1*x + c2*y + c3*x*y + c4*x**2 + c5*y**2 = 0
@@ -33,6 +40,8 @@ CONDITION_LIMIT = 1e12
 AREA_TOL = 1e-12
 # Tangency verification for inconics (scaled discriminant).
 TANGENCY_TOL = 1e-9
+# Cosine dead band separating acute / right / obtuse.
+RIGHT_DEADBAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,160 @@ class Point:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
+
+    @property
+    def z(self) -> complex:
+        return complex(self.x, self.y)
+
+    @classmethod
+    def from_complex(cls, z) -> "Point":
+        return cls(z.real, z.imag)
+
+
+def dot(u, v):
+    """Dot product of plane vectors given as complex numbers or arrays of them."""
+    return u.real * v.real + u.imag * v.imag
+
+
+def cross(u, v):
+    """z-component of the cross product of complex-coded plane vectors."""
+    return u.real * v.imag - u.imag * v.real
+
+
+def length(d):
+    """|d| through libm hypot, bit for bit alike for a complex number and an array.
+
+    (numpy's complex ``abs`` and ``math.hypot`` each round differently.)
+    """
+    if type(d) is complex:
+        return abs(d)
+    return np.hypot(d.real, d.imag)
+
+
+def where(cond, a, b):
+    """``np.where`` for an array condition; a plain choice for one bool."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def perp_foot(p, q, r):
+    """Foot of the perpendicular from p to the line qr (complex numbers or arrays)."""
+    d = r - q
+    return q + (dot(p - q, d) / dot(d, d)) * d
+
+
+class Raise:
+    """Failure policy of the scalar API: the first failed check raises."""
+
+    @staticmethod
+    def check(failed, exc, message: str) -> None:
+        if failed:
+            raise exc(message)
+
+
+RAISE = Raise()
+
+
+class Skips:
+    """Failure policy of the batched kernel: a validity mask plus a reason per sample.
+
+    ``check`` records, for every sample still valid where ``failed`` holds,
+    the exception the scalar API would raise there; later checks do not
+    overwrite it, so each sample keeps its first failure, as a raise would.
+    """
+
+    def __init__(self, n: int):
+        self.code = np.full(n, -1, dtype=np.intp)
+        self.failures: list[tuple[type, str]] = []
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.code < 0
+
+    def check(self, failed, exc, message: str) -> None:
+        new = failed & (self.code < 0)
+        if np.any(new):
+            self.code[new] = len(self.failures)
+            self.failures.append((exc, message))
+
+    def absorb(self, other: "Skips", where) -> None:
+        """Take over the failures of ``other`` on the samples selected by ``where``."""
+        new = where & (other.code >= 0) & (self.code < 0)
+        self.code[new] = other.code[new] + len(self.failures)
+        self.failures.extend(other.failures)
+
+    def reason(self, i: int) -> str:
+        """Exception type name of sample i's failure ("" when valid)."""
+        code = self.code[i]
+        return self.failures[code][0].__name__ if code >= 0 else ""
+
+    def raise_first(self) -> None:
+        """Raise the failure of the first failed sample, if any."""
+        bad = np.flatnonzero(self.code >= 0)
+        if bad.size:
+            exc, message = self.failures[self.code[bad[0]]]
+            raise exc(message)
+
+
+class Tri:
+    """Triangle with complex vertices: numbers for one, arrays for a stack.
+
+    Side s1 = |p2 p3| is opposite p1, etc.  Formulas on Tri give the same
+    bits for a number as for an array element: they add, subtract and
+    scale complex values by reals, but never multiply two complex values
+    or divide a complex value by a real, which numpy rounds differently
+    from Python.
+    """
+
+    __slots__ = ("p1", "p2", "p3", "s1", "s2", "s3", "area")
+
+    def __init__(self, p1, p2, p3):
+        self.p1, self.p2, self.p3 = p1, p2, p3
+        self.s1, self.s2, self.s3 = length(p2 - p3), length(p3 - p1), length(p1 - p2)
+        self.area = 0.5 * abs(cross(p2 - p1, p3 - p1))
+
+    @classmethod
+    def stack(cls, triangles) -> "Tri":
+        z = np.array([[p.z for p in t.vertices] for t in triangles])
+        return cls(z[:, 0], z[:, 1], z[:, 2])
+
+    @property
+    def vertices(self):
+        return (self.p1, self.p2, self.p3)
+
+    def cosines(self):
+        """Cosine of the angle at each vertex, from the law of cosines."""
+        s1, s2, s3 = self.s1, self.s2, self.s3
+        return (
+            (s2 * s2 + s3 * s3 - s1 * s1) / (2 * s2 * s3),
+            (s1 * s1 + s3 * s3 - s2 * s2) / (2 * s1 * s3),
+            (s1 * s1 + s2 * s2 - s3 * s3) / (2 * s1 * s2),
+        )
+
+    def shape_code(self):
+        """0 acute, 1 right (within RIGHT_DEADBAND), 2 obtuse, from the smallest cosine."""
+        ca, cb, cc = self.cosines()
+        cmin = np.minimum(np.minimum(ca, cb), cc)
+        return 1 * (cmin <= RIGHT_DEADBAND) + 1 * (cmin < -RIGHT_DEADBAND)
+
+    def perimeter(self):
+        return self.s1 + self.s2 + self.s3
+
+    def inradius(self):
+        return self.area / (0.5 * self.perimeter())
+
+    def circumradius(self):
+        return self.s1 * self.s2 * self.s3 / (4 * self.area)
+
+    def thin(self):
+        """Area below AREA_TOL times the square of the longest side."""
+        s1, s2, s3 = self.s1, self.s2, self.s3
+        return (
+            (self.area < AREA_TOL * s1 * s1)
+            | (self.area < AREA_TOL * s2 * s2)
+            | (self.area < AREA_TOL * s3 * s3)
+        )
 
 
 class ConicClass(Enum):
@@ -157,7 +320,7 @@ class Triangle:
     p3: Point
 
     def __post_init__(self):
-        if self.area() < AREA_TOL * max(self.sidelengths()) ** 2:
+        if self.tri.thin():
             raise DegenerateTriangle(f"area {self.area():.3e} below tolerance")
 
     @classmethod
@@ -165,55 +328,49 @@ class Triangle:
         (x1, y1), (x2, y2), (x3, y3) = coords
         return cls(Point(x1, y1), Point(x2, y2), Point(x3, y3))
 
+    @classmethod
+    def from_tri(cls, v: Tri) -> "Triangle":
+        return cls(*(Point.from_complex(z) for z in v.vertices))
+
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.p1, self.p2, self.p3)
 
     @cached_property
-    def _sides(self) -> tuple[float, float, float]:
-        return (
-            self.p2.dist(self.p3),
-            self.p1.dist(self.p3),
-            self.p1.dist(self.p2),
-        )
+    def tri(self) -> Tri:
+        return Tri(self.p1.z, self.p2.z, self.p3.z)
 
     def sidelengths(self) -> tuple[float, float, float]:
         """(s1, s2, s3) with s1 = |p2 p3| opposite p1, etc."""
-        return self._sides
+        return (self.tri.s1, self.tri.s2, self.tri.s3)
 
     @property
     def s1(self) -> float:
-        return self._sides[0]
+        return self.tri.s1
 
     @property
     def s2(self) -> float:
-        return self._sides[1]
+        return self.tri.s2
 
     @property
     def s3(self) -> float:
-        return self._sides[2]
+        return self.tri.s3
 
     def area(self) -> float:
-        return 0.5 * abs((self.p2 - self.p1).cross(self.p3 - self.p1))
+        return self.tri.area
 
     def perimeter(self) -> float:
-        return sum(self.sidelengths())
+        return self.tri.perimeter()
 
     def cosines(self) -> tuple[float, float, float]:
         """Cosine of the angle at each vertex, from the law of cosines."""
-        s1, s2, s3 = self.sidelengths()
-        return (
-            (s2 * s2 + s3 * s3 - s1 * s1) / (2 * s2 * s3),
-            (s1 * s1 + s3 * s3 - s2 * s2) / (2 * s1 * s3),
-            (s1 * s1 + s2 * s2 - s3 * s3) / (2 * s1 * s2),
-        )
+        return self.tri.cosines()
 
     def inradius(self) -> float:
-        return self.area() / (0.5 * self.perimeter())
+        return self.tri.inradius()
 
     def circumradius(self) -> float:
-        s1, s2, s3 = self.sidelengths()
-        return s1 * s2 * s3 / (4 * self.area())
+        return self.tri.circumradius()
 
     def scale(self) -> float:
         return max(self.sidelengths())

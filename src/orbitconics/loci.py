@@ -16,13 +16,21 @@ from enum import Enum
 import numpy as np
 
 from . import centers
-from .billiard import BilliardShape, ShapeClass, inradius_to_circumradius, orbit
-from .circumbilliard import circumbilliard, derived_triangle
-from .errors import IllConditioned, OrbitConicsError
-from .kernel import Point, solve_linear
+from .billiard import (
+    SHAPE_CLASSES,
+    BilliardShape,
+    ShapeClass,
+    inradius_to_circumradius,
+    orbit,
+)
+from .circumbilliard import circumbilliard_of
+from .errors import IllConditioned
+from .kernel import Point, Skips, solve_linear
 
 ELLIPTIC_RMS = 1e-8
 NON_ELLIPTIC_RMS = 1e-4
+#: Fewest samples a sweep or fit accepts.
+MIN_SAMPLES = 8
 
 
 class Verdict(Enum):
@@ -58,6 +66,11 @@ def sample_grid(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
 
 
+def _require_samples(n: int) -> None:
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+
+
 def sweep_locus(
     shape: BilliardShape,
     center_id,
@@ -71,40 +84,36 @@ def sweep_locus(
     triangle's vertices themselves.  Samples whose derived construction
     degenerates are skipped and reported.
     """
-    if n < 8:
-        raise ValueError("need at least 8 samples")
-    points: list[Point] = []
-    t_values: list[float] = []
-    classes: list[ShapeClass] = []
-    skipped: list[tuple[float, str]] = []
-    for t in sample_grid(n):
-        sample = orbit(shape, float(t))
-        tri = sample.triangle
-        try:
-            if center_id == "vertices":
-                target = derived_triangle(tri, derived) if derived else tri
-                new_points = list(target.vertices)
-            elif derived is None:
-                new_points = [centers.center(tri, center_id)]
-            elif derived == "orthic" and center_id == centers.ORTHIC_CB_CENTER:
-                # the orthic-CB center rule already lives on the reference
-                new_points = [centers.orthic_cb_center(tri)]
-            else:
-                new_points = [centers.center(derived_triangle(tri, derived), center_id)]
-        except OrbitConicsError as exc:
-            skipped.append((float(t), type(exc).__name__))
-            continue
-        points.extend(new_points)
-        t_values.extend([float(t)] * len(new_points))
-        classes.extend([sample.shape_class] * len(new_points))
+    _require_samples(n)
+    fam = orbit(shape, sample_grid(n))
+    v, skips = fam.tri, Skips(n)
+    with np.errstate(all="ignore"):
+        if center_id == "vertices":
+            target = centers.derived_of(v, derived, skips) if derived else v
+            z = np.stack(target.vertices, axis=1)
+        elif derived is None or (derived == "orthic" and center_id == centers.ORTHIC_CB_CENTER):
+            # the orthic-CB center rule already lives on the reference
+            z = centers.center_of(v, center_id, skips)[:, None]
+        else:
+            z = centers.center_of(centers.derived_of(v, derived, skips), center_id, skips)[:, None]
+    keep = skips.valid
+    per_sample = z.shape[1]
+    z = z[keep].ravel()
+    points = [Point(x, y) for x, y in zip(z.real.tolist(), z.imag.tolist())]
+    t_values = np.repeat(fam.t[keep], per_sample).tolist()
+    classes = [SHAPE_CLASSES[c] for c in np.repeat(fam.codes[keep], per_sample)]
+    skipped = [(float(fam.t[i]), skips.reason(i)) for i in np.flatnonzero(~keep)]
     return LocusSweep(points, t_values, classes, skipped)
+
+
+def _as_points(samples) -> list[Point]:
+    return [p if isinstance(p, Point) else Point(p[0], p[1]) for p in samples]
 
 
 def fit_locus(samples) -> LocusFitReport:
     """Least-squares fit of A x^2 + B y^2 = 1 through the samples."""
-    pts = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in samples]
-    if len(pts) < 8:
-        raise ValueError("need at least 8 samples")
+    pts = _as_points(samples)
+    _require_samples(len(pts))
     x2 = np.array([p.x * p.x for p in pts])
     y2 = np.array([p.y * p.y for p in pts])
     normal = [[float(np.sum(x2 * x2)), float(np.sum(x2 * y2))],
@@ -128,6 +137,30 @@ def fit_locus(samples) -> LocusFitReport:
     return LocusFitReport(pts, float(A), float(B), rms, verdict, axes)
 
 
+@dataclass(frozen=True)
+class CircleFit:
+    center: Point
+    radius: float
+    rms: float
+
+
+def fit_circle(samples) -> CircleFit:
+    """Algebraic least-squares circle through the samples (Points or (x, y) pairs).
+
+    ``rms`` is the root-mean-square distance of the samples from the
+    fitted circle.
+    """
+    pts = _as_points(samples)
+    xs = np.array([p.x for p in pts])
+    ys = np.array([p.y for p in pts])
+    M = np.column_stack([xs, ys, np.ones_like(xs)])
+    sol, *_ = np.linalg.lstsq(M, -(xs * xs + ys * ys), rcond=None)
+    cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
+    radius = math.sqrt(max(cx * cx + cy * cy - sol[2], 0.0))
+    rms = float(np.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2)))
+    return CircleFit(Point(cx, cy), radius, rms)
+
+
 def fit_by_shape_class(sweep: LocusSweep) -> dict[str, LocusFitReport]:
     """Per-piece fits of a sweep partitioned by orbit shape class.
 
@@ -137,7 +170,7 @@ def fit_by_shape_class(sweep: LocusSweep) -> dict[str, LocusFitReport]:
     out: dict[str, LocusFitReport] = {}
     for cls in (ShapeClass.ACUTE, ShapeClass.OBTUSE):
         pts = [p for p, c in zip(sweep.points, sweep.shape_classes) if c is cls]
-        if len(pts) >= 8:
+        if len(pts) >= MIN_SAMPLES:
             out[cls.value] = fit_locus(pts)
     return out
 
@@ -199,26 +232,23 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     Checks the perimeter, the inradius-to-circumradius ratio (against
     its closed form), the stationarity of the Mittenpunkt, and the
     constancy and axis alignment of the anticomplementary and medial
-    circumbilliards.
+    circumbilliards.  Raises the failure of the first sample on which a
+    construction fails.
     """
-    perimeter, rho, x9n = [], [], []
-    act_major, act_minor, med_major, med_minor, angles = [], [], [], [], []
-    for t in sample_grid(n):
-        tri = orbit(shape, float(t)).triangle
-        perimeter.append(tri.perimeter())
-        rho.append(tri.inradius() / tri.circumradius())
-        x9n.append(centers.center(tri, 9).norm())
-        cb_act = circumbilliard(centers.act(tri))
-        cb_med = circumbilliard(centers.medial(tri))
-        act_major.append(cb_act.params.semi_major)
-        act_minor.append(cb_act.params.semi_minor)
-        med_major.append(cb_med.params.semi_major)
-        med_minor.append(cb_med.params.semi_minor)
-        for ang in (cb_act.params.axis_angle, cb_med.params.axis_angle):
-            angles.append(min(ang % math.pi, math.pi - (ang % math.pi)))
+    _require_samples(n)
+    fam = orbit(shape, sample_grid(n))
+    v, skips = fam.tri, Skips(n)
+    with np.errstate(all="ignore"):
+        x9n = abs(centers.center_of(v, 9, skips))
+        cb_act = circumbilliard_of(centers.derived_of(v, "act", skips), skips)
+        cb_med = circumbilliard_of(centers.derived_of(v, "medial", skips), skips)
+    skips.raise_first()
+    rho = v.inradius() / v.circumradius()
+    ang = np.concatenate([cb_act.axis_angle, cb_med.axis_angle]) % math.pi
+    angles = np.minimum(ang, math.pi - ang)
     rho_form = inradius_to_circumradius(shape)
     entries = [
-        _rel_spread_stats("perimeter", perimeter, 1e-9),
+        _rel_spread_stats("perimeter", v.perimeter(), 1e-9),
         _rel_spread_stats("inradius_to_circumradius", rho, 1e-9),
         QuantityStats(
             "rho_matches_closed_form",
@@ -236,10 +266,10 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
             1e-9 * shape.a,
             float(np.max(x9n)) <= 1e-9 * shape.a,
         ),
-        _rel_spread_stats("act_cb_semi_major", act_major, 1e-9),
-        _rel_spread_stats("act_cb_semi_minor", act_minor, 1e-9),
-        _rel_spread_stats("medial_cb_semi_major", med_major, 1e-9),
-        _rel_spread_stats("medial_cb_semi_minor", med_minor, 1e-9),
+        _rel_spread_stats("act_cb_semi_major", cb_act.semi_major, 1e-9),
+        _rel_spread_stats("act_cb_semi_minor", cb_act.semi_minor, 1e-9),
+        _rel_spread_stats("medial_cb_semi_major", cb_med.semi_major, 1e-9),
+        _rel_spread_stats("medial_cb_semi_minor", cb_med.semi_minor, 1e-9),
         QuantityStats(
             "cb_axis_alignment",
             0.0,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """Shortest round-trip text of a float, as written to CSV and SVG output."""
     return repr(float(x))
 
 
@@ -14,7 +15,7 @@ def _ellipse_path(a: float, b: float, n: int = 256) -> str:
         (a * math.cos(2 * math.pi * k / n), -b * math.sin(2 * math.pi * k / n))
         for k in range(n)
     ]
-    body = " L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+    body = " L".join(f"{fmt(x)} {fmt(y)}" for x, y in pts)
     return f"M{body} Z"
 
 
@@ -47,18 +48,18 @@ def render_svg(
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{width}" height="{height}" '
-        f'viewBox="{_fmt(xmin)} {_fmt(-ymax)} {_fmt(w)} {_fmt(h)}">',
+        f'viewBox="{fmt(xmin)} {fmt(-ymax)} {fmt(w)} {fmt(h)}">',
     ]
     for (oa, ob) in overlays or []:
         lines.append(
             f'<path d="{_ellipse_path(oa, ob)}" fill="none" stroke="black" '
-            f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(3 * stroke)},{_fmt(2 * stroke)}"/>'
+            f'stroke-width="{fmt(stroke)}" stroke-dasharray="{fmt(3 * stroke)},{fmt(2 * stroke)}"/>'
         )
     if points:
-        body = " ".join(f"{_fmt(p[0])},{_fmt(-p[1])}" for p in points)
+        body = " ".join(f"{fmt(p[0])},{fmt(-p[1])}" for p in points)
         lines.append(
             f'<polyline points="{body}" fill="none" stroke="crimson" '
-            f'stroke-width="{_fmt(stroke)}"/>'
+            f'stroke-width="{fmt(stroke)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from orbitconics import (
     excentral,
     excentral_inconic_axes,
     feuerbach_hyperbola,
+    fit_circle,
     fit_locus,
     focal_profile,
     inradius_to_circumradius,
@@ -173,14 +174,7 @@ def test_criterion_6_poristic():
     closed = poristic_cb_aspect(ps)
     assert abs(aspects.mean() - closed) <= 1e-6
     assert abs(aspects.mean() - 1.5) <= 2e-3
-    xs = np.array([p.x for p in x9])
-    ys = np.array([p.y for p in x9])
-    M = np.column_stack([xs, ys, np.ones_like(xs)])
-    sol, *_ = np.linalg.lstsq(M, -(xs**2 + ys**2), rcond=None)
-    cx, cy = -sol[0] / 2, -sol[1] / 2
-    radius = math.sqrt(cx * cx + cy * cy - sol[2])
-    rms = math.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2))
-    assert rms <= 1e-7 * ps.R
+    assert fit_circle(x9).rms <= 1e-7 * ps.R
 
 
 @criterion(7, "focal ratio sqrt(2/rho) invariant; 3 maxima; hyperbola incidences")

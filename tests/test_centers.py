@@ -12,6 +12,7 @@ from orbitconics import (
     PointAtInfinity,
     RightTriangle,
     Triangle,
+    UndefinedForShape,
     act,
     caustic,
     center,
@@ -36,6 +37,12 @@ RIGHT_345 = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
 def test_equilateral_centers_coincide_at_centroid():
     for idx in (1, 2, 3, 4, 5, 6, 7, 9, 10):
         assert center(EQUILATERAL, idx).norm() <= 1e-12
+
+
+def test_x1156_undefined_for_equilateral():
+    for idx in (1156, 100):
+        with pytest.raises(UndefinedForShape):
+            center(EQUILATERAL, idx)
 
 
 def test_incenter_of_345():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from orbitconics.cli import main, parse_center, thread_cap
+from orbitconics.cli import main, parse_center
 
 
 def run_cli(capsys, argv):
@@ -40,15 +40,6 @@ def test_family_csv_deterministic(capsys):
     # perimeter column is constant across the family (to rounding)
     perims = [float(row.split(",")[8]) for row in rows[1:]]
     assert (max(perims) - min(perims)) / perims[0] <= 1e-9
-
-
-def test_family_threads_do_not_change_output(capsys, monkeypatch):
-    argv = ["family", "--a", "1.5", "--b", "1", "--n", "24"]
-    _, base, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("ORBITCONICS_THREADS", "4")
-    assert thread_cap() == 4
-    _, threaded, _ = run_cli(capsys, argv)
-    assert base == threaded
 
 
 def test_family_json_schema(capsys):
@@ -173,6 +164,25 @@ def test_poristic_report(capsys):
     assert payload["aspect_spread_rel"] <= 1e-9
     assert payload["closed_form_abs_diff"] <= 1e-9
     assert payload["mittenpunkt_circle"]["rms"] <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--a", "1.5", "--b", "1", "--n", "0"],
+        ["family", "--a", "1.5", "--b", "1", "--n", "-3"],
+        ["poristic", "--r", "0.3625", "--R", "1", "--n", "0"],
+        ["invariants", "--a", "1.5", "--b", "1", "--n", "1"],
+        ["locus", "--a", "1.5", "--b", "1", "--center", "X7", "--n", "7"],
+        ["hyperbolae", "--a", "1.5", "--b", "1", "--n", "4"],
+        ["family", "--a", "1.5", "--b", "1", "--n", "ten"],
+    ],
+)
+def test_bad_sample_count_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "--n" in err and "need an integer >= 8" in err
 
 
 def test_poristic_invalid_exit_1(capsys):

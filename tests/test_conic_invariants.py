@@ -20,6 +20,7 @@ from orbitconics import (
     excentral,
     excentral_inconic_axes,
     feuerbach_hyperbola,
+    fit_circle,
     focal_profile,
     focal_ratio_closed_form,
     inradius_to_circumradius,
@@ -93,14 +94,7 @@ def test_poristic_aspect_limits_and_loop():
 def test_poristic_mittenpunkt_locus_circular():
     ps = PoristicShape(0.3625, 1.0)
     pts = [center(poristic_triangle(ps, th), 9) for th in grid(90)]
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    M = np.column_stack([xs, ys, np.ones_like(xs)])
-    sol, *_ = np.linalg.lstsq(M, -(xs**2 + ys**2), rcond=None)
-    cx, cy = -sol[0] / 2, -sol[1] / 2
-    radius = math.sqrt(cx * cx + cy * cy - sol[2])
-    rms = math.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2))
-    assert rms <= 1e-7 * ps.R
+    assert fit_circle(pts).rms <= 1e-7 * ps.R
 
 
 # -------------------------------------------------------------- hyperbolas

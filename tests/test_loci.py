@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import orbitconics.loci as loci_module
 from orbitconics import (
     BilliardShape,
     IllConditioned,
@@ -14,8 +13,12 @@ from orbitconics import (
     fit_by_shape_class,
     fit_locus,
     invariant_report,
+    orbit,
+    orthic,
+    right_angle_vertex,
     sweep_locus,
 )
+from orbitconics.loci import sample_grid
 
 SHAPE = BilliardShape(1.5, 1.0)
 
@@ -112,21 +115,29 @@ def test_orthic_center_census_partitions():
     assert pieces["acute"].verdict is not Verdict.ELLIPTIC
 
 
-def test_sweep_reports_skipped_samples(monkeypatch):
-    real = loci_module.derived_triangle
-    calls = {"n": 0}
+def test_sweep_reports_skipped_samples():
+    # a/b whose right-triangle orbit parameter lies on the 16-sample grid
+    target = float(sample_grid(16)[2])
 
-    def flaky(tri, which):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise RightTriangle("synthetic degeneracy")
-        return real(tri, which)
+    def right_angle_t(alpha):
+        shape = BilliardShape(alpha, 1.0)
+        p = right_angle_vertex(shape)
+        return math.atan2(p.y / shape.b, p.x / shape.a)
 
-    monkeypatch.setattr(loci_module, "derived_triangle", flaky)
-    sweep = sweep_locus(SHAPE, 9, derived="medial", n=16)
-    assert len(sweep.points) == 15
-    assert len(sweep.skipped) == 1
-    assert sweep.skipped[0][1] == "RightTriangle"
+    lo, hi = 1.4, 1.7
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if right_angle_t(mid) > target else (lo, mid)
+    shape = BilliardShape(lo, 1.0)
+    sweep = sweep_locus(shape, 9, derived="orthic", n=16)
+    assert len(sweep.points) == 12
+    assert [reason for _, reason in sweep.skipped] == ["RightTriangle"] * 4
+    skipped_t = [t for t, _ in sweep.skipped]
+    mirrors = [target, math.pi - target, math.pi + target, 2 * math.pi - target]
+    assert skipped_t == pytest.approx(mirrors, abs=1e-12)
+    for t in skipped_t:
+        with pytest.raises(RightTriangle):
+            orthic(orbit(shape, t).triangle)
 
 
 def test_invariant_report_passes():
