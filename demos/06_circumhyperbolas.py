@@ -14,8 +14,11 @@ from orbitconics import (
     BilliardShape,
     billiard_intersections,
     center,
+    conic_center,
+    conic_eval,
     count_interior_maxima,
     feuerbach_hyperbola,
+    focal_length,
     focal_profile,
     focal_ratio_closed_form,
     jerabek_excentral,
@@ -28,18 +31,18 @@ tri = orbit(shape, 0.4).triangle
 F = feuerbach_hyperbola(tri)
 J = jerabek_excentral(tri)
 print("Feuerbach:        ", F)
-print("  center (=X11):  ", F.center, " vs ", center(tri, 11))
-print("  focal length:   ", F.focal_length)
+print("  center (=X11):  ", conic_center(F), " vs ", center(tri, 11))
+print("  focal length:   ", focal_length(F))
 print("excentral Jerabek:", J)
-print("  center (=X100): ", J.center, " vs ", center(tri, 100))
-print("  focal length:   ", J.focal_length)
-print("ratio:            ", J.focal_length / F.focal_length)
+print("  center (=X100): ", conic_center(J), " vs ", center(tri, 100))
+print("  focal length:   ", focal_length(J))
+print("ratio:            ", focal_length(J) / focal_length(F))
 print("closed form:      ", focal_ratio_closed_form(shape))
 
 x1156 = center(tri, 1156)
 print("\nX1156:", x1156)
 print("  on billiard:", shape.boundary_value(x1156))
-print("  on Feuerbach hyperbola:", F.value(x1156))
+print("  on Feuerbach hyperbola:", conic_eval(F, x1156))
 
 pts = billiard_intersections(shape, J)
 print(f"\nexcentral Jerabek meets the billiard in {len(pts)} real points:")

@@ -63,7 +63,7 @@ class BilliardShape:
         return (p.x / self.a) ** 2 + (p.y / self.b) ** 2 - 1.0
 
     def conic(self) -> Conic:
-        return Conic(0.0, 0.0, 0.0, -1.0 / self.a**2, -1.0 / self.b**2)
+        return Conic(1.0 / self.a**2, 0.0, 1.0 / self.b**2, 0.0, 0.0, -1.0)
 
     def ellipse_params(self) -> EllipseParams:
         return EllipseParams(Point(0.0, 0.0), self.a, self.b, 0.0)

@@ -32,7 +32,7 @@ from .conic_invariants import (
     poristic_of,
 )
 from .errors import OrbitConicsError
-from .kernel import Skips, Triangle
+from .kernel import Skips, Triangle, ellipse_axes
 from .loci import (
     MIN_SAMPLES,
     fit_by_shape_class,
@@ -44,7 +44,7 @@ from .loci import (
 )
 from .svgout import fmt, render_svg
 
-SCHEMA = "orbitconics-report/1"
+SCHEMA = "orbitconics-report/2"
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -211,7 +211,10 @@ def cmd_cb(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "cb",
-        "conic": dict(zip(("c1", "c2", "c3", "c4", "c5"), result.conic.coeffs)),
+        "conic": {
+            **dict(zip("ABCDEF", result.conic.coeffs)),
+            "anchor": [result.conic.anchor.real, result.conic.anchor.imag],
+        },
         "center": [result.params.center.x, result.params.center.y],
         "semi_major": result.params.semi_major,
         "semi_minor": result.params.semi_minor,
@@ -280,10 +283,10 @@ def cmd_poristic(args, parser) -> int:
     skips = Skips(args.n)
     with np.errstate(all="ignore"):
         tri = poristic_of(ps, sample_grid(args.n), skips)
-        cb = circumbilliard_of(tri, skips)
+        _, semi_major, semi_minor, _ = ellipse_axes(circumbilliard_of(tri), skips)
         x9 = centers_mod.center_of(tri, 9, skips)
     skips.raise_first()
-    aspects_arr = cb.semi_major / cb.semi_minor
+    aspects_arr = semi_major / semi_minor
     closed = poristic_cb_aspect(ps)
     circle = fit_circle(np.column_stack([x9.real, x9.imag]))
     payload = {

@@ -9,7 +9,6 @@ forms in the reference inradius and circumradius.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,22 @@ import numpy as np
 from . import centers
 from .billiard import BilliardShape, inradius_to_circumradius, orbit
 from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
-from .kernel import RAISE, Conic, Point, Skips, Tri, Triangle, cross, dot, length, where
-
-# Relative focal-length floor below which a hyperbola counts as collapsed.
-FOCAL_COLLAPSE_TOL = 1e-6
+from .kernel import (
+    RAISE,
+    Conic,
+    Point,
+    Skips,
+    Tri,
+    Triangle,
+    conic_eval,
+    cross,
+    dot,
+    focal_length,
+    largest,
+    length,
+    unresolved,
+    where,
+)
 
 
 @dataclass(frozen=True)
@@ -95,43 +106,6 @@ def poristic_cb_aspect(ps: PoristicShape) -> float:
     return math.sqrt(num / (rho * (rho + 4.0)))
 
 
-@dataclass(frozen=True)
-class RectHyperbola:
-    """Rectangular hyperbola c1 x + c2 y + c3 xy = 0 through the origin.
-
-    Its asymptotes are axis-parallel; translating it by minus its center
-    gives x y = k with k = c1 c2 / c3^2.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-
-    @property
-    def focal_length(self) -> float:
-        """Distance between the foci; elementwise when the coefficients are arrays."""
-        return np.sqrt(8.0 * abs(self.c1 / self.c3) * abs(self.c2 / self.c3))
-
-    @property
-    def center(self) -> Point:
-        return Point(-self.c2 / self.c3, -self.c1 / self.c3)
-
-    @property
-    def xy_constant(self) -> float:
-        """k in the recentred form x y = k."""
-        return self.c1 * self.c2 / (self.c3 * self.c3)
-
-    def value(self, p: Point) -> float:
-        return self.c1 * p.x + self.c2 * p.y + self.c3 * p.x * p.y
-
-    def recentred_conic(self) -> Conic:
-        """Five-coefficient form of the copy translated to the origin."""
-        k = self.xy_constant
-        if k == 0.0:
-            raise DegenerateConic("hyperbola collapsed to its asymptotes")
-        return Conic(0.0, 0.0, -1.0 / k, 0.0, 0.0)
-
-
 def _row_cross(u, w):
     return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
 
@@ -140,19 +114,18 @@ def _row_dot(u, w):
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
 
-def _largest(*xs):
-    return functools.reduce(np.maximum, xs)
-
-
-def _xy_hyperbola(v: Tri, guard) -> RectHyperbola:
+def _xy_hyperbola(v: Tri, guard) -> Conic:
     """Conic c1 x + c2 y + c3 xy = 0 through the vertices of ``v`` and the origin.
 
     Exists only when the 3x3 coefficient matrix is singular, which for
     orbit triangles (and their excentrals) holds because the conic also
     passes through the stationary Mittenpunkt at the origin.  The
     coefficient vector is the null vector, taken as the largest cross
-    product of two rows (the first, on ties).  Elementwise arithmetic
-    only, so one triangle runs on numbers and a stack row by row.
+    product of two rows (the first, on ties).  Near the isosceles orbits
+    the conic nears its asymptotes and its focal length cancels; it is
+    refused once that is not resolved to 1e-9 (``kernel.unresolved``).
+    Elementwise arithmetic only, so one triangle runs on numbers and a
+    stack row by row.
     """
     rows = [(p.real, p.imag, p.real * p.imag) for p in v.vertices]
     candidates = (_row_cross(rows[1], rows[2]), _row_cross(rows[2], rows[0]),
@@ -160,18 +133,18 @@ def _xy_hyperbola(v: Tri, guard) -> RectHyperbola:
     n0, n1, n2 = (np.sqrt(_row_dot(c, c)) for c in candidates)
     first, second = (n0 >= n1) & (n0 >= n2), n1 >= n2
     c = tuple(where(first, x0, where(second, x1, x2)) for x0, x1, x2 in zip(*candidates))
-    biggest = _largest(*(abs(x) for row in rows for x in row))
-    scale = _largest(biggest, 1e-300) * where(first, n0, where(second, n1, n2))
-    residual = _largest(*(abs(_row_dot(row, c)) for row in rows)) / scale
+    biggest = largest(*(abs(x) for row in rows for x in row))
+    scale = largest(biggest, 1e-300) * where(first, n0, where(second, n1, n2))
+    residual = largest(*(abs(_row_dot(row, c)) for row in rows)) / scale
     guard.check(residual > 1e-9, DegenerateConic,
                 "no axis-parallel circumhyperbola through the origin; "
                 "is the Mittenpunkt at the origin?")
-    L = _largest(v.s1, v.s2, v.s3)
+    L = largest(v.s1, v.s2, v.s3)
     norm = abs(c[0]) + abs(c[1]) + abs(c[2]) * L
     guard.check(abs(c[2]) * L <= 1e-12 * norm, DegenerateConic, "hyperbola center at infinity")
-    hyp = RectHyperbola(*c)
-    guard.check(hyp.focal_length <= FOCAL_COLLAPSE_TOL * L, DegenerateConic,
-                "focal points collapsed (isosceles configuration)")
+    hyp = Conic(0.0, 0.5 * c[2], 0.0, 0.5 * c[0], 0.5 * c[1], 0.0)
+    guard.check(unresolved(hyp), DegenerateConic,
+                "hyperbola too close to its asymptotes: focal length not resolved to 1e-9")
     return hyp
 
 
@@ -179,7 +152,7 @@ def _as_tri(t) -> Tri:
     return t.tri if isinstance(t, Triangle) else t
 
 
-def feuerbach_hyperbola(t, guard=RAISE) -> RectHyperbola:
+def feuerbach_hyperbola(t, guard=RAISE) -> Conic:
     """Feuerbach circumhyperbola of an orbit triangle centered at the origin.
 
     Passes through the vertices, the incenter, the orthocenter and the
@@ -189,7 +162,7 @@ def feuerbach_hyperbola(t, guard=RAISE) -> RectHyperbola:
     return _xy_hyperbola(_as_tri(t), guard)
 
 
-def jerabek_excentral(t, guard=RAISE) -> RectHyperbola:
+def jerabek_excentral(t, guard=RAISE) -> Conic:
     """Jerabek circumhyperbola of the excentral triangle.
 
     Passes through the three excenters, the incenter and the origin;
@@ -226,8 +199,8 @@ def focal_profile(shape: BilliardShape, n: int = 720) -> list[FocalSample]:
     fam = orbit(shape, t)
     skips = Skips(t.size)
     with np.errstate(all="ignore"):
-        feuerbach = feuerbach_hyperbola(fam.tri, skips).focal_length
-        jerabek = jerabek_excentral(fam.tri, skips).focal_length
+        feuerbach = focal_length(feuerbach_hyperbola(fam.tri, skips), skips)
+        jerabek = focal_length(jerabek_excentral(fam.tri, skips), skips)
     skips.raise_first()
     return [
         FocalSample(*sample)
@@ -243,7 +216,7 @@ def count_interior_maxima(values) -> int:
 
 
 def billiard_intersections(
-    shape: BilliardShape, hyp: RectHyperbola, grid: int = 4096
+    shape: BilliardShape, hyp: Conic, grid: int = 4096
 ) -> list[Point]:
     """Real intersections of the hyperbola with the billiard boundary.
 
@@ -251,7 +224,7 @@ def billiard_intersections(
     refines each bracket by bisection.
     """
     ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = np.array([hyp.value(shape.boundary_point(float(t))) for t in ts])
+    vals = np.array([conic_eval(hyp, shape.boundary_point(float(t))) for t in ts])
     points = []
     for i in range(grid):
         j = (i + 1) % grid
@@ -263,7 +236,7 @@ def billiard_intersections(
             flo = vals[i]
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                fm = hyp.value(shape.boundary_point(mid))
+                fm = conic_eval(hyp, shape.boundary_point(mid))
                 if flo * fm <= 0.0:
                     hi = mid
                 else:

@@ -7,15 +7,16 @@ are written once on ``Tri``, so the same code serves the scalar API (one
 triangle, failures raise through ``RAISE``) and the batched family
 kernel (arrays, failures recorded per sample in ``Skips``).
 
-Conics use the five-coefficient form
+Every conic is a ``Conic``: the six coefficients of
 
-    1 + c1*x + c2*y + c3*x*y + c4*x**2 + c5*y**2 = 0
+    A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0
 
-which covers every conic not passing through the origin.  A circumconic
-with a prescribed center is obtained from a 5x5 linear system (three
-incidence rows, two vanishing-gradient rows); an inconic with a
-prescribed center is obtained in the dual plane and mapped back through
-the adjugate.
+in coordinates relative to an anchor point.  Circumconics are closed
+forms: a symmetric barycentric matrix mapped through the sidelines
+(``circumconic_of``).  An inconic with a prescribed center is obtained
+in the dual plane and mapped back through the adjugate.  Center,
+semi-axes, axis angle and hyperbola focal length are read off the six
+coefficients (``ellipse_axes``, ``focal_length``).
 """
 
 from __future__ import annotations
@@ -23,19 +24,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import (
+    DegenerateConic,
     DegenerateTriangle,
     NoRealConic,
     NotAnEllipse,
+    PointAtInfinity,
     SingularSystem,
 )
 
 # Pivot-ratio threshold for declaring a linear system singular.
 CONDITION_LIMIT = 1e12
+# Spacing of doubles at 1.
+EPS = float(np.finfo(float).eps)
 # Triangle degeneracy: area >= AREA_TOL * (longest side)^2.
 AREA_TOL = 1e-12
 # Tangency verification for inconics (scaled discriminant).
@@ -238,6 +243,19 @@ class Tri:
             | (self.area < AREA_TOL * s3 * s3)
         )
 
+    def sidelines(self, g):
+        """Sidelines opposite p1, p2, p3 as (a, b, c): a x + b y + c = 0, (x, y) relative to g.
+
+        At a point the three values are its barycentrics times twice the
+        signed area.
+        """
+        q1, q2, q3 = self.p1 - g, self.p2 - g, self.p3 - g
+        lines = []
+        for qj, qk in ((q2, q3), (q3, q1), (q1, q2)):
+            d = qk - qj
+            lines.append((-d.imag, d.real, cross(qj, qk)))
+        return lines
+
 
 class ConicClass(Enum):
     ELLIPSE = "ellipse"
@@ -248,32 +266,36 @@ class ConicClass(Enum):
 
 @dataclass(frozen=True)
 class Conic:
-    """Coefficients of 1 + c1 x + c2 y + c3 xy + c4 x^2 + c5 y^2 = 0."""
+    """``A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0``, (x, y) relative to ``anchor``.
 
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
+    Circumconics are anchored at the first vertex of their triangle and
+    inconics at their prescribed center, so rounding does not grow with
+    the distance from the origin.  Each field is a number for one conic
+    or an array for a stack.
+    """
 
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4", "c5"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    A: float
+    B: float
+    C: float
+    D: float
+    E: float
+    F: float
+    anchor: complex = 0j
 
     @property
-    def coeffs(self) -> tuple[float, float, float, float, float]:
-        return (self.c1, self.c2, self.c3, self.c4, self.c5)
+    def coeffs(self) -> tuple:
+        return (self.A, self.B, self.C, self.D, self.E, self.F)
 
     def coeff_norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs))
-
-    def hessian(self) -> np.ndarray:
-        return np.array([[2 * self.c4, self.c3], [self.c3, 2 * self.c5]])
+        """Euclidean norm of the polynomial's coefficients (A, 2B, C, 2D, 2E, F)."""
+        A, B, C, D, E, F = self.coeffs
+        return math.sqrt(A * A + 4 * B * B + C * C + 4 * D * D + 4 * E * E + F * F)
 
     def gradient(self, p: Point) -> Point:
+        x, y = p.x - self.anchor.real, p.y - self.anchor.imag
         return Point(
-            self.c1 + self.c3 * p.y + 2 * self.c4 * p.x,
-            self.c2 + self.c3 * p.x + 2 * self.c5 * p.y,
+            2 * (self.A * x + self.B * y + self.D),
+            2 * (self.B * x + self.C * y + self.E),
         )
 
 
@@ -376,145 +398,177 @@ class Triangle:
         return max(self.sidelengths())
 
 
-def solve_linear(A, rhs, exc=SingularSystem):
-    """Solve a small dense system by partial-pivot Gaussian elimination.
-
-    Raises ``exc`` when the max/min pivot ratio exceeds CONDITION_LIMIT
-    (or a pivot vanishes outright).
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = b.size
-    pmax = 0.0
-    for k in range(n):
-        i = k + int(np.argmax(np.abs(A[k:, k])))
-        if i != k:
-            A[[k, i]] = A[[i, k]]
-            b[[k, i]] = b[[i, k]]
-        piv = abs(A[k, k])
-        pmax = max(pmax, piv)
-        if piv == 0.0 or pmax / piv > CONDITION_LIMIT:
-            raise exc(f"pivot ratio beyond {CONDITION_LIMIT:.0e}")
-        for j in range(k + 1, n):
-            f = A[j, k] / A[k, k]
-            A[j, k:] -= f * A[k, k:]
-            b[j] -= f * b[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-    return x
-
-
 def conic_eval(conic: Conic, p: Point) -> float:
-    """Value of 1 + c1 x + c2 y + c3 xy + c4 x^2 + c5 y^2 at p."""
-    x, y = p.x, p.y
-    return 1.0 + conic.c1 * x + conic.c2 * y + conic.c3 * x * y + conic.c4 * x * x + conic.c5 * y * y
+    """Value of A x^2 + 2B xy + C y^2 + 2D x + 2E y + F at p."""
+    A, B, C, D, E, F = conic.coeffs
+    x, y = p.x - conic.anchor.real, p.y - conic.anchor.imag
+    return A * x * x + 2 * B * x * y + C * y * y + 2 * D * x + 2 * E * y + F
+
+
+def largest(*xs):
+    """Elementwise maximum of numbers or arrays."""
+    return reduce(np.maximum, xs)
+
+
+def circumconic_of(v: Tri, perspector) -> Conic:
+    """Circumconic ``u1 yz + u2 zx + u3 xy = 0`` of perspector (u1 : u2 : u3), anchored at p1.
+
+    The symmetric barycentric matrix ``M = [[0, u3, u2], [u3, 0, u1], [u2, u1, 0]]``
+    maps to Cartesian coordinates through the sidelines, the rows of
+    ``B^-1`` for the vertex matrix ``B`` up to a common factor:
+    ``Q = L^T M L``.  Works on numbers and arrays alike.
+    """
+    u1, u2, u3 = perspector
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = v.sidelines(v.p1)
+    a, b, c = (a1, a2, a3), (b1, b2, b3), (c1, c2, c3)
+
+    def form(p, q):
+        return (u1 * (p[1] * q[2] + p[2] * q[1]) + u2 * (p[2] * q[0] + p[0] * q[2])
+                + u3 * (p[0] * q[1] + p[1] * q[0]))
+
+    return Conic(form(a, a), form(a, b), form(b, b), form(a, c), form(b, c), form(c, c), v.p1)
 
 
 def solve_circumconic(t: Triangle, center: Point) -> Conic:
-    """Conic through the three vertices whose gradient vanishes at ``center``.
+    """Conic through the three vertices centered at ``center``, in closed form.
 
-    The five coefficients solve the exact 5x5 system: one incidence row
-    per vertex plus the two first-order stationarity rows at the center.
+    For center barycentrics (α : β : γ) the perspector is
+    (α(β+γ−α) : β(γ+α−β) : γ(α+β−γ)).  A center on a sideline or on a
+    sideline of the medial triangle has no such conic (SingularSystem).
     """
-    rows = []
-    for p in t.vertices:
-        rows.append([p.x, p.y, p.x * p.y, p.x * p.x, p.y * p.y])
-    rows.append([1.0, 0.0, center.y, 2.0 * center.x, 0.0])
-    rows.append([0.0, 1.0, center.x, 0.0, 2.0 * center.y])
-    sol = solve_linear(rows, [-1.0, -1.0, -1.0, 0.0, 0.0])
-    return Conic(*sol)
+    v = t.tri
+    x, y = center.x - v.p1.real, center.y - v.p1.imag
+    al, be, ga = (a * x + b * y + c for a, b, c in v.sidelines(v.p1))
+    perspector = (al * (be + ga - al), be * (ga + al - be), ga * (al + be - ga))
+    sizes = [abs(u) for u in perspector]
+    if min(sizes) <= max(sizes) / CONDITION_LIMIT:
+        raise SingularSystem("circumconic degenerates for this center")
+    return circumconic_of(v, perspector)
 
 
 def classify_conic(conic: Conic) -> ConicClass:
-    """Ellipse / hyperbola / parabola via the sign of 4 c4 c5 - c3^2."""
-    c1, c2, c3, c4, c5 = conic.coeffs
-    det3 = (
-        c4 * (c5 - c2 * c2 / 4.0)
-        - (c3 / 2.0) * (c3 / 2.0 - c1 * c2 / 4.0)
-        + (c1 / 2.0) * (c2 * c3 / 4.0 - c1 * c5 / 2.0)
-    )
-    scale3 = max(abs(v) for v in (c1, c2, c3, c4, c5, 1.0)) ** 3
+    """Ellipse / hyperbola / parabola via the sign of A C - B^2."""
+    A, B, C, D, E, F = conic.coeffs
+    det = A * C - B * B
+    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
+    scale3 = max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)) ** 3
     if abs(det3) <= 1e-12 * scale3:
         return ConicClass.DEGENERATE
-    disc = 4.0 * c4 * c5 - c3 * c3
-    scale = c3 * c3 + 4.0 * abs(c4 * c5) + 1e-300
-    if disc > 1e-12 * scale:
+    scale = B * B + abs(A * C) + 1e-300
+    if det > 1e-12 * scale:
         return ConicClass.ELLIPSE
-    if disc < -1e-12 * scale:
+    if det < -1e-12 * scale:
         return ConicClass.HYPERBOLA
     return ConicClass.PARABOLA
 
 
-def conic_to_ellipse_params(conic: Conic) -> EllipseParams:
-    """Canonical center / semi-axes / axis direction of an elliptical conic.
+def _center_and_level(q: Conic, det):
+    """Center relative to the anchor, and the level K, given det = A C - B^2 != 0.
 
-    The center solves the two gradient equations; axis directions are the
-    Hessian eigenvectors.  One semi-axis length comes from the quadratic
-    d0 + d2 t^2 along an eigenvector, the other from the square root of
-    the eigenvalue ratio.
+    About its center the conic reads ``A u^2 + 2B uv + C v^2 = K``.
     """
-    if classify_conic(conic) is not ConicClass.ELLIPSE:
-        raise NotAnEllipse("conic does not classify as an ellipse")
-    c1, c2, c3, c4, c5 = conic.coeffs
-    H = conic.hessian()
-    sol = solve_linear(H, [-c1, -c2], exc=NotAnEllipse)
-    center = Point(sol[0], sol[1])
-    d0 = conic_eval(conic, center)
-    w, V = np.linalg.eigh(H)
-    # semi-axis along eigenvector 0, the other via sqrt(eigenvalue ratio)
-    u = V[:, 0]
-    d2 = c4 * u[0] ** 2 + c3 * u[0] * u[1] + c5 * u[1] ** 2
-    ratio0 = -d0 / d2
-    if ratio0 <= 0.0:
-        raise NotAnEllipse("conic has no real points")
-    t0 = math.sqrt(ratio0)
-    t1 = t0 * math.sqrt(abs(w[0] / w[1]))
-    if t0 >= t1:
-        major, minor, umaj = t0, t1, u
-    else:
-        major, minor, umaj = t1, t0, V[:, 1]
-    if abs(w[0] - w[1]) < 1e-12 * max(abs(w[0]), abs(w[1])):
-        angle = 0.0
-    else:
-        angle = math.atan2(umaj[1], umaj[0]) % math.pi
-        if math.pi - angle < 1e-12:
-            angle = 0.0
-    return EllipseParams(center, major, minor, angle)
+    A, B, C, D, E, F = q.coeffs
+    cx, cy = (B * E - C * D) / det, (B * D - A * E) / det
+    return cx, cy, -(F + D * cx + E * cy)
+
+
+def ellipse_axes(q: Conic, guard):
+    """Center (complex, absolute), semi-axes and major-axis angle of an elliptical conic.
+
+    Read off the six coefficients: the eigenvalues of [[A, B], [B, C]]
+    are m +- r, and the semi-axes are sqrt(K / eigenvalue).  The angle
+    lies in [0, pi); circle-degenerate ellipses report 0.  Numbers or
+    arrays; ``guard`` is RAISE or a Skips.
+    """
+    A, B, C = q.A, q.B, q.C
+    det = A * C - B * B
+    guard.check(det <= 1e-12 * (B * B + abs(A * C)), NotAnEllipse,
+                "conic does not classify as an ellipse")
+    cx, cy, K = _center_and_level(q, det)
+    m = 0.5 * (A + C)
+    sign = m / abs(m)
+    K = K * sign
+    guard.check(K <= 0.0, NotAnEllipse, "conic has no real points")
+    r = np.sqrt(0.25 * (A - C) ** 2 + B * B)
+    big = abs(m) + r
+    semi_minor = np.sqrt(K / big)
+    semi_major = semi_minor * np.sqrt(np.maximum(big * big / det, 1.0))
+    angle = (0.5 * np.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
+    angle = angle * ((2.0 * r >= 1e-12 * big) & (math.pi - angle >= 1e-12))
+    return q.anchor + (cx + 1j * cy), semi_major, semi_minor, angle
+
+
+def conic_to_ellipse_params(conic: Conic) -> EllipseParams:
+    """Canonical center / semi-axes / axis direction of an elliptical conic."""
+    center, major, minor, angle = ellipse_axes(conic, RAISE)
+    return EllipseParams(Point.from_complex(center), float(major), float(minor), float(angle))
+
+
+def conic_center(conic: Conic) -> Point:
+    """Center of a central conic (ellipse or hyperbola)."""
+    A, B, C = conic.A, conic.B, conic.C
+    det = A * C - B * B
+    if abs(det) <= 1e-12 * (B * B + abs(A * C)):
+        raise PointAtInfinity("a parabolic conic has no center")
+    cx, cy, _ = _center_and_level(conic, det)
+    return Point.from_complex(conic.anchor + (cx + 1j * cy))
+
+
+def focal_length(q: Conic, guard=RAISE):
+    """Length 2a of the transverse axis of a hyperbola.
+
+    ``a^2 = |K| / |l|`` for the eigenvalue l of [[A, B], [B, C]] with the
+    sign of K, from the same read-off as ``ellipse_axes``.  For the
+    rectangular xy-hyperbolae of ``conic_invariants`` this is
+    ``2 sqrt(2 |k|)`` for the recentred form x y = k.
+    """
+    A, B, C = q.A, q.B, q.C
+    det = A * C - B * B
+    guard.check(det >= -1e-12 * (B * B + abs(A * C)), DegenerateConic,
+                "conic does not classify as a hyperbola")
+    _, _, K = _center_and_level(q, det)
+    m = 0.5 * (A + C)
+    r = np.sqrt(0.25 * (A - C) ** 2 + B * B)
+    return 2.0 * np.sqrt(abs(K) / (r + m * np.sign(K)))
+
+
+def unresolved(q: Conic):
+    """Whether rounding may move the semi-axes (or focal length) of q by over 1e-9 relative.
+
+    First-order bound for coefficients each off by one unit in the last
+    place of the largest, as a null-vector solve leaves them: the
+    |cofactors| of ``[[A, B, D], [B, C, E], [D, E, F]]`` bound the change
+    of its determinant det3 = -det K, |A| + |C| + 2|B| that of det, and
+    the semi-axes go with sqrt(K / eigenvalue).  Numbers or arrays.
+    """
+    A, B, C, D, E, F = q.coeffs
+    det = A * C - B * B
+    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
+    cofactors = (abs(C * F - E * E) + abs(A * F - D * D) + abs(det)
+                 + 2 * (abs(D * E - B * F) + abs(B * E - C * D) + abs(B * D - A * E)))
+    ulp = EPS * largest(*(abs(x) for x in q.coeffs))
+    # ulp (cofactors / |det3| + 2 (|A| + |C| + 2|B|) / |det|) / 2 > 1e-9, multiplied out
+    return (0.5 * ulp * (cofactors * abs(det) + 2 * (abs(A) + abs(C) + 2 * abs(B)) * abs(det3))
+            >= 1e-9 * abs(det3 * det))
 
 
 def ellipse_to_conic(params: EllipseParams) -> Conic:
-    """Five-coefficient form of an ellipse given by its canonical parameters.
-
-    The origin must not lie on the ellipse (the representation fixes the
-    constant term to 1).
-    """
+    """An ellipse given by its canonical parameters, anchored at its center."""
     A, B = params.semi_major, params.semi_minor
     ca, sa = math.cos(params.axis_angle), math.sin(params.axis_angle)
     qxx = ca * ca / (A * A) + sa * sa / (B * B)
     qyy = sa * sa / (A * A) + ca * ca / (B * B)
-    qxy = 2.0 * ca * sa * (1.0 / (A * A) - 1.0 / (B * B))
-    cx, cy = params.center.x, params.center.y
-    k1 = -2.0 * qxx * cx - qxy * cy
-    k2 = -2.0 * qyy * cy - qxy * cx
-    k0 = qxx * cx * cx + qxy * cx * cy + qyy * cy * cy - 1.0
-    if abs(k0) < 1e-14 * (1.0 + abs(qxx) + abs(qyy)):
-        raise SingularSystem("ellipse passes through the origin")
-    return Conic(k1 / k0, k2 / k0, qxy / k0, qxx / k0, qyy / k0)
-
-
-def _sideline_homogeneous(p: Point, q: Point) -> np.ndarray:
-    a = np.array([p.x, p.y, 1.0])
-    b = np.array([q.x, q.y, 1.0])
-    return np.cross(a, b)
+    qxy = ca * sa * (1.0 / (A * A) - 1.0 / (B * B))
+    return Conic(qxx, qxy, qyy, 0.0, 0.0, -1.0, params.center.z)
 
 
 def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
     """Scaled discriminant of the conic restricted to line pq (0 = tangent)."""
+    A, B, C, D, E, _ = conic.coeffs
     dx, dy = q.x - p.x, q.y - p.y
-    c1, c2, c3, c4, c5 = conic.coeffs
-    qa = c3 * dx * dy + c4 * dx * dx + c5 * dy * dy
-    qb = c1 * dx + c2 * dy + c3 * (p.x * dy + p.y * dx) + 2 * c4 * p.x * dx + 2 * c5 * p.y * dy
+    x, y = p.x - conic.anchor.real, p.y - conic.anchor.imag
+    qa = A * dx * dx + 2 * B * dx * dy + C * dy * dy
+    qb = 2 * (A * x * dx + B * (x * dy + y * dx) + C * y * dy + D * dx + E * dy)
     qc = conic_eval(conic, p)
     disc = qb * qb - 4.0 * qa * qc
     return abs(disc) / (abs(qa) + abs(qb) + abs(qc)) ** 2
@@ -526,34 +580,25 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
     Works in the dual plane: the dual conic matrix must be incident with
     each sideline (three linear conditions) and must map the line at
     infinity to the homogeneous center (two conditions).  The resulting
-    homogeneous 5x6 system is solved by SVD and mapped back through the
-    adjugate.  Tangency of all three sidelines is verified before
-    returning.
+    homogeneous 5x6 system is solved by SVD; the conic is the adjugate
+    of the dual.  It is anchored at the prescribed center, which keeps
+    its coefficients and checks independent of where the triangle sits.
+    Tangency of all three sidelines is verified before returning.
     """
-    lines = [
-        _sideline_homogeneous(t.p2, t.p3),
-        _sideline_homogeneous(t.p3, t.p1),
-        _sideline_homogeneous(t.p1, t.p2),
-    ]
     rows = []
-    for u, v, w in lines:
+    for u, v, w in t.tri.sidelines(center.z):
         rows.append([u * u, 2 * u * v, 2 * u * w, v * v, 2 * v * w, w * w])
-    # (d13, d23, d33) proportional to (xc, yc, 1)
-    rows.append([0.0, 0.0, 0.0, 0.0, 1.0, -center.y])
-    rows.append([0.0, 0.0, -1.0, 0.0, 0.0, center.x])
+    # (d13, d23, d33) proportional to the center, (0, 0, 1) about itself
+    rows.append([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    rows.append([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     M = np.array(rows, dtype=float)
     _, sv, Vt = np.linalg.svd(M)
     if sv[0] == 0.0 or sv[3] < sv[0] / CONDITION_LIMIT:
         raise SingularSystem("dual inconic system is rank deficient")
     d = Vt[-1]
     D = np.array([[d[0], d[1], d[2]], [d[1], d[3], d[4]], [d[2], d[4], d[5]]])
-    C = _adjugate(D)
-    k = C[2, 2]
-    if abs(k) < 1e-14 * np.abs(C).max():
-        raise SingularSystem("inconic passes through the origin")
-    conic = Conic(
-        2 * C[0, 2] / k, 2 * C[1, 2] / k, 2 * C[0, 1] / k, C[0, 0] / k, C[1, 1] / k
-    )
+    (a, b, dd), (_, c, e), (_, _, f) = _adjugate(D).tolist()
+    conic = Conic(a, b, c, dd, e, f, center.z)
     # a center on a parabolic boundary (a midline of t) makes the solution
     # collapse to a double line, which passes tangency checks trivially
     if classify_conic(conic) is ConicClass.DEGENERATE:
@@ -564,8 +609,10 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
         if res > TANGENCY_TOL:
             raise NoRealConic(f"sideline tangency residual {res:.3e}")
     grad = conic.gradient(center)
-    if grad.norm() > TANGENCY_TOL * (1.0 + conic.coeff_norm()) * (1.0 + center.norm()):
+    if grad.norm() > TANGENCY_TOL * conic.coeff_norm():
         raise NoRealConic("constructed conic is not centered at the requested point")
+    if unresolved(conic):
+        raise DegenerateConic("inconic axes not resolved to 1e-9")
     return conic
 
 

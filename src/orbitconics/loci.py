@@ -25,7 +25,7 @@ from .billiard import (
 )
 from .circumbilliard import circumbilliard_of
 from .errors import IllConditioned
-from .kernel import Point, Skips, solve_linear
+from .kernel import CONDITION_LIMIT, Point, Skips, ellipse_axes
 
 ELLIPTIC_RMS = 1e-8
 NON_ELLIPTIC_RMS = 1e-4
@@ -116,10 +116,15 @@ def fit_locus(samples) -> LocusFitReport:
     _require_samples(len(pts))
     x2 = np.array([p.x * p.x for p in pts])
     y2 = np.array([p.y * p.y for p in pts])
-    normal = [[float(np.sum(x2 * x2)), float(np.sum(x2 * y2))],
-              [float(np.sum(x2 * y2)), float(np.sum(y2 * y2))]]
-    rhs = [float(np.sum(x2)), float(np.sum(y2))]
-    A, B = solve_linear(normal, rhs, exc=IllConditioned)
+    # normal equations [[sxx, sxy], [sxy, syy]] (A, B) = (sx, sy) by Cramer's rule,
+    # refused when the first partial pivot squared exceeds CONDITION_LIMIT |det|
+    sxx, sxy, syy = float(np.sum(x2 * x2)), float(np.sum(x2 * y2)), float(np.sum(y2 * y2))
+    sx, sy = float(np.sum(x2)), float(np.sum(y2))
+    det = sxx * syy - sxy * sxy
+    pivot = max(abs(sxx), abs(sxy))
+    if det == 0.0 or pivot * pivot > CONDITION_LIMIT * abs(det):
+        raise IllConditioned(f"pivot ratio beyond {CONDITION_LIMIT:.0e}")
+    A, B = (sx * syy - sxy * sy) / det, (sxx * sy - sxy * sx) / det
     res = A * x2 + B * y2 - 1.0
     rms = float(np.sqrt(np.mean(res * res)))
     mean_radius = float(np.mean(np.sqrt(x2 + y2)))
@@ -240,11 +245,13 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     v, skips = fam.tri, Skips(n)
     with np.errstate(all="ignore"):
         x9n = abs(centers.center_of(v, 9, skips))
-        cb_act = circumbilliard_of(centers.derived_of(v, "act", skips), skips)
-        cb_med = circumbilliard_of(centers.derived_of(v, "medial", skips), skips)
+        _, act_major, act_minor, act_angle = ellipse_axes(
+            circumbilliard_of(centers.derived_of(v, "act", skips)), skips)
+        _, med_major, med_minor, med_angle = ellipse_axes(
+            circumbilliard_of(centers.derived_of(v, "medial", skips)), skips)
     skips.raise_first()
     rho = v.inradius() / v.circumradius()
-    ang = np.concatenate([cb_act.axis_angle, cb_med.axis_angle]) % math.pi
+    ang = np.concatenate([act_angle, med_angle]) % math.pi
     angles = np.minimum(ang, math.pi - ang)
     rho_form = inradius_to_circumradius(shape)
     entries = [
@@ -266,10 +273,10 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
             1e-9 * shape.a,
             float(np.max(x9n)) <= 1e-9 * shape.a,
         ),
-        _rel_spread_stats("act_cb_semi_major", cb_act.semi_major, 1e-9),
-        _rel_spread_stats("act_cb_semi_minor", cb_act.semi_minor, 1e-9),
-        _rel_spread_stats("medial_cb_semi_major", cb_med.semi_major, 1e-9),
-        _rel_spread_stats("medial_cb_semi_minor", cb_med.semi_minor, 1e-9),
+        _rel_spread_stats("act_cb_semi_major", act_major, 1e-9),
+        _rel_spread_stats("act_cb_semi_minor", act_minor, 1e-9),
+        _rel_spread_stats("medial_cb_semi_major", med_major, 1e-9),
+        _rel_spread_stats("medial_cb_semi_minor", med_minor, 1e-9),
         QuantityStats(
             "cb_axis_alignment",
             0.0,

@@ -48,7 +48,7 @@ def test_family_json_schema(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "orbitconics-report/1"
+    assert payload["schema"] == "orbitconics-report/2"
     assert len(payload["samples"]) == 8
     assert all(len(s["vertices"]) == 3 for s in payload["samples"])
 
@@ -70,11 +70,15 @@ def test_cb_subcommand(capsys):
     assert payload["mittenpunkt"][0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cb_collinear_exit_2(capsys):
-    code, _, err = run_cli(capsys, ["cb", "--vertices", "0,0,1,1,2,2.0001"])
-    assert code == 2
-    error = json.loads(err)
-    assert error["error"] == "SingularSystem"
+def test_cb_vertex_on_origin_matches_translated_copy(capsys):
+    code, out, _ = run_cli(capsys, ["cb", "--vertices", "0,0,1,0,0,1"])
+    assert code == 0
+    at_origin = json.loads(out)
+    code, out, _ = run_cli(capsys, ["cb", "--vertices", "1,1,2,1,1,2"])
+    assert code == 0
+    moved = json.loads(out)
+    for key in ("semi_major", "semi_minor"):
+        assert at_origin[key] == pytest.approx(moved[key], rel=1e-12, abs=0.0)
 
 
 def test_cb_degenerate_triangle_exit_2(capsys):

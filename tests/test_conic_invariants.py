@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angle_dist_mod_pi
+from conftest import angle_dist_mod_pi, xy_coefficients
 from orbitconics import (
     BilliardShape,
     ConicClass,
@@ -11,16 +11,20 @@ from orbitconics import (
     InvalidShape,
     Point,
     PoristicShape,
+    Skips,
     billiard_intersections,
     center,
     circumbilliard,
     classify_conic,
+    conic_center,
+    conic_eval,
     conic_to_ellipse_params,
     count_interior_maxima,
     excentral,
     excentral_inconic_axes,
     feuerbach_hyperbola,
     fit_circle,
+    focal_length,
     focal_profile,
     focal_ratio_closed_form,
     inradius_to_circumradius,
@@ -102,26 +106,26 @@ def test_poristic_mittenpunkt_locus_circular():
 def test_feuerbach_incidences():
     tri = orbit(SHAPE, 0.4).triangle
     hyp = feuerbach_hyperbola(tri)
-    scale = math.sqrt(hyp.c1**2 + hyp.c2**2 + hyp.c3**2)
+    scale = math.sqrt(sum(c * c for c in xy_coefficients(hyp)))
     for p in tri.vertices:
-        assert abs(hyp.value(p)) / scale <= 1e-9
+        assert abs(conic_eval(hyp, p)) / scale <= 1e-9
     for idx in (1, 4, 9, 1156):
-        assert abs(hyp.value(center(tri, idx))) / scale <= 1e-9
+        assert abs(conic_eval(hyp, center(tri, idx))) / scale <= 1e-9
     x1156 = center(tri, 1156)
     assert abs(SHAPE.boundary_value(x1156)) <= 1e-9
-    assert hyp.center.dist(center(tri, 11)) <= 1e-9
-    assert classify_conic(hyp.recentred_conic()) is ConicClass.HYPERBOLA
+    assert conic_center(hyp).dist(center(tri, 11)) <= 1e-9
+    assert classify_conic(hyp) is ConicClass.HYPERBOLA
 
 
 def test_jerabek_excentral_incidences():
     tri = orbit(SHAPE, 0.4).triangle
     hyp = jerabek_excentral(tri)
-    scale = math.sqrt(hyp.c1**2 + hyp.c2**2 + hyp.c3**2)
+    scale = math.sqrt(sum(c * c for c in xy_coefficients(hyp)))
     for p in excentral(tri).vertices:
-        assert abs(hyp.value(p)) / scale <= 1e-9
+        assert abs(conic_eval(hyp, p)) / scale <= 1e-9
     for idx in (1, 9, 40):
-        assert abs(hyp.value(center(tri, idx))) / scale <= 1e-9
-    assert hyp.center.dist(center(tri, 100)) <= 1e-9
+        assert abs(conic_eval(hyp, center(tri, idx))) / scale <= 1e-9
+    assert conic_center(hyp).dist(center(tri, 100)) <= 1e-9
 
 
 def test_hyperbola_degenerates_at_isosceles():
@@ -131,6 +135,23 @@ def test_hyperbola_degenerates_at_isosceles():
     tri_up = orbit(SHAPE, math.pi / 2.0).triangle
     with pytest.raises(DegenerateConic):
         feuerbach_hyperbola(tri_up)
+
+
+def test_focal_length_refused_near_isosceles():
+    # at t = 1e-12 the smallest xy-coefficient of either hyperbola has
+    # cancelled to ~1e-11 of the largest; at t = 1e-6 it is still resolved
+    shape = BilliardShape(2.0, 1.0)
+    fam = orbit(shape, np.array([1e-12, 1e-6]))
+    for hyperbola in (feuerbach_hyperbola, jerabek_excentral):
+        skips = Skips(2)
+        with np.errstate(all="ignore"):
+            batched = focal_length(hyperbola(fam.tri, skips), skips)
+        with pytest.raises(DegenerateConic) as refused:
+            hyperbola(orbit(shape, 1e-12).triangle)
+        assert skips.failures[skips.code[0]] == (DegenerateConic, str(refused.value))
+        near = focal_length(hyperbola(orbit(shape, 1e-6).triangle))
+        assert skips.valid[1] and near > 0.0
+        assert abs(batched[1] - near) <= 1e-9 * near
 
 
 def test_focal_ratio_invariant():
@@ -143,7 +164,7 @@ def test_focal_ratio_invariant():
             continue
         tri = orbit(SHAPE, t).triangle
         ratios.append(
-            jerabek_excentral(tri).focal_length / feuerbach_hyperbola(tri).focal_length
+            focal_length(jerabek_excentral(tri)) / focal_length(feuerbach_hyperbola(tri))
         )
     ratios = np.array(ratios)
     assert (ratios.max() - ratios.min()) / ratios.mean() <= 1e-9
@@ -167,8 +188,8 @@ def test_jerabek_meets_billiard_twice():
         assert len(pts) == 2
         for p in pts:
             assert abs(SHAPE.boundary_value(p)) <= 1e-9
-            scale = math.sqrt(hyp.c1**2 + hyp.c2**2 + hyp.c3**2)
-            assert abs(hyp.value(p)) / scale <= 1e-9
+            scale = math.sqrt(sum(c * c for c in xy_coefficients(hyp)))
+            assert abs(conic_eval(hyp, p)) / scale <= 1e-9
 
 
 def test_translated_hyperbolas_are_xy_equals_k():
@@ -178,15 +199,16 @@ def test_translated_hyperbolas_are_xy_equals_k():
         (jerabek_excentral(tri), 100),
     ):
         shift = center(tri, center_idx)
+        c1, c2, c3 = xy_coefficients(hyp)
         # after translating by -shift: coefficient of x and y must vanish
-        lin_x = hyp.c1 + hyp.c3 * shift.y
-        lin_y = hyp.c2 + hyp.c3 * shift.x
-        scale = abs(hyp.c1) + abs(hyp.c2) + abs(hyp.c3)
+        lin_x = c1 + c3 * shift.y
+        lin_y = c2 + c3 * shift.x
+        scale = abs(c1) + abs(c2) + abs(c3)
         assert abs(lin_x) / scale <= 1e-9
         assert abs(lin_y) / scale <= 1e-9
-        k = -(hyp.c1 * shift.x + hyp.c2 * shift.y + hyp.c3 * shift.x * shift.y) / hyp.c3
-        assert abs(k - hyp.xy_constant) <= 1e-9 * abs(k)
-        assert abs(hyp.focal_length - 2.0 * math.sqrt(2.0 * abs(k))) <= 1e-9
+        k = -(c1 * shift.x + c2 * shift.y + c3 * shift.x * shift.y) / c3
+        assert abs(k - c1 * c2 / (c3 * c3)) <= 1e-9 * abs(k)
+        assert abs(focal_length(hyp) - 2.0 * math.sqrt(2.0 * abs(k))) <= 1e-9
 
 
 # ---------------------------------------------------------------- inconics

@@ -20,6 +20,7 @@ from orbitconics import (
     center,
     circumbilliard,
     feuerbach_hyperbola,
+    focal_length,
     jerabek_excentral,
     obtuse_threshold,
     orbit,
@@ -28,6 +29,7 @@ from orbitconics import (
 from orbitconics.billiard import SHAPE_CLASSES
 from orbitconics.centers import center_of, derived_of
 from orbitconics.circumbilliard import DERIVED_TRIANGLES, circumbilliard_of, derived_triangle
+from orbitconics.kernel import ellipse_axes
 
 CENTER_IDS = sorted(SUPPORTED_CENTERS) + [ORTHIC_CB_CENTER]
 TAU = 2.0 * math.pi
@@ -98,22 +100,15 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
                           lambda t: derived_triangle(t, which).vertices[k], tol)
 
     skips = Skips(len(moved))
-    cb = circumbilliard_of(v, skips)
+    cb_center, cb_major, cb_minor, cb_angle = ellipse_axes(circumbilliard_of(v), skips)
     for i, tri in enumerate(moved):
         want, reason = _outcome(lambda: circumbilliard(tri).params)
-        if reason == "SingularSystem":
-            # the five-coefficient conic of the scalar result cannot pass
-            # through the origin; the closed form itself has no such case
-            u = -cb.center[i] * complex(math.cos(cb.axis_angle[i]), -math.sin(cb.axis_angle[i]))
-            on_ellipse = (u.real / cb.semi_major[i]) ** 2 + (u.imag / cb.semi_minor[i]) ** 2
-            assert abs(on_ellipse - 1.0) <= 1e-9
-            continue
         assert skips.reason(i) == reason
         if not reason:
-            assert abs(cb.semi_major[i] - want.semi_major) <= tol[i]
-            assert abs(cb.semi_minor[i] - want.semi_minor) <= tol[i]
-            assert abs(cb.center[i] - want.center.z) <= tol[i]
-            assert angle_dist_mod_pi(cb.axis_angle[i], want.axis_angle) <= 1e-12
+            assert abs(cb_major[i] - want.semi_major) <= tol[i]
+            assert abs(cb_minor[i] - want.semi_minor) <= tol[i]
+            assert abs(cb_center[i] - want.center.z) <= tol[i]
+            assert angle_dist_mod_pi(cb_angle[i], want.axis_angle) <= 1e-12
 
     # the xy-hyperbolae exist for orbits held upright and centred; moved
     # copies must fail with the same reason in both paths
@@ -121,9 +116,9 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
         v = Tri.stack(triangles)
         for hyperbola in (feuerbach_hyperbola, jerabek_excentral):
             skips = Skips(len(triangles))
-            focal = hyperbola(v, skips).focal_length
+            focal = focal_length(hyperbola(v, skips), skips)
             for i, tri in enumerate(triangles):
-                want, reason = _outcome(lambda: hyperbola(tri).focal_length)
+                want, reason = _outcome(lambda: focal_length(hyperbola(tri)))
                 assert skips.reason(i) == reason
                 if not reason:
                     assert abs(focal[i] - want) <= 1e-12 * tri.scale()
