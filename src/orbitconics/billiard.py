@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidShape
-from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, perp_foot, where
+from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, perp_foot, ufuncs, where
 
 
 class ShapeClass(Enum):
@@ -122,10 +122,10 @@ def classify_triangle(t: Triangle) -> ShapeClass:
     return SHAPE_CLASSES[t.tri.shape_code()]
 
 
-def _orbit_vertices(shape: BilliardShape, t, lib, atan2):
+def _orbit_vertices(shape: BilliardShape, t):
     """Vertex coordinates (x1, y1, x2, y2, x3, y3) of the orbit at t.
 
-    ``t`` is a number (``lib`` math) or an array (``lib`` numpy).  The
+    ``t`` is a number or an array (see ``kernel.ufuncs``).  The
     normals n of the two sides through p1 = (x, y) make them tangent to
     the caustic x^2/A + y^2/B = 1: n^T (diag(A, B) - p1 p1^T) n = 0.  That
     2x2 form factors in closed form as n ~ (r, A - x^2) and
@@ -135,15 +135,16 @@ def _orbit_vertices(shape: BilliardShape, t, lib, atan2):
     a2, b2 = shape.a**2, shape.b**2
     caus = caustic(shape)
     A, B = caus.semi_major**2, caus.semi_minor**2
-    x, y = shape.a * lib.cos(t), shape.b * lib.sin(t)
+    f = ufuncs(t)
+    x, y = shape.a * f.cos(t), shape.b * f.sin(t)
     xy = x * y
-    r = xy + lib.copysign(lib.sqrt(A * y * y + B * x * x - A * B), xy)
+    r = xy + f.copysign(f.sqrt(A * y * y + B * x * x - A * B), xy)
     partners = []
     # side directions (-n_y, n_x)
     for ux, uy in ((x * x - A, r), (-r, B - y * y)):
         k = -2.0 * (x * ux / a2 + y * uy / b2) / (ux * ux / a2 + uy * uy / b2)
         qx, qy = x + k * ux, y + k * uy
-        forward = (atan2(qy / shape.b, qx / shape.a) - t) % (2.0 * math.pi)
+        forward = (f.arctan2(qy / shape.b, qx / shape.a) - t) % (2.0 * math.pi)
         partners.append((qx, qy, forward))
     (qx, qy, fq), (sx, sy, fs) = partners
     swap = fs < fq
@@ -159,12 +160,12 @@ def orbit(shape: BilliardShape, t):
     ``Family`` is built at once; it raises the failure of the first
     degenerate member.
     """
-    if np.ndim(t) == 0:
-        x1, y1, x2, y2, x3, y3 = _orbit_vertices(shape, t, math, math.atan2)
+    if isinstance(t, float) or np.ndim(t) == 0:
+        x1, y1, x2, y2, x3, y3 = _orbit_vertices(shape, t)
         tri = Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
         return OrbitSample(t, tri, classify_triangle(tri))
     t = np.asarray(t, dtype=float)
-    coords = _orbit_vertices(shape, t, np, np.arctan2)
+    coords = _orbit_vertices(shape, t)
     fam = Family(t, np.stack(coords, axis=-1).reshape(t.shape + (3, 2)))
     skips = Skips(t.size)
     skips.check(~np.isfinite(fam.vertices).all(axis=(-2, -1)), ValueError, "non-finite orbit vertex")

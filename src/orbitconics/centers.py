@@ -18,7 +18,7 @@ import numpy as np
 
 from .billiard import SHAPE_CLASSES
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
-from .kernel import RAISE, RIGHT_DEADBAND, Point, Skips, Tri, Triangle, perp_foot, where
+from .kernel import RAISE, RIGHT_DEADBAND, Point, Skips, Tri, Triangle, perp_foot, ufuncs, where
 
 #: Kimberling indices with a direct or composite rule below.
 SUPPORTED_CENTERS = frozenset(
@@ -47,7 +47,8 @@ def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Poin
 
 
 def _sines(cos_a, cos_b, cos_c):
-    return tuple(np.sqrt(np.maximum(1.0 - c * c, 0.0)) for c in (cos_a, cos_b, cos_c))
+    f = ufuncs(cos_a)
+    return tuple(f.sqrt(f.maximum(1.0 - c * c, 0.0)) for c in (cos_a, cos_b, cos_c))
 
 
 def _direct_trilinears(v: Tri, index: int, guard):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -32,7 +32,7 @@ from .conic_invariants import (
     poristic_of,
 )
 from .errors import OrbitConicsError
-from .kernel import Skips, Triangle, ellipse_axes
+from .kernel import Points, Skips, Triangle, ellipse_axes
 from .loci import (
     MIN_SAMPLES,
     fit_by_shape_class,
@@ -42,7 +42,7 @@ from .loci import (
     sample_grid,
     sweep_locus,
 )
-from .svgout import fmt, render_svg
+from .svgout import render_svg
 
 SCHEMA = "orbitconics-report/2"
 
@@ -71,12 +71,9 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: str, rows) -> str:
+    """CSV text of a header line and rows already joined, floats written by ``!r``."""
+    return "\n".join([header, *rows, ""])
 
 
 def parse_center(text: str):
@@ -164,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_shape(parser, a: float, b: float) -> BilliardShape:
-    if not (a > b > 0):
-        parser.error(f"require a > b > 0, got a={a}, b={b}")
+    if not (math.isfinite(a) and a > b > 0):
+        parser.error(f"require finite a > b > 0, got a={a}, b={b}")
     return BilliardShape(a, b)
 
 
@@ -180,12 +177,11 @@ def cmd_family(args) -> int:
         (v.inradius() / v.circumradius()).tolist(),
     )
     if args.format == "csv":
-        header = ["t", "x1", "y1", "x2", "y2", "x3", "y3", "shape_class", "perimeter", "rho"]
         rows = [
-            [fmt(t)] + [fmt(c) for p in verts for c in p] + [cls, fmt(per), fmt(rho)]
-            for t, verts, cls, per, rho in records
+            f"{t!r},{x1!r},{y1!r},{x2!r},{y2!r},{x3!r},{y3!r},{cls},{per!r},{rho!r}"
+            for t, ((x1, y1), (x2, y2), (x3, y3)), cls, per, rho in records
         ]
-        _emit(_csv_text(header, rows), args.out)
+        _emit(_csv_text("t,x1,y1,x2,y2,x3,y3,shape_class,perimeter,rho", rows), args.out)
     else:
         payload = {
             "schema": SCHEMA,
@@ -230,12 +226,9 @@ def cmd_locus(args, parser) -> int:
     shape = _require_shape(parser, args.a, args.b)
     center_id = parse_center(args.center)
     sweep = sweep_locus(shape, center_id, derived=args.derived, n=args.n)
-    header = ["t", "x", "y"]
-    rows = [
-        [fmt(t), fmt(p.x), fmt(p.y)]
-        for t, p in zip(sweep.t_values, sweep.points)
-    ]
-    _emit(_csv_text(header, rows), args.out)
+    z = sweep.points.array
+    rows = [f"{t!r},{x!r},{y!r}" for t, x, y in zip(sweep.t_values, z.real.tolist(), z.imag.tolist())]
+    _emit(_csv_text("t,x,y", rows), args.out)
     if args.fit:
         report = fit_locus(sweep.points)
         payload = {
@@ -277,8 +270,8 @@ def cmd_invariants(args, parser) -> int:
 
 
 def cmd_poristic(args, parser) -> int:
-    if not (args.R > 2 * args.r > 0):
-        parser.error(f"require R > 2 r > 0, got r={args.r}, R={args.R}")
+    if not (math.isfinite(args.R) and args.R >= 2 * args.r > 0):
+        parser.error(f"require finite R >= 2 r > 0, got r={args.r}, R={args.R}")
     ps = PoristicShape(args.r, args.R)
     skips = Skips(args.n)
     with np.errstate(all="ignore"):
@@ -288,7 +281,7 @@ def cmd_poristic(args, parser) -> int:
     skips.raise_first()
     aspects_arr = semi_major / semi_minor
     closed = poristic_cb_aspect(ps)
-    circle = fit_circle(np.column_stack([x9.real, x9.imag]))
+    circle = fit_circle(Points(x9))
     payload = {
         "schema": SCHEMA,
         "command": "poristic",
@@ -312,9 +305,8 @@ def cmd_poristic(args, parser) -> int:
 def cmd_hyperbolae(args, parser) -> int:
     shape = _require_shape(parser, args.a, args.b)
     profile = focal_profile(shape, n=args.n)
-    header = ["t", "feuerbach_focal_length", "jerabek_excentral_focal_length"]
-    rows = [[fmt(s.t), fmt(s.feuerbach), fmt(s.jerabek_excentral)] for s in profile]
-    _emit(_csv_text(header, rows), args.out)
+    rows = [f"{s.t!r},{s.feuerbach!r},{s.jerabek_excentral!r}" for s in profile]
+    _emit(_csv_text("t,feuerbach_focal_length,jerabek_excentral_focal_length", rows), args.out)
     ratios = np.array([s.ratio for s in profile])
     payload = {
         "schema": SCHEMA,

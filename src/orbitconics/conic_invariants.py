@@ -30,6 +30,7 @@ from .kernel import (
     focal_length,
     largest,
     length,
+    ufuncs,
     unresolved,
     where,
 )
@@ -72,12 +73,15 @@ def poristic_of(ps: PoristicShape, theta, guard) -> Tri:
     array (``guard`` a Skips).
     """
     inc = complex(ps.d, 0.0)
-    v1 = ps.R * (np.cos(theta) + 1j * np.sin(theta))
+    f = ufuncs(theta)
+    v1 = ps.R * (f.cos(theta) + 1j * f.sin(theta))
     w = inc - v1
     reach = length(w)
+    # only when d rounds to R (r/R below 1e-16)
+    guard.check(reach <= 0.0, ValueError, "first vertex on the incircle center")
     # sine and cosine of the half angle between the two tangents
-    sin_half = np.minimum(1.0, ps.r / reach)
-    cos_half = np.sqrt(1.0 - sin_half * sin_half)
+    sin_half = f.minimum(1.0, ps.r / reach)
+    cos_half = f.sqrt(1.0 - sin_half * sin_half)
     # unit directions of the tangents: w / reach turned by +-half
     ex, ey = w.real * (1.0 / reach), w.imag * (1.0 / reach)
     v2, v3 = (
@@ -87,8 +91,10 @@ def poristic_of(ps: PoristicShape, theta, guard) -> Tri:
             (ex * cos_half + ey * sin_half) + 1j * (ey * cos_half - ex * sin_half),
         )
     )
-    closure = abs(abs(cross(v3 - v2, inc - v2)) / length(v3 - v2) - ps.r)
-    guard.check(closure > 1e-9 * ps.R, ClosureFailure, "third side misses the incircle")
+    # distance of the incircle center from the third side, minus r, times |v2 v3|
+    side = length(v3 - v2)
+    guard.check(abs(abs(cross(v3 - v2, inc - v2)) - ps.r * side) > 1e-9 * ps.R * side,
+                ClosureFailure, "third side misses the incircle")
     out = Tri(v1, v2, v3)
     guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
     return out
@@ -130,13 +136,14 @@ def _xy_hyperbola(v: Tri, guard) -> Conic:
     rows = [(p.real, p.imag, p.real * p.imag) for p in v.vertices]
     candidates = (_row_cross(rows[1], rows[2]), _row_cross(rows[2], rows[0]),
                   _row_cross(rows[0], rows[1]))
-    n0, n1, n2 = (np.sqrt(_row_dot(c, c)) for c in candidates)
+    f = ufuncs(v.p1)
+    n0, n1, n2 = (f.sqrt(_row_dot(c, c)) for c in candidates)
     first, second = (n0 >= n1) & (n0 >= n2), n1 >= n2
     c = tuple(where(first, x0, where(second, x1, x2)) for x0, x1, x2 in zip(*candidates))
     biggest = largest(*(abs(x) for row in rows for x in row))
-    scale = largest(biggest, 1e-300) * where(first, n0, where(second, n1, n2))
-    residual = largest(*(abs(_row_dot(row, c)) for row in rows)) / scale
-    guard.check(residual > 1e-9, DegenerateConic,
+    scale = biggest * where(first, n0, where(second, n1, n2))
+    residual = largest(*(abs(_row_dot(row, c)) for row in rows))
+    guard.check(residual > 1e-9 * scale, DegenerateConic,
                 "no axis-parallel circumhyperbola through the origin; "
                 "is the Mittenpunkt at the origin?")
     L = largest(v.s1, v.s2, v.s3)
@@ -251,18 +258,29 @@ def excentral_inconic_axes(t: Triangle, which: str) -> tuple[float, float]:
     ``which`` is "x3" for the inconic centered on the excentral
     circumcenter, giving (R + d, R - d), or "macbeath" for the inconic
     centered on the excentral nine-point center, giving
-    (R, sqrt(R^2 - d^2)); R is the circumradius of the reference
-    triangle and d = sqrt(R (R - 2r)) its incenter-circumcenter
-    distance (Euler).  d is measured as that distance, since R - 2r
-    cancels for nearly equilateral triangles.
+    (R, sqrt(R^2 - d^2)); R and r are the circumradius and inradius of
+    the reference triangle and d = sqrt(R (R - 2r)) its
+    incenter-circumcenter distance (Euler).  Nothing cancels: for sides
+    a >= b >= c and area K, R - 2r = ((a-b)^2 (a+b-c) + c (a-c)(b-c)) / 4K,
+    a sum of nonnegative terms (Schur), and the semi-minor axes use
+    R^2 - d^2 = 2 R r, so R - d = 2 R r / (R + d).  Triangles whose
+    circumcenter is at infinity within rounding are refused
+    (PointAtInfinity, as X3 refuses them): their area, and with it R
+    and r, is rounded beyond 1e-9.
     """
-    R = t.circumradius()
-    d = centers.center(t, 3).dist(centers.center(t, 1))
+    centers.center_of(t.tri, 3, RAISE)
+    R, r = t.circumradius(), t.inradius()
+    a, b, c = sorted(t.sidelengths(), reverse=True)
+    d = math.sqrt(R * (((a - b) * (a - b) * (a + b - c) + c * (a - c) * (b - c)) / (4.0 * t.area())))
     if which == "x3":
-        return (R + d, R - d)
-    if which == "macbeath":
-        return (R, math.sqrt(R * R - d * d))
-    raise KeyError(f"unknown inconic {which!r}")
+        axes = (R + d, 2.0 * R * r / (R + d))
+    elif which == "macbeath":
+        axes = (R, math.sqrt(2.0 * R * r))
+    else:
+        raise KeyError(f"unknown inconic {which!r}")
+    if not (math.isfinite(axes[0]) and math.isfinite(axes[1])):
+        raise ValueError(f"non-finite inconic axes {axes} (coordinates beyond the float range)")
+    return axes
 
 
 def x3_inconic_ratio(rho: float) -> float:

@@ -5,7 +5,10 @@ lengths, where each vertex is either one complex number or an array of
 them.  The triangle-center, derived-triangle and circumbilliard formulas
 are written once on ``Tri``, so the same code serves the scalar API (one
 triangle, failures raise through ``RAISE``) and the batched family
-kernel (arrays, failures recorded per sample in ``Skips``).
+kernel (arrays, failures recorded per sample in ``Skips``).  Their math
+functions come from ``ufuncs``: ``math`` for one triangle, which then
+computes in plain Python floats, numpy for a stack.  ``Points`` is a
+read-only sequence of ``Point`` over a complex array.
 
 Every conic is a ``Conic``: the six coefficients of
 
@@ -22,6 +25,7 @@ coefficients (``ellipse_axes``, ``focal_length``).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
@@ -98,6 +102,66 @@ class Point:
         return cls(z.real, z.imag)
 
 
+class ArrayView(Sequence):
+    """Read-only sequence over a 1-D array, each item built by ``item`` on access.
+
+    ``array`` is a read-only view of the array, for code that works on
+    all items at once.  A view equals a view of the same items, or a
+    list or tuple of them; its repr lists the items exactly.
+    """
+
+    __slots__ = ("array", "item")
+
+    def __init__(self, array, item):
+        self.array = np.asarray(array).view()
+        self.array.flags.writeable = False
+        self.item = item
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.item, self.array[i].tolist()))
+        return self.item(self.array[i].item())
+
+    def __iter__(self):
+        return map(self.item, self.array.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, ArrayView):
+            return self.item == other.item and np.array_equal(self.array, other.array)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class Points(ArrayView):
+    """Points over a 1-D complex array z, ``Point(z.real, z.imag)`` for each entry."""
+
+    __slots__ = ()
+
+    def __init__(self, z):
+        z = np.asarray(z, dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            w = complex(z[bad[0]])
+            raise ValueError(f"non-finite point ({w.real}, {w.imag})")
+        super().__init__(z, Point.from_complex)
+
+    @classmethod
+    def of(cls, samples) -> "Points":
+        """``samples`` if it is Points, else the Points of its Points or (x, y) pairs."""
+        if isinstance(samples, Points):
+            return samples
+        return cls([(p if isinstance(p, Point) else Point(p[0], p[1])).z for p in samples])
+
+
 def dot(u, v):
     """Dot product of plane vectors given as complex numbers or arrays of them."""
     return u.real * v.real + u.imag * v.imag
@@ -123,6 +187,42 @@ def where(cond, a, b):
     if isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
     return a if cond else b
+
+
+class _Scalars:
+    """``math`` and builtins under numpy's names, nan-propagating like numpy."""
+
+    sqrt, cos, sin, copysign, arctan2 = math.sqrt, math.cos, math.sin, math.copysign, math.atan2
+
+    @staticmethod
+    def maximum(a, b):
+        return a if a >= b or a != a else b
+
+    @staticmethod
+    def minimum(a, b):
+        return a if a <= b or a != a else b
+
+    @staticmethod
+    def sign(x):
+        return float((x > 0.0) - (x < 0.0)) if x == x else x
+
+
+_SCALARS = _Scalars()
+
+
+def ufuncs(*xs):
+    """numpy if any argument is an array, else ``_SCALARS``.
+
+    Formulas shared by one triangle and a stack call their functions
+    through this, so one triangle computes in plain Python floats and
+    never makes a numpy scalar.  ``math.sqrt`` raises on a negative
+    number where ``np.sqrt`` returns nan, so each call sits behind the
+    check that refuses such an input.
+    """
+    for x in xs:
+        if isinstance(x, np.ndarray):
+            return np
+    return _SCALARS
 
 
 def perp_foot(p, q, r):
@@ -222,7 +322,8 @@ class Tri:
     def shape_code(self):
         """0 acute, 1 right (within RIGHT_DEADBAND), 2 obtuse, from the smallest cosine."""
         ca, cb, cc = self.cosines()
-        cmin = np.minimum(np.minimum(ca, cb), cc)
+        minimum = ufuncs(ca).minimum
+        cmin = minimum(minimum(ca, cb), cc)
         return 1 * (cmin <= RIGHT_DEADBAND) + 1 * (cmin < -RIGHT_DEADBAND)
 
     def perimeter(self):
@@ -352,7 +453,11 @@ class Triangle:
 
     @classmethod
     def from_tri(cls, v: Tri) -> "Triangle":
-        return cls(*(Point.from_complex(z) for z in v.vertices))
+        """Triangle of a one-triangle Tri, kept as its ``tri`` (the same bits)."""
+        t = cls.__new__(cls)
+        t.__dict__["tri"] = v
+        t.__init__(*(Point.from_complex(z) for z in v.vertices))
+        return t
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -406,8 +511,8 @@ def conic_eval(conic: Conic, p: Point) -> float:
 
 
 def largest(*xs):
-    """Elementwise maximum of numbers or arrays."""
-    return reduce(np.maximum, xs)
+    """Elementwise maximum of numbers or arrays (nan if any is nan)."""
+    return reduce(ufuncs(*xs).maximum, xs)
 
 
 def circumconic_of(v: Tri, perspector) -> Conic:
@@ -489,11 +594,12 @@ def ellipse_axes(q: Conic, guard):
     sign = m / abs(m)
     K = K * sign
     guard.check(K <= 0.0, NotAnEllipse, "conic has no real points")
-    r = np.sqrt(0.25 * (A - C) ** 2 + B * B)
+    f = ufuncs(K)
+    r = f.sqrt(0.25 * (A - C) ** 2 + B * B)
     big = abs(m) + r
-    semi_minor = np.sqrt(K / big)
-    semi_major = semi_minor * np.sqrt(np.maximum(big * big / det, 1.0))
-    angle = (0.5 * np.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
+    semi_minor = f.sqrt(K / big)
+    semi_major = semi_minor * f.sqrt(f.maximum(big * big / det, 1.0))
+    angle = (0.5 * f.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
     angle = angle * ((2.0 * r >= 1e-12 * big) & (math.pi - angle >= 1e-12))
     return q.anchor + (cx + 1j * cy), semi_major, semi_minor, angle
 
@@ -518,8 +624,10 @@ def focal_length(q: Conic, guard=RAISE):
     """Length 2a of the transverse axis of a hyperbola.
 
     ``a^2 = |K| / |l|`` for the eigenvalue l of [[A, B], [B, C]] with the
-    sign of K, from the same read-off as ``ellipse_axes``.  For the
-    rectangular xy-hyperbolae of ``conic_invariants`` this is
+    sign of K, from the same read-off as ``ellipse_axes``: |l| = r + s m
+    for s the sign of K.  Where s m < 0 that cancels, and |l| is taken as
+    -det over the other eigenvalue's magnitude r + |m|.  For the
+    rectangular xy-hyperbolae of ``conic_invariants`` (m = 0) this is
     ``2 sqrt(2 |k|)`` for the recentred form x y = k.
     """
     A, B, C = q.A, q.B, q.C
@@ -527,9 +635,10 @@ def focal_length(q: Conic, guard=RAISE):
     guard.check(det >= -1e-12 * (B * B + abs(A * C)), DegenerateConic,
                 "conic does not classify as a hyperbola")
     _, _, K = _center_and_level(q, det)
+    f = ufuncs(K)
     m = 0.5 * (A + C)
-    r = np.sqrt(0.25 * (A - C) ** 2 + B * B)
-    return 2.0 * np.sqrt(abs(K) / (r + m * np.sign(K)))
+    big = f.sqrt(0.25 * (A - C) ** 2 + B * B) + abs(m)
+    return 2.0 * f.sqrt(abs(K) / where(m * f.sign(K) >= 0.0, big, -det / big))
 
 
 def unresolved(q: Conic):

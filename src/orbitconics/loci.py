@@ -25,7 +25,7 @@ from .billiard import (
 )
 from .circumbilliard import circumbilliard_of
 from .errors import IllConditioned
-from .kernel import CONDITION_LIMIT, Point, Skips, ellipse_axes
+from .kernel import CONDITION_LIMIT, ArrayView, Point, Points, Skips, ellipse_axes
 
 ELLIPTIC_RMS = 1e-8
 NON_ELLIPTIC_RMS = 1e-4
@@ -41,7 +41,7 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class LocusFitReport:
-    samples: list[Point]
+    samples: Points
     fit_A: float
     fit_B: float
     rms_residual: float
@@ -50,14 +50,23 @@ class LocusFitReport:
 
     @property
     def mean_radius(self) -> float:
-        return float(np.mean([p.norm() for p in self.samples]))
+        """Mean of ``Point.norm`` over the samples."""
+        z = self.samples.array
+        return float(np.mean(list(map(math.hypot, z.real.tolist(), z.imag.tolist()))))
 
 
 @dataclass(frozen=True)
 class LocusSweep:
-    points: list[Point]
+    """Kept samples of a sweep, one entry per locus point.
+
+    ``points`` (a ``Points``) and ``shape_classes`` (ShapeClass items over
+    an array of codes into ``SHAPE_CLASSES``) are read-only views over the
+    sweep's arrays; their items are built only when read.
+    """
+
+    points: Points
     t_values: list[float]
-    shape_classes: list[ShapeClass]
+    shape_classes: ArrayView
     skipped: list[tuple[float, str]] = field(default_factory=list)
 
 
@@ -98,24 +107,22 @@ def sweep_locus(
             z = centers.center_of(centers.derived_of(v, derived, skips), center_id, skips)[:, None]
     keep = skips.valid
     per_sample = z.shape[1]
-    z = z[keep].ravel()
-    points = [Point(x, y) for x, y in zip(z.real.tolist(), z.imag.tolist())]
-    t_values = np.repeat(fam.t[keep], per_sample).tolist()
-    classes = [SHAPE_CLASSES[c] for c in np.repeat(fam.codes[keep], per_sample)]
+    classes = ArrayView(np.repeat(fam.codes[keep], per_sample), SHAPE_CLASSES.__getitem__)
     skipped = [(float(fam.t[i]), skips.reason(i)) for i in np.flatnonzero(~keep)]
-    return LocusSweep(points, t_values, classes, skipped)
-
-
-def _as_points(samples) -> list[Point]:
-    return [p if isinstance(p, Point) else Point(p[0], p[1]) for p in samples]
+    return LocusSweep(Points(z[keep].ravel()), np.repeat(fam.t[keep], per_sample).tolist(),
+                      classes, skipped)
 
 
 def fit_locus(samples) -> LocusFitReport:
-    """Least-squares fit of A x^2 + B y^2 = 1 through the samples."""
-    pts = _as_points(samples)
+    """Least-squares fit of A x^2 + B y^2 = 1 through the samples.
+
+    ``samples`` is a ``Points`` (read without building any Point) or a
+    sequence of Points or (x, y) pairs.
+    """
+    pts = Points.of(samples)
     _require_samples(len(pts))
-    x2 = np.array([p.x * p.x for p in pts])
-    y2 = np.array([p.y * p.y for p in pts])
+    x, y = pts.array.real, pts.array.imag
+    x2, y2 = x * x, y * y
     # normal equations [[sxx, sxy], [sxy, syy]] (A, B) = (sx, sy) by Cramer's rule,
     # refused when the first partial pivot squared exceeds CONDITION_LIMIT |det|
     sxx, sxy, syy = float(np.sum(x2 * x2)), float(np.sum(x2 * y2)), float(np.sum(y2 * y2))
@@ -150,14 +157,13 @@ class CircleFit:
 
 
 def fit_circle(samples) -> CircleFit:
-    """Algebraic least-squares circle through the samples (Points or (x, y) pairs).
+    """Algebraic least-squares circle through the samples (as for ``fit_locus``).
 
     ``rms`` is the root-mean-square distance of the samples from the
     fitted circle.
     """
-    pts = _as_points(samples)
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
+    z = Points.of(samples).array
+    xs, ys = z.real, z.imag
     M = np.column_stack([xs, ys, np.ones_like(xs)])
     sol, *_ = np.linalg.lstsq(M, -(xs * xs + ys * ys), rcond=None)
     cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
@@ -170,13 +176,21 @@ def fit_by_shape_class(sweep: LocusSweep) -> dict[str, LocusFitReport]:
     """Per-piece fits of a sweep partitioned by orbit shape class.
 
     Needed for the orthic-center locus above the obtuse threshold,
-    where the locus splits into acute and obtuse pieces.
+    where the locus splits into acute and obtuse pieces.  A piece is
+    left out when its samples cannot determine the fit: fewer than
+    MIN_SAMPLES of them, or a fit refused as IllConditioned (a few
+    samples in mirror-image groups on a short arc).
     """
+    z = sweep.points.array
+    codes = sweep.shape_classes.array
     out: dict[str, LocusFitReport] = {}
     for cls in (ShapeClass.ACUTE, ShapeClass.OBTUSE):
-        pts = [p for p, c in zip(sweep.points, sweep.shape_classes) if c is cls]
-        if len(pts) >= MIN_SAMPLES:
-            out[cls.value] = fit_locus(pts)
+        piece = z[codes == SHAPE_CLASSES.index(cls)]
+        if piece.size >= MIN_SAMPLES:
+            try:
+                out[cls.value] = fit_locus(Points(piece))
+            except IllConditioned:
+                pass
     return out
 
 

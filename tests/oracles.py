@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's own construction
 paths: the orbit oracle iterates the raw reflection map and solves the
-closure condition by bisection, and the extremal-radius search measures
-ellipse axes by brute force along rays.
+closure condition by bisection, the extremal-radius search measures
+ellipse axes by brute force along rays, and the excentral inconic axes
+are computed in high-precision decimals.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -107,3 +109,36 @@ def circumcircle(vertices):
     ) / d
     O = np.array([ux, uy])
     return O, float(np.linalg.norm(A - O))
+
+
+def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
+    """Semi-axes of the excentral X3 or MacBeath inconic, in ``digits``-digit decimals.
+
+    From the float vertices taken exactly: side lengths, area (shoelace),
+    circumradius R = abc / 4K, inradius r = K / s, and d = |X3 X1| from
+    the circumcenter and incenter coordinates, with no use of Euler's
+    relation.  Then (R + d, R - d) for "x3" and (R, sqrt(R^2 - d^2)) for
+    "macbeath", rounded to floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        (x1, y1), (x2, y2), (x3, y3) = [(Decimal(x), Decimal(y)) for x, y in vertices]
+        a = ((x2 - x3) ** 2 + (y2 - y3) ** 2).sqrt()
+        b = ((x3 - x1) ** 2 + (y3 - y1) ** 2).sqrt()
+        c = ((x1 - x2) ** 2 + (y1 - y2) ** 2).sqrt()
+        cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+        area = abs(cross) / 2
+        R = a * b * c / (4 * area)
+        ix, iy = (a * x1 + b * x2 + c * x3) / (a + b + c), (a * y1 + b * y2 + c * y3) / (a + b + c)
+        den = 2 * cross
+        n1, n2, n3 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
+        ox = (n1 * (y2 - y3) + n2 * (y3 - y1) + n3 * (y1 - y2)) / den
+        oy = (n1 * (x3 - x2) + n2 * (x1 - x3) + n3 * (x2 - x1)) / den
+        d = ((ox - ix) ** 2 + (oy - iy) ** 2).sqrt()
+        if which == "x3":
+            axes = (R + d, R - d)
+        elif which == "macbeath":
+            axes = (R, (R * R - d * d).sqrt())
+        else:
+            raise KeyError(which)
+        return tuple(float(v) for v in axes)

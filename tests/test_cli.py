@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -192,7 +193,7 @@ def test_bad_sample_count_exit_1(capsys, argv):
 def test_poristic_invalid_exit_1(capsys):
     code, _, err = run_cli(capsys, ["poristic", "--r", "0.6", "--R", "1"])
     assert code == 1
-    assert "R > 2 r" in err
+    assert "R >= 2 r" in err
 
 
 def test_hyperbolae_report(capsys):
@@ -266,3 +267,47 @@ def test_no_subcommand_exit_1():
         [sys.executable, "-m", "orbitconics.cli"], capture_output=True, text=True
     )
     assert result.returncode == 1
+
+
+def test_family_csv_bytes_match_the_csv_writer(capsys):
+    # a/b = 2 has obtuse rows; the CSV used to be written by csv.writer
+    argv = ["family", "--a", "2", "--b", "1", "--n", "64"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    _, doc, _ = run_cli(capsys, argv + ["--format", "json"])
+    samples = json.loads(doc)["samples"]
+    assert {s["shape_class"] for s in samples} == {"acute", "obtuse"}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x1", "y1", "x2", "y2", "x3", "y3", "shape_class", "perimeter", "rho"])
+    for s in samples:
+        coords = [repr(float(c)) for vertex in s["vertices"] for c in vertex]
+        writer.writerow([repr(float(s["t"]))] + coords
+                        + [s["shape_class"], repr(float(s["perimeter"])), repr(float(s["rho"]))])
+    assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["family", "--a", "inf", "--b", "1"], "a=inf"),
+    (["family", "--a", "nan", "--b", "1"], "a=nan"),
+    (["locus", "--a", "inf", "--b", "1", "--center", "X7"], "a=inf"),
+    (["invariants", "--a", "inf", "--b", "1"], "a=inf"),
+    (["hyperbolae", "--a", "inf", "--b", "1"], "a=inf"),
+    (["poristic", "--r", "0.3", "--R", "inf"], "R=inf"),
+    (["poristic", "--r", "nan", "--R", "1"], "r=nan"),
+])
+def test_non_finite_shape_exit_1(capsys, argv, echo):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err and echo in err
+
+
+def test_poristic_equilateral_family(capsys):
+    # R = 2 r: every member is equilateral, so its circumbilliard is a circle
+    code, out, _ = run_cli(capsys, ["poristic", "--r", "0.5", "--R", "1", "--n", "36"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closed_form"] == 1.0
+    assert abs(payload["aspect_mean"] - 1.0) <= 1e-12
+    assert payload["aspect_spread_rel"] <= 1e-12

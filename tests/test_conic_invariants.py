@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import angle_dist_mod_pi, xy_coefficients
+from oracles import excentral_inconic_axes_decimal
 from orbitconics import (
     BilliardShape,
     ConicClass,
     DegenerateConic,
     InvalidShape,
     Point,
+    PointAtInfinity,
     PoristicShape,
     Skips,
+    Triangle,
     billiard_intersections,
     center,
     circumbilliard,
@@ -227,6 +230,43 @@ def test_excentral_inconic_closed_forms_and_ratios():
         assert abs(major5 - R) <= 1e-12
         assert abs(minor5 - math.sqrt(R * R - d * d)) <= 1e-12
         assert abs(major5 / minor5 - macbeath_inconic_ratio(rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.5, 10.0, 100.0, 1000.0])
+def test_decimal_inconic_reference_meets_the_closed_form_ratios(alpha):
+    shape = BilliardShape(alpha, 1.0)
+    rho = inradius_to_circumradius(shape)
+    for t in grid(8):
+        v = [p.as_tuple() for p in orbit(shape, t).triangle.vertices]
+        for which, ratio in (("x3", x3_inconic_ratio), ("macbeath", macbeath_inconic_ratio)):
+            major, minor = excentral_inconic_axes_decimal(v, which)
+            # the float closed form of rho loses ~6 digits at a/b = 1000
+            assert major / minor == pytest.approx(ratio(rho), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.5, 10.0, 100.0, 1000.0])
+def test_excentral_inconic_axes_match_decimal_reference(alpha):
+    # R - d and sqrt(R^2 - d^2) computed in floats were off by 2.7e-4 of
+    # the major axis at a/b = 1000
+    shape = BilliardShape(alpha, 1.0)
+    for t in grid(16):
+        tri = orbit(shape, t).triangle
+        for which in ("x3", "macbeath"):
+            want = excentral_inconic_axes_decimal([p.as_tuple() for p in tri.vertices], which)
+            got = excentral_inconic_axes(tri, which)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_excentral_inconic_axes_refusals():
+    # passes the triangle's area check, but its circumcenter is at infinity within rounding
+    needle = Triangle.from_coords([(0.0, 0.0), (1.0, 1e-8), (2.0, 0.0)])
+    with pytest.raises(PointAtInfinity):
+        excentral_inconic_axes(needle, "x3")
+    # R overflows
+    huge = Triangle.from_coords([(0.0, 0.0), (1e110, 0.0), (0.0, 1e110)])
+    for which in ("x3", "macbeath"):
+        with pytest.raises(ValueError, match="non-finite"):
+            excentral_inconic_axes(huge, which)
 
 
 def test_inconic_ratio_limits():

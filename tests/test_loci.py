@@ -8,6 +8,7 @@ from orbitconics import (
     IllConditioned,
     InvalidShape,
     Point,
+    Points,
     RightTriangle,
     Verdict,
     fit_by_shape_class,
@@ -153,3 +154,93 @@ def test_invariant_report_passes():
 def test_invariant_report_rejects_circle():
     with pytest.raises(InvalidShape):
         invariant_report(BilliardShape(1.0, 1.0), n=16)
+
+
+# ---------------------------------------------------------------- array-backed points
+
+SPLIT = BilliardShape(2.0, 1.0)
+
+
+def _same_fit(got, want):
+    assert (got.fit_A, got.fit_B, got.rms_residual) == (want.fit_A, want.fit_B, want.rms_residual)
+    assert got.verdict is want.verdict
+    assert got.fitted_axes == want.fitted_axes
+    assert got.mean_radius == want.mean_radius
+    assert got.samples == want.samples
+
+
+@pytest.mark.parametrize("center_id, derived", [
+    (7, None), (168, None), ("X6star", "orthic"), ("vertices", "excentral"),
+])
+def test_fits_of_the_view_equal_fits_of_its_points(center_id, derived):
+    sweep = sweep_locus(SPLIT, center_id, derived=derived, n=360)
+    points = list(sweep.points)
+    _same_fit(fit_locus(sweep.points), fit_locus(points))
+    _same_fit(fit_locus(sweep.points), fit_locus([p.as_tuple() for p in points]))
+    pieces = fit_by_shape_class(sweep)
+    assert sorted(pieces) == ["acute", "obtuse"]
+    for name, report in pieces.items():
+        members = [p for p, c in zip(points, sweep.shape_classes) if c.value == name]
+        _same_fit(report, fit_locus(members))
+
+
+def test_sweep_and_fits_build_no_point_per_sample(monkeypatch):
+    built = []
+    post_init = Point.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Point, "__post_init__", counted)
+    counts = []
+    for n in (48, 720):
+        built.clear()
+        sweep = sweep_locus(SPLIT, "vertices", derived="excentral", n=n)
+        fit_locus(sweep.points)
+        fit_by_shape_class(sweep)
+        counts.append(len(built))
+    # the caustic's center, once per sweep
+    assert counts == [1, 1]
+
+
+def test_points_view_is_a_read_only_sequence():
+    acute = BilliardShape(1.25, 1.0)
+    sweep = sweep_locus(acute, 7, n=16)
+    view = sweep.points
+    z = view.array
+    assert len(view) == 16
+    assert view[0] == Point(z[0].real, z[0].imag)
+    assert view[-1] == Point(z[-1].real, z[-1].imag)
+    assert view[2:4] == [view[2], view[3]]
+    assert list(view) == [Point(w.real, w.imag) for w in z.tolist()]
+    assert view == list(view) and view == tuple(view)
+    assert view == sweep_locus(acute, 7, n=16).points
+    assert view != sweep_locus(acute, 7, n=24).points
+    assert view != list(view)[:-1]
+    with pytest.raises(IndexError):
+        view[16]
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    with pytest.raises(TypeError):
+        hash(view)
+    assert repr(view) == f"Points({list(view)!r})"
+    assert [c.value for c in sweep.shape_classes] == ["acute"] * 16
+
+
+def test_points_refuse_non_finite():
+    with pytest.raises(ValueError, match="non-finite point"):
+        Points(np.array([1.0 + 1.0j, complex(math.nan, 0.0)]))
+    with pytest.raises(ValueError, match="non-finite point"):
+        fit_locus([(1.0, 2.0)] * 8 + [(math.inf, 0.0)])
+
+
+def test_shape_class_fits_leave_out_an_undetermined_piece():
+    # at n = 48 the acute piece of the X7 locus is 8 samples in two mirror-image
+    # groups on a short arc: its fit is refused, the obtuse piece still fits
+    sweep = sweep_locus(BilliardShape(1.9950671726261742, 1.0), 7, n=48)
+    acute = [p for p, c in zip(sweep.points, sweep.shape_classes) if c.value == "acute"]
+    assert len(acute) == 8
+    with pytest.raises(IllConditioned):
+        fit_locus(acute)
+    assert sorted(fit_by_shape_class(sweep)) == ["obtuse"]
