@@ -98,7 +98,7 @@ def reflection_residual(conic: Conic, t: Triangle) -> float:
 def intouch_points(t: Triangle) -> tuple[Point, Point, Point]:
     """Incircle tangency points, as perpendicular feet from the incenter."""
     inc = centers.center(t, 1).z
-    p1, p2, p3 = (p.z for p in t.vertices)
+    p1, p2, p3 = t.tri.vertices
     return tuple(
         Point.from_complex(perp_foot(inc, q, r)) for q, r in ((p2, p3), (p3, p1), (p1, p2))
     )

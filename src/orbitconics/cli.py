@@ -304,10 +304,10 @@ def cmd_poristic(args, parser) -> int:
 
 def cmd_hyperbolae(args, parser) -> int:
     shape = _require_shape(parser, args.a, args.b)
-    profile = focal_profile(shape, n=args.n)
-    rows = [f"{s.t!r},{s.feuerbach!r},{s.jerabek_excentral!r}" for s in profile]
+    profile = focal_profile(shape, n=args.n).array
+    rows = [f"{t!r},{feuerbach!r},{jerabek!r}" for t, feuerbach, jerabek in profile.tolist()]
     _emit(_csv_text("t,feuerbach_focal_length,jerabek_excentral_focal_length", rows), args.out)
-    ratios = np.array([s.ratio for s in profile])
+    ratios = profile[:, 2] / profile[:, 1]
     payload = {
         "schema": SCHEMA,
         "command": "hyperbolae",
@@ -317,7 +317,7 @@ def cmd_hyperbolae(args, parser) -> int:
         "ratio_mean": float(ratios.mean()),
         "ratio_spread_rel": float((ratios.max() - ratios.min()) / ratios.mean()),
         "ratio_closed_form": focal_ratio_closed_form(shape),
-        "feuerbach_interior_maxima": count_interior_maxima([s.feuerbach for s in profile]),
+        "feuerbach_interior_maxima": count_interior_maxima(profile[:, 1].tolist()),
     }
     sys.stdout.write(_json_dump(payload))
     return 0

@@ -19,6 +19,7 @@ from .billiard import BilliardShape, inradius_to_circumradius, orbit
 from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
 from .kernel import (
     RAISE,
+    ArrayView,
     Conic,
     Point,
     Skips,
@@ -194,12 +195,17 @@ class FocalSample:
         return self.jerabek_excentral / self.feuerbach
 
 
-def focal_profile(shape: BilliardShape, n: int = 720) -> list[FocalSample]:
-    """Focal lengths of both hyperbolas over t in (0, pi/2).
+def _focal_sample(row) -> FocalSample:
+    return FocalSample(*row)
+
+
+def focal_profile(shape: BilliardShape, n: int = 720) -> ArrayView:
+    """FocalSamples over t in (0, pi/2), a view over (t, feuerbach, jerabek) rows.
 
     Parameters within 1e-3 rad of the isosceles endpoints are excluded
-    (the hyperbolas degenerate there).  Raises the failure of the first
-    sample whose hyperbola degenerates.
+    (the hyperbolas degenerate there), and so are samples whose
+    hyperbola degenerates; the first such failure is raised only when no
+    sample is left.
     """
     t = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
     t = t[(t >= 1e-3) & (0.5 * math.pi - t >= 1e-3)]
@@ -208,11 +214,10 @@ def focal_profile(shape: BilliardShape, n: int = 720) -> list[FocalSample]:
     with np.errstate(all="ignore"):
         feuerbach = focal_length(feuerbach_hyperbola(fam.tri, skips), skips)
         jerabek = focal_length(jerabek_excentral(fam.tri, skips), skips)
-    skips.raise_first()
-    return [
-        FocalSample(*sample)
-        for sample in zip(t.tolist(), feuerbach.tolist(), jerabek.tolist())
-    ]
+    keep = skips.valid
+    if not keep.any():
+        skips.raise_first()
+    return ArrayView(np.column_stack((t, feuerbach, jerabek))[keep], _focal_sample)
 
 
 def count_interior_maxima(values) -> int:

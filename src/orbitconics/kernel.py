@@ -8,7 +8,8 @@ triangle, failures raise through ``RAISE``) and the batched family
 kernel (arrays, failures recorded per sample in ``Skips``).  Their math
 functions come from ``ufuncs``: ``math`` for one triangle, which then
 computes in plain Python floats, numpy for a stack.  ``Points`` is a
-read-only sequence of ``Point`` over a complex array.
+read-only sequence of ``Point`` over a complex array, and a ``Triangle``
+a view over its one-triangle ``Tri`` that builds Points when read.
 
 Every conic is a ``Conic``: the six coefficients of
 
@@ -24,11 +25,12 @@ coefficients (``ellipse_axes``, ``focal_length``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -53,16 +55,17 @@ TANGENCY_TOL = 1e-9
 RIGHT_DEADBAND = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
     x: float
     y: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -103,8 +106,9 @@ class Point:
 
 
 class ArrayView(Sequence):
-    """Read-only sequence over a 1-D array, each item built by ``item`` on access.
+    """Read-only sequence over an array's first axis, items built by ``item`` on access.
 
+    ``item`` gets an entry's ``tolist()``: a number, or a row's list.
     ``array`` is a read-only view of the array, for code that works on
     all items at once.  A view equals a view of the same items, or a
     list or tuple of them; its repr lists the items exactly.
@@ -123,7 +127,7 @@ class ArrayView(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(map(self.item, self.array[i].tolist()))
-        return self.item(self.array[i].item())
+        return self.item(self.array[i].tolist())
 
     def __iter__(self):
         return map(self.item, self.array.tolist())
@@ -303,7 +307,7 @@ class Tri:
 
     @classmethod
     def stack(cls, triangles) -> "Tri":
-        z = np.array([[p.z for p in t.vertices] for t in triangles])
+        z = np.array([t.tri.vertices for t in triangles])
         return cls(z[:, 0], z[:, 1], z[:, 2])
 
     @property
@@ -436,15 +440,42 @@ class EllipseParams:
         ]
 
 
-@dataclass(frozen=True)
 class Triangle:
-    p1: Point
-    p2: Point
-    p3: Point
+    """Triangle with Point vertices, a view over its one-triangle ``tri``.
 
-    def __post_init__(self):
-        if self.tri.thin():
-            raise DegenerateTriangle(f"area {self.area():.3e} below tolerance")
+    Frozen, and equal, hashed and printed by its vertices.  ``from_tri``
+    builds the Point vertices only when they are read.
+    """
+
+    __slots__ = ("tri", "_vertices")
+
+    def __init__(self, p1: Point, p2: Point, p3: Point):
+        self._bind(Tri(p1.z, p2.z, p3.z), (p1, p2, p3))
+
+    def _bind(self, v: Tri, vertices) -> None:
+        object.__setattr__(self, "tri", v)
+        object.__setattr__(self, "_vertices", vertices)
+        if v.thin():
+            raise DegenerateTriangle(f"area {v.area:.3e} below tolerance")
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return "Triangle(p1={!r}, p2={!r}, p3={!r})".format(*self.vertices)
+
+    def __reduce__(self):
+        return type(self), self.vertices
 
     @classmethod
     def from_coords(cls, coords) -> "Triangle":
@@ -454,18 +485,21 @@ class Triangle:
     @classmethod
     def from_tri(cls, v: Tri) -> "Triangle":
         """Triangle of a one-triangle Tri, kept as its ``tri`` (the same bits)."""
+        if not all(map(cmath.isfinite, v.vertices)):
+            list(map(Point.from_complex, v.vertices))  # raises Point's ValueError
         t = cls.__new__(cls)
-        t.__dict__["tri"] = v
-        t.__init__(*(Point.from_complex(z) for z in v.vertices))
+        t._bind(v, None)
         return t
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
-        return (self.p1, self.p2, self.p3)
+        if self._vertices is None:
+            object.__setattr__(self, "_vertices", tuple(map(Point.from_complex, self.tri.vertices)))
+        return self._vertices
 
-    @cached_property
-    def tri(self) -> Tri:
-        return Tri(self.p1.z, self.p2.z, self.p3.z)
+    p1 = property(lambda self: self.vertices[0])
+    p2 = property(lambda self: self.vertices[1])
+    p3 = property(lambda self: self.vertices[2])
 
     def sidelengths(self) -> tuple[float, float, float]:
         """(s1, s2, s3) with s1 = |p2 p3| opposite p1, etc."""

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from orbitconics.cli import main, parse_center
+from orbitconics import BilliardShape, count_interior_maxima, focal_profile, focal_ratio_closed_form
+from orbitconics.cli import SCHEMA, _csv_text, _json_dump, main, parse_center
 
 
 def run_cli(capsys, argv):
@@ -207,6 +209,30 @@ def test_hyperbolae_report(capsys):
     assert payload["feuerbach_interior_maxima"] == 3
     header = out.splitlines()[0]
     assert header == "t,feuerbach_focal_length,jerabek_excentral_focal_length"
+
+
+@pytest.mark.parametrize("sizes", [[], ["--n", "16"]])
+def test_hyperbolae_output_is_that_of_its_focal_samples(capsys, sizes):
+    code, out, _ = run_cli(capsys, ["hyperbolae", "--a", "1.5", "--b", "1", *sizes])
+    assert code == 0
+    shape = BilliardShape(1.5, 1.0)
+    profile = list(focal_profile(shape, n=int(sizes[1]) if sizes else 720))
+    # the report as written from a list of FocalSample
+    rows = [f"{s.t!r},{s.feuerbach!r},{s.jerabek_excentral!r}" for s in profile]
+    ratios = np.array([s.ratio for s in profile])
+    report = {
+        "schema": SCHEMA,
+        "command": "hyperbolae",
+        "a": 1.5,
+        "b": 1.0,
+        "n_samples": len(profile),
+        "ratio_mean": float(ratios.mean()),
+        "ratio_spread_rel": float((ratios.max() - ratios.min()) / ratios.mean()),
+        "ratio_closed_form": focal_ratio_closed_form(shape),
+        "feuerbach_interior_maxima": count_interior_maxima([s.feuerbach for s in profile]),
+    }
+    header = "t,feuerbach_focal_length,jerabek_excentral_focal_length"
+    assert out == _csv_text(header, rows) + _json_dump(report)
 
 
 def test_render_svg(capsys, tmp_path):

@@ -9,6 +9,7 @@ from orbitconics import (
     BilliardShape,
     ConicClass,
     DegenerateConic,
+    FocalSample,
     InvalidShape,
     Point,
     PointAtInfinity,
@@ -182,6 +183,62 @@ def test_focal_profile_three_maxima(alpha):
     assert count_interior_maxima([s.jerabek_excentral for s in profile]) == 3
     ratios = np.array([s.ratio for s in profile])
     assert (ratios.max() - ratios.min()) / ratios.mean() <= 1e-9
+
+
+def test_focal_profile_is_a_view_of_its_samples():
+    shape = BilliardShape(1.5, 1.0)
+    profile = focal_profile(shape, n=400)
+    t = (np.arange(400) + 0.5) * (0.5 * math.pi / 400)
+    t = t[(t >= 1e-3) & (0.5 * math.pi - t >= 1e-3)]
+    fam = orbit(shape, t)
+    skips = Skips(t.size)
+    feuerbach = focal_length(feuerbach_hyperbola(fam.tri, skips), skips)
+    jerabek = focal_length(jerabek_excentral(fam.tri, skips), skips)
+    assert skips.valid.all()
+    # the list of samples focal_profile used to build
+    samples = [FocalSample(*s) for s in zip(t.tolist(), feuerbach.tolist(), jerabek.tolist())]
+    assert profile == samples and list(profile) == samples and len(profile) == len(samples)
+    assert profile[3] == samples[3] and profile[-1] == samples[-1]
+    assert profile[5:8] == samples[5:8]
+    assert profile == focal_profile(shape, n=400)
+    assert profile != focal_profile(shape, n=401)
+    assert repr(profile) == f"ArrayView({samples!r})"
+    for s in profile[:40:7]:
+        tri = orbit(shape, s.t).triangle
+        assert s.feuerbach == pytest.approx(focal_length(feuerbach_hyperbola(tri)), rel=1e-9)
+        assert s.jerabek_excentral == pytest.approx(focal_length(jerabek_excentral(tri)), rel=1e-9)
+
+
+def test_poristic_triangle_and_focal_profile_build_no_value_per_sample(monkeypatch):
+    built = []
+    for cls in (Point, FocalSample):
+        init = cls.__init__
+
+        def counted(self, *args, init=init):
+            built.append(type(self))
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    tri = poristic_triangle(PoristicShape(0.3, 1.0), 0.7)
+    assert built == []
+    profile = focal_profile(BilliardShape(1.5, 1.0), n=200)
+    # the caustic's center, once per orbit family
+    assert built == [Point]
+    # items are built when read, through the validating constructors
+    tri.vertices, list(profile)
+    assert built == [Point] * 4 + [FocalSample] * len(profile)
+
+
+@pytest.mark.parametrize("alpha", [2.002267669205896, 2.0137899370116554])
+def test_focal_profile_leaves_out_refused_samples(alpha):
+    # a grid sample lands where both hyperbolae degenerate (focal lengths through 0);
+    # it is refused (1997 of the 1998 samples are kept), and the whole profile used to be
+    shape = BilliardShape(alpha, 1.0)
+    profile = focal_profile(shape, n=2000)
+    assert 1996 <= len(profile) <= 1998
+    ratios = np.array([s.ratio for s in profile])
+    assert (ratios.max() - ratios.min()) / ratios.mean() <= 1e-9
+    assert count_interior_maxima([s.feuerbach for s in profile]) == 3
 
 
 def test_jerabek_meets_billiard_twice():

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from orbitconics import (
     NotAnEllipse,
     Point,
     SingularSystem,
+    Tri,
     Triangle,
     caustic,
     center,
@@ -55,6 +58,50 @@ def test_point_rejects_non_finite():
 def test_triangle_rejects_degenerate():
     with pytest.raises(DegenerateTriangle):
         Triangle(Point(0, 0), Point(1, 1), Point(2, 2))
+
+
+def test_point_is_a_frozen_value():
+    p = Point(1.5, -0.1)
+    assert p == Point(1.5, -0.1) and p != Point(1.5, 0.1) and p != (1.5, -0.1)
+    assert hash(p) == hash(Point(1.5, -0.1))
+    assert len({p, Point(1.5, -0.1), Point(0.0, 0.0)}) == 2
+    assert repr(p) == "Point(x=1.5, y=-0.1)"
+    q = Point(1 / 3, math.pi * 1e300)
+    assert eval(repr(q)) == q
+    assert pickle.loads(pickle.dumps(q)) == q
+    with pytest.raises(FrozenInstanceError):
+        p.x = 2.0
+    with pytest.raises(FrozenInstanceError):
+        del p.y
+    for x in (3, np.float64(0.25), np.int64(-2), True):
+        r = Point(x, x)
+        assert type(r.x) is float and type(r.y) is float and r.x == float(x)
+
+
+def test_triangle_from_tri_builds_the_same_points_lazily():
+    v = Tri(0.1 + 1j / 3, -2.5e-8 + 0.7j, 1e5 - math.pi * 1j)
+    lazy = Triangle.from_tri(v)
+    assert lazy.tri is v
+    eager = Triangle(*(Point(z.real, z.imag) for z in v.vertices))
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    for got, want in zip(lazy.vertices, eager.vertices):
+        assert (got.x, got.y) == (want.x, want.y)
+    assert (lazy.p1, lazy.p2, lazy.p3) == eager.vertices
+    assert [(w.s1, w.s2, w.s3, w.area) for w in (lazy.tri, eager.tri)] == [
+        (v.s1, v.s2, v.s3, v.area)] * 2
+    assert repr(eager) == f"Triangle(p1={eager.p1!r}, p2={eager.p2!r}, p3={eager.p3!r})"
+    assert eval(repr(eager)) == eager
+    assert pickle.loads(pickle.dumps(lazy)) == eager
+    with pytest.raises(FrozenInstanceError):
+        lazy.tri = v
+    with pytest.raises(FrozenInstanceError):
+        lazy.p1 = eager.p1
+    with pytest.raises(FrozenInstanceError):
+        del lazy.tri
+    with pytest.raises(ValueError, match="non-finite point"):
+        Triangle.from_tri(Tri(0j, 1 + 0j, complex(math.nan, 1.0)))
+    with pytest.raises(DegenerateTriangle):
+        Triangle.from_tri(Tri(0j, 1 + 1j, 2 + 2j))
 
 
 def test_triangle_sidelength_cache(rng):

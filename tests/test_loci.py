@@ -186,13 +186,13 @@ def test_fits_of_the_view_equal_fits_of_its_points(center_id, derived):
 
 def test_sweep_and_fits_build_no_point_per_sample(monkeypatch):
     built = []
-    post_init = Point.__post_init__
+    init = Point.__init__
 
-    def counted(self):
+    def counted(self, x, y):
         built.append(self)
-        post_init(self)
+        init(self, x, y)
 
-    monkeypatch.setattr(Point, "__post_init__", counted)
+    monkeypatch.setattr(Point, "__init__", counted)
     counts = []
     for n in (48, 720):
         built.clear()
