@@ -40,10 +40,11 @@ print("\nbranch switching around the right configuration:")
 for dt in (-0.02, -0.005, 0.0, 0.005, 0.02):
     t = t_perp + dt
     sample = orbit(shape, t)
-    point, branch = orthic_cb_center(sample.triangle, return_branch=True)
+    # the center rule is the one of the orbit's shape class
+    point = orthic_cb_center(sample.triangle)
     print(
-        f"  t - t_perp = {dt:+.3f}  orbit is {sample.shape_class.value:6s}"
-        f"  center rule: {branch:6s}  center = ({point.x:+.6f}, {point.y:+.6f})"
+        f"  t - t_perp = {dt:+.3f}  orbit and center rule are {sample.shape_class.value:6s}"
+        f"  center = ({point.x:+.6f}, {point.y:+.6f})"
     )
 
 # the equilateral-orthic configuration: the orthic CB becomes a circle

@@ -17,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import centers
 from .errors import DegenerateTriangle, InvalidShape
-from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, perp_foot, ufuncs, where
+from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, ufuncs, where
 
 
 class ShapeClass(Enum):
@@ -33,14 +34,24 @@ SHAPE_CLASSES = tuple(ShapeClass)
 
 @dataclass(frozen=True)
 class BilliardShape:
-    """Billiard boundary (x/a)^2 + (y/b)^2 = 1 with a > b > 0."""
+    """Billiard boundary (x/a)^2 + (y/b)^2 = 1 with finite a > b > 0.
+
+    Its caustic must also have finite semi-axes with major >= minor > 0,
+    which refuses shapes whose closed forms overflow, underflow or round
+    the caustic away (a/b or the scale of a and b too far from 1).
+    """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > self.b > 0.0):
-            raise InvalidShape(f"require a > b > 0, got a={self.a}, b={self.b}")
+        try:  # an infinite a gives nan axes
+            major, minor = _caustic_axes(self) if self.a > self.b > 0.0 else (0.0, 0.0)
+        except ArithmeticError:
+            major = minor = 0.0
+        if not (math.isfinite(major) and major >= minor > 0.0):
+            raise InvalidShape(f"require finite a > b > 0 and a caustic with finite semi-axes "
+                               f"major >= minor > 0, got a={self.a}, b={self.b}")
 
     @cached_property
     def delta(self) -> float:
@@ -64,13 +75,6 @@ class BilliardShape:
 
     def conic(self) -> Conic:
         return Conic(1.0 / self.a**2, 0.0, 1.0 / self.b**2, 0.0, 0.0, -1.0)
-
-    def ellipse_params(self) -> EllipseParams:
-        return EllipseParams(Point(0.0, 0.0), self.a, self.b, 0.0)
-
-    def normal_direction(self, p: Point) -> Point:
-        g = Point(p.x / self.a**2, p.y / self.b**2)
-        return g / g.norm()
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,12 @@ def caustic(shape: BilliardShape) -> EllipseParams:
     This is the family's stationary Mandart inellipse, centered on the
     stationary Mittenpunkt at the origin.
     """
+    return EllipseParams(Point(0.0, 0.0), *_caustic_axes(shape), 0.0)
+
+
+def _caustic_axes(shape: BilliardShape) -> tuple[float, float]:
     a, b, d, c2 = shape.a, shape.b, shape.delta, shape.c2
-    return EllipseParams(
-        Point(0.0, 0.0),
-        a * (d - b * b) / c2,
-        b * (a * a - d) / c2,
-        0.0,
-    )
+    return a * (d - b * b) / c2, b * (a * a - d) / c2
 
 
 def classify_triangle(t: Triangle) -> ShapeClass:
@@ -210,16 +213,14 @@ def right_angle_vertex(shape: BilliardShape) -> Point:
 def orthic_center_transition(shape: BilliardShape) -> Point:
     """First-quadrant branch point of the orthic-circumbilliard center locus.
 
-    Computed as the midpoint of the right-angle vertex's altitude of the
-    right-triangle orbit, the common limit of the acute and obtuse rules.
+    The orthic-CB center of the right-triangle orbit by the right-angle
+    rule of ``centers.orthic_cb_center_of``: the midpoint of the altitude
+    from the right-angle vertex.
     """
     p = right_angle_vertex(shape)
     t = math.atan2(p.y / shape.b, p.x / shape.a)
-    tri = orbit(shape, t).triangle
-    i = min(range(3), key=lambda k: abs(tri.cosines()[k]))
-    verts = tri.vertices
-    pv, q, r = verts[i].z, verts[(i + 1) % 3].z, verts[(i + 2) % 3].z
-    return Point.from_complex(0.5 * (pv + perp_foot(pv, q, r)))
+    v = orbit(shape, t).triangle.tri
+    return Point.from_complex(centers.altitude_midpoint(*centers.vertices_by_largest_angle(v)))
 
 
 def isosceles_dimensions(shape: BilliardShape) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .billiard import SHAPE_CLASSES
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
 from .kernel import RAISE, RIGHT_DEADBAND, Point, Skips, Tri, Triangle, perp_foot, ufuncs, where
 
@@ -107,7 +106,7 @@ def center_of(v: Tri, center_id, guard):
     ``guard`` is RAISE for one triangle or a Skips for a stack.
     """
     if center_id == ORTHIC_CB_CENTER:
-        return orthic_cb_center_of(v, guard)[0]
+        return orthic_cb_center_of(v, guard)
     index = int(center_id)
     if index not in SUPPORTED_CENTERS:
         raise KeyError(f"center X{index} not supported")
@@ -170,28 +169,48 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
     return out
 
 
+def derived_triangle(t: Triangle, which: str) -> Triangle:
+    """``derived_of`` for one Triangle."""
+    return Triangle.from_tri(derived_of(t.tri, which, RAISE))
+
+
 def excentral(t: Triangle) -> Triangle:
     """Triangle of the three excenters."""
-    return Triangle.from_tri(derived_of(t.tri, "excentral", RAISE))
+    return derived_triangle(t, "excentral")
 
 
 def medial(t: Triangle) -> Triangle:
     """Triangle of the side midpoints."""
-    return Triangle.from_tri(derived_of(t.tri, "medial", RAISE))
+    return derived_triangle(t, "medial")
 
 
 def act(t: Triangle) -> Triangle:
     """Anticomplementary triangle: vertex i maps to p_j + p_k - p_i."""
-    return Triangle.from_tri(derived_of(t.tri, "act", RAISE))
+    return derived_triangle(t, "act")
 
 
 def orthic(t: Triangle) -> Triangle:
     """Triangle of the altitude feet; RightTriangle for right triangles."""
-    return Triangle.from_tri(derived_of(t.tri, "orthic", RAISE))
+    return derived_triangle(t, "orthic")
+
+
+def vertices_by_largest_angle(v: Tri):
+    """Vertices (P, Q, R) of ``v``: P at the largest angle (the first, on ties), then Q and R."""
+    ca, cb, cc = v.cosines()
+    first, second = (ca <= cb) & (ca <= cc), cb <= cc
+    return tuple(
+        where(first, u1, where(second, u2, u3))
+        for u1, u2, u3 in ((v.p1, v.p2, v.p3), (v.p2, v.p3, v.p1), (v.p3, v.p1, v.p2))
+    )
+
+
+def altitude_midpoint(p, q, r):
+    """Midpoint of the altitude from p: the orthic-CB center of a triangle right-angled at p."""
+    return 0.5 * (p + perp_foot(p, q, r))
 
 
 def orthic_cb_center_of(v: Tri, guard):
-    """Orthic-CB center of ``v``, with its shape code.
+    """Orthic-CB center of ``v``.
 
     Acute: X6.  Obtuse at vertex P: X6 of the triangle spanned by the
     other two vertices and the orthocenter.  Right (within the dead
@@ -201,42 +220,25 @@ def orthic_cb_center_of(v: Tri, guard):
     own Skips and keeps the failures of the members that use it.
     """
     code = v.shape_code()
-    ca, cb, cc = v.cosines()
-    # P is the vertex of the largest angle (the first, on ties), then Q and R
-    first, second = (ca <= cb) & (ca <= cc), cb <= cc
-    p, q, r = (
-        where(first, u1, where(second, u2, u3))
-        for u1, u2, u3 in ((v.p1, v.p2, v.p3), (v.p2, v.p3, v.p1), (v.p3, v.p1, v.p2))
-    )
+    p, q, r = vertices_by_largest_angle(v)
 
     def obtuse_rule(g):
         aux = Tri(q, r, center_of(v, 4, g))
         g.check(aux.thin(), DegenerateTriangle, "auxiliary triangle area below tolerance")
         return center_of(aux, 6, g)
 
-    def right_rule():
-        return 0.5 * (p + perp_foot(p, q, r))
-
     if not isinstance(code, np.ndarray):
         if code == 0:
-            return center_of(v, 6, guard), code
-        return (obtuse_rule(guard) if code == 2 else right_rule()), code
+            return center_of(v, 6, guard)
+        return obtuse_rule(guard) if code == 2 else altitude_midpoint(p, q, r)
     acute, obtuse = Skips(code.size), Skips(code.size)
     point = np.where(code == 0, center_of(v, 6, acute),
-                     np.where(code == 2, obtuse_rule(obtuse), right_rule()))
+                     np.where(code == 2, obtuse_rule(obtuse), altitude_midpoint(p, q, r)))
     guard.absorb(acute, code == 0)
     guard.absorb(obtuse, code == 2)
-    return point, code
-
-
-def orthic_cb_center(t: Triangle, return_branch: bool = False):
-    """Center of the orthic triangle's circumbilliard (symbolic X6*).
-
-    With ``return_branch`` also the rule used: "acute", "obtuse" or
-    "right".
-    """
-    z, code = orthic_cb_center_of(t.tri, RAISE)
-    point = Point.from_complex(z)
-    if return_branch:
-        return point, SHAPE_CLASSES[code].value
     return point
+
+
+def orthic_cb_center(t: Triangle) -> Point:
+    """Center of the orthic triangle's circumbilliard (symbolic X6*)."""
+    return Point.from_complex(orthic_cb_center_of(t.tri, RAISE))

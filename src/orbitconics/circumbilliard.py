@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import centers
 from .billiard import BilliardShape, orbit
+from .centers import derived_triangle
 from .kernel import (
-    RAISE,
     Conic,
     EllipseParams,
     Point,
@@ -60,10 +60,6 @@ def circumbilliard(t: Triangle) -> CircumbilliardResult:
     """Unique circumellipse of ``t`` centered on its Mittenpunkt."""
     conic = circumbilliard_of(t.tri)
     return CircumbilliardResult(conic, conic_to_ellipse_params(conic), centers.center(t, 9))
-
-
-def derived_triangle(t: Triangle, which: str) -> Triangle:
-    return Triangle.from_tri(centers.derived_of(t.tri, which, RAISE))
 
 
 def derived_cb(t: Triangle, which: str) -> CircumbilliardResult:

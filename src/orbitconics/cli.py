@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import tempfile
@@ -31,7 +30,7 @@ from .conic_invariants import (
     poristic_cb_aspect,
     poristic_of,
 )
-from .errors import OrbitConicsError
+from .errors import IllConditioned, InvalidShape, OrbitConicsError
 from .kernel import Points, Skips, Triangle, ellipse_axes
 from .loci import (
     MIN_SAMPLES,
@@ -160,12 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_shape(parser, a: float, b: float) -> BilliardShape:
-    if not (math.isfinite(a) and a > b > 0):
-        parser.error(f"require finite a > b > 0, got a={a}, b={b}")
-    return BilliardShape(a, b)
-
-
 def cmd_family(args) -> int:
     fam = orbit(BilliardShape(args.a, args.b), sample_grid(args.n))
     v = fam.tri
@@ -222,8 +215,8 @@ def cmd_cb(args) -> int:
     return 0
 
 
-def cmd_locus(args, parser) -> int:
-    shape = _require_shape(parser, args.a, args.b)
+def cmd_locus(args) -> int:
+    shape = BilliardShape(args.a, args.b)
     center_id = parse_center(args.center)
     sweep = sweep_locus(shape, center_id, derived=args.derived, n=args.n)
     z = sweep.points.array
@@ -260,8 +253,8 @@ def cmd_locus(args, parser) -> int:
     return 0
 
 
-def cmd_invariants(args, parser) -> int:
-    shape = _require_shape(parser, args.a, args.b)
+def cmd_invariants(args) -> int:
+    shape = BilliardShape(args.a, args.b)
     report = invariant_report(shape, n=args.n)
     payload = {"schema": SCHEMA, "command": "invariants"}
     payload.update(report.as_dict())
@@ -269,9 +262,7 @@ def cmd_invariants(args, parser) -> int:
     return 0
 
 
-def cmd_poristic(args, parser) -> int:
-    if not (math.isfinite(args.R) and args.R >= 2 * args.r > 0):
-        parser.error(f"require finite R >= 2 r > 0, got r={args.r}, R={args.R}")
+def cmd_poristic(args) -> int:
     ps = PoristicShape(args.r, args.R)
     skips = Skips(args.n)
     with np.errstate(all="ignore"):
@@ -281,7 +272,15 @@ def cmd_poristic(args, parser) -> int:
     skips.raise_first()
     aspects_arr = semi_major / semi_minor
     closed = poristic_cb_aspect(ps)
-    circle = fit_circle(Points(x9))
+    try:
+        circle = fit_circle(Points(x9))
+        mittenpunkt_circle = {
+            "center": [circle.center.x, circle.center.y],
+            "radius": circle.radius,
+            "rms": circle.rms,
+        }
+    except IllConditioned:
+        mittenpunkt_circle = None
     payload = {
         "schema": SCHEMA,
         "command": "poristic",
@@ -292,19 +291,16 @@ def cmd_poristic(args, parser) -> int:
         "aspect_spread_rel": float((aspects_arr.max() - aspects_arr.min()) / aspects_arr.mean()),
         "closed_form": closed,
         "closed_form_abs_diff": abs(float(aspects_arr.mean()) - closed),
-        "mittenpunkt_circle": {
-            "center": [circle.center.x, circle.center.y],
-            "radius": circle.radius,
-            "rms": circle.rms,
-        },
+        "mittenpunkt_circle": mittenpunkt_circle,
     }
     _emit(_json_dump(payload), args.out)
     return 0
 
 
-def cmd_hyperbolae(args, parser) -> int:
-    shape = _require_shape(parser, args.a, args.b)
-    profile = focal_profile(shape, n=args.n).array
+def cmd_hyperbolae(args) -> int:
+    shape = BilliardShape(args.a, args.b)
+    focal = focal_profile(shape, n=args.n)
+    profile = focal.array
     rows = [f"{t!r},{feuerbach!r},{jerabek!r}" for t, feuerbach, jerabek in profile.tolist()]
     _emit(_csv_text("t,feuerbach_focal_length,jerabek_excentral_focal_length", rows), args.out)
     ratios = profile[:, 2] / profile[:, 1]
@@ -314,6 +310,7 @@ def cmd_hyperbolae(args, parser) -> int:
         "a": args.a,
         "b": args.b,
         "n_samples": len(profile),
+        "n_skipped": len(focal.skipped),
         "ratio_mean": float(ratios.mean()),
         "ratio_spread_rel": float((ratios.max() - ratios.min()) / ratios.mean()),
         "ratio_closed_form": focal_ratio_closed_form(shape),
@@ -323,12 +320,12 @@ def cmd_hyperbolae(args, parser) -> int:
     return 0
 
 
-def cmd_render(args, parser) -> int:
+def cmd_render(args) -> int:
     overlays = []
     if args.overlay:
         if args.a is None or args.b is None:
-            parser.error("--overlay needs --a and --b for the ellipse axes")
-        shape = _require_shape(parser, args.a, args.b)
+            raise ValueError("--overlay needs --a and --b for the ellipse axes")
+        shape = BilliardShape(args.a, args.b)
         for name in args.overlay:
             if name == "billiard":
                 overlays.append((shape.a, shape.b))
@@ -344,40 +341,30 @@ def cmd_render(args, parser) -> int:
     return 0
 
 
+COMMANDS = {
+    "family": cmd_family,
+    "cb": cmd_cb,
+    "locus": cmd_locus,
+    "invariants": cmd_invariants,
+    "poristic": cmd_poristic,
+    "hyperbolae": cmd_hyperbolae,
+    "render": cmd_render,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "family":
-            _require_shape(parser, args.a, args.b)
-            return cmd_family(args)
-        if args.command == "cb":
-            return cmd_cb(args)
-        if args.command == "locus":
-            return cmd_locus(args, parser)
-        if args.command == "invariants":
-            return cmd_invariants(args, parser)
-        if args.command == "poristic":
-            return cmd_poristic(args, parser)
-        if args.command == "hyperbolae":
-            return cmd_hyperbolae(args, parser)
-        if args.command == "render":
-            return cmd_render(args, parser)
-        parser.error(f"unknown command {args.command!r}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+        return COMMANDS[args.command](args)
+    except (ValueError, OSError, InvalidShape) as exc:
         sys.stderr.write(f"orbitconics: error: {exc}\n")
         return 1
     except OrbitConicsError as exc:
-        sys.stderr.write(
-            _json_dump({"error": type(exc).__name__, "message": str(exc)})
-        )
+        sys.stderr.write(_json_dump({"error": type(exc).__name__, "message": str(exc)}))
         return 2
-    return 0
 
 
 if __name__ == "__main__":

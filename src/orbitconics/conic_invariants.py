@@ -35,6 +35,10 @@ from .kernel import (
     unresolved,
     where,
 )
+from .loci import sample_grid
+
+#: Boundary samples on which ``billiard_intersections`` brackets the crossings.
+INTERSECTION_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,9 @@ class PoristicShape:
     R: float
 
     def __post_init__(self):
-        if not (0.0 < self.r and 0.0 < self.R):
-            raise InvalidShape("radii must be positive")
-        if self.R < 2.0 * self.r:
-            raise InvalidShape(f"require R >= 2 r, got r={self.r}, R={self.R}")
+        if not (math.isfinite(self.R) and self.R >= 2.0 * self.r > 0.0 and math.isfinite(self.d)):
+            raise InvalidShape(f"require finite r and R with R >= 2 r > 0 and a finite "
+                               f"center distance, got r={self.r}, R={self.R}")
 
     @property
     def d(self) -> float:
@@ -199,15 +202,25 @@ def _focal_sample(row) -> FocalSample:
     return FocalSample(*row)
 
 
-def focal_profile(shape: BilliardShape, n: int = 720) -> ArrayView:
-    """FocalSamples over t in (0, pi/2), a view over (t, feuerbach, jerabek) rows.
+class FocalProfile(ArrayView):
+    """FocalSamples over (t, feuerbach, jerabek) rows; ``skipped`` as in ``LocusSweep``."""
+
+    __slots__ = ("skipped",)
+
+    def __init__(self, rows, skipped: list[tuple[float, str]]):
+        super().__init__(rows, _focal_sample)
+        self.skipped = skipped
+
+
+def focal_profile(shape: BilliardShape, n: int = 720) -> FocalProfile:
+    """FocalSamples over the quarter of the family grid in t in (0, pi/2).
 
     Parameters within 1e-3 rad of the isosceles endpoints are excluded
-    (the hyperbolas degenerate there), and so are samples whose
-    hyperbola degenerates; the first such failure is raised only when no
-    sample is left.
+    (the hyperbolas degenerate there).  Samples whose hyperbola
+    degenerates are skipped and reported; the first such failure is
+    raised only when no sample is left.
     """
-    t = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+    t = sample_grid(n) / 4
     t = t[(t >= 1e-3) & (0.5 * math.pi - t >= 1e-3)]
     fam = orbit(shape, t)
     skips = Skips(t.size)
@@ -217,7 +230,7 @@ def focal_profile(shape: BilliardShape, n: int = 720) -> ArrayView:
     keep = skips.valid
     if not keep.any():
         skips.raise_first()
-    return ArrayView(np.column_stack((t, feuerbach, jerabek))[keep], _focal_sample)
+    return FocalProfile(np.column_stack((t, feuerbach, jerabek))[keep], skips.skipped(t))
 
 
 def count_interior_maxima(values) -> int:
@@ -227,14 +240,13 @@ def count_interior_maxima(values) -> int:
     )
 
 
-def billiard_intersections(
-    shape: BilliardShape, hyp: Conic, grid: int = 4096
-) -> list[Point]:
+def billiard_intersections(shape: BilliardShape, hyp: Conic) -> list[Point]:
     """Real intersections of the hyperbola with the billiard boundary.
 
-    Counts sign changes of the hyperbola form on a boundary grid and
-    refines each bracket by bisection.
+    Counts sign changes of the hyperbola form on a boundary grid of
+    INTERSECTION_GRID points and refines each bracket by bisection.
     """
+    grid = INTERSECTION_GRID
     ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     vals = np.array([conic_eval(hyp, shape.boundary_point(float(t))) for t in ts])
     points = []

@@ -280,6 +280,10 @@ class Skips:
         code = self.code[i]
         return self.failures[code][0].__name__ if code >= 0 else ""
 
+    def skipped(self, t) -> list[tuple[float, str]]:
+        """(t[i], exception type name) of each failed sample i, for the samples' parameters t."""
+        return [(float(t[i]), self.reason(i)) for i in np.flatnonzero(self.code >= 0)]
+
     def raise_first(self) -> None:
         """Raise the failure of the first failed sample, if any."""
         bad = np.flatnonzero(self.code >= 0)
@@ -585,18 +589,27 @@ def solve_circumconic(t: Triangle, center: Point) -> Conic:
     return circumconic_of(v, perspector)
 
 
+def determinants(q: Conic):
+    """det = A C - B^2, its dead band 1e-12 (B^2 + |A C|), and the 3x3 determinant det3.
+
+    Ellipses have det > band, hyperbolae det < -band, line pairs det3 = 0.  Numbers or arrays.
+    """
+    A, B, C, D, E, F = q.coeffs
+    det = A * C - B * B
+    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
+    return det, 1e-12 * (B * B + abs(A * C)), det3
+
+
 def classify_conic(conic: Conic) -> ConicClass:
     """Ellipse / hyperbola / parabola via the sign of A C - B^2."""
     A, B, C, D, E, F = conic.coeffs
-    det = A * C - B * B
-    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
+    det, band, det3 = determinants(conic)
     scale3 = max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)) ** 3
     if abs(det3) <= 1e-12 * scale3:
         return ConicClass.DEGENERATE
-    scale = B * B + abs(A * C) + 1e-300
-    if det > 1e-12 * scale:
+    if det > band:
         return ConicClass.ELLIPSE
-    if det < -1e-12 * scale:
+    if det < -band:
         return ConicClass.HYPERBOLA
     return ConicClass.PARABOLA
 
@@ -620,9 +633,8 @@ def ellipse_axes(q: Conic, guard):
     arrays; ``guard`` is RAISE or a Skips.
     """
     A, B, C = q.A, q.B, q.C
-    det = A * C - B * B
-    guard.check(det <= 1e-12 * (B * B + abs(A * C)), NotAnEllipse,
-                "conic does not classify as an ellipse")
+    det, band, _ = determinants(q)
+    guard.check(det <= band, NotAnEllipse, "conic does not classify as an ellipse")
     cx, cy, K = _center_and_level(q, det)
     m = 0.5 * (A + C)
     sign = m / abs(m)
@@ -646,9 +658,8 @@ def conic_to_ellipse_params(conic: Conic) -> EllipseParams:
 
 def conic_center(conic: Conic) -> Point:
     """Center of a central conic (ellipse or hyperbola)."""
-    A, B, C = conic.A, conic.B, conic.C
-    det = A * C - B * B
-    if abs(det) <= 1e-12 * (B * B + abs(A * C)):
+    det, band, _ = determinants(conic)
+    if abs(det) <= band:
         raise PointAtInfinity("a parabolic conic has no center")
     cx, cy, _ = _center_and_level(conic, det)
     return Point.from_complex(conic.anchor + (cx + 1j * cy))
@@ -665,9 +676,8 @@ def focal_length(q: Conic, guard=RAISE):
     ``2 sqrt(2 |k|)`` for the recentred form x y = k.
     """
     A, B, C = q.A, q.B, q.C
-    det = A * C - B * B
-    guard.check(det >= -1e-12 * (B * B + abs(A * C)), DegenerateConic,
-                "conic does not classify as a hyperbola")
+    det, band, _ = determinants(q)
+    guard.check(det >= -band, DegenerateConic, "conic does not classify as a hyperbola")
     _, _, K = _center_and_level(q, det)
     f = ufuncs(K)
     m = 0.5 * (A + C)
@@ -685,8 +695,7 @@ def unresolved(q: Conic):
     the semi-axes go with sqrt(K / eigenvalue).  Numbers or arrays.
     """
     A, B, C, D, E, F = q.coeffs
-    det = A * C - B * B
-    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
+    det, _, det3 = determinants(q)
     cofactors = (abs(C * F - E * E) + abs(A * F - D * D) + abs(det)
                  + 2 * (abs(D * E - B * F) + abs(B * E - C * D) + abs(B * D - A * E)))
     ulp = EPS * largest(*(abs(x) for x in q.coeffs))

@@ -108,9 +108,8 @@ def sweep_locus(
     keep = skips.valid
     per_sample = z.shape[1]
     classes = ArrayView(np.repeat(fam.codes[keep], per_sample), SHAPE_CLASSES.__getitem__)
-    skipped = [(float(fam.t[i]), skips.reason(i)) for i in np.flatnonzero(~keep)]
     return LocusSweep(Points(z[keep].ravel()), np.repeat(fam.t[keep], per_sample).tolist(),
-                      classes, skipped)
+                      classes, skips.skipped(fam.t))
 
 
 def fit_locus(samples) -> LocusFitReport:
@@ -160,12 +159,16 @@ def fit_circle(samples) -> CircleFit:
     """Algebraic least-squares circle through the samples (as for ``fit_locus``).
 
     ``rms`` is the root-mean-square distance of the samples from the
-    fitted circle.
+    fitted circle.  Refused (IllConditioned) when the squared singular
+    values of the ``[x, y, 1]`` design differ by more than CONDITION_LIMIT,
+    as for samples bunched around one point.
     """
     z = Points.of(samples).array
     xs, ys = z.real, z.imag
     M = np.column_stack([xs, ys, np.ones_like(xs)])
-    sol, *_ = np.linalg.lstsq(M, -(xs * xs + ys * ys), rcond=None)
+    sol, _, _, sv = np.linalg.lstsq(M, -(xs * xs + ys * ys), rcond=None)
+    if sv.size < 3 or sv[0] * sv[0] > CONDITION_LIMIT * (sv[-1] * sv[-1]):
+        raise IllConditioned(f"singular value ratio squared beyond {CONDITION_LIMIT:.0e}")
     cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
     radius = math.sqrt(max(cx * cx + cy * cy - sol[2], 0.0))
     rms = float(np.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2)))
@@ -239,10 +242,13 @@ class InvariantReport:
         }
 
 
+def _bounded(name: str, lo: float, hi: float, spread: float, tol: float) -> QuantityStats:
+    return QuantityStats(name, lo, hi, spread, tol, spread <= tol)
+
+
 def _rel_spread_stats(name: str, values, tol: float) -> QuantityStats:
     lo, hi = float(np.min(values)), float(np.max(values))
-    spread = (hi - lo) / abs(float(np.mean(values)))
-    return QuantityStats(name, lo, hi, spread, tol, spread <= tol)
+    return _bounded(name, lo, hi, (hi - lo) / abs(float(np.mean(values))), tol)
 
 
 def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
@@ -271,34 +277,15 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     entries = [
         _rel_spread_stats("perimeter", v.perimeter(), 1e-9),
         _rel_spread_stats("inradius_to_circumradius", rho, 1e-9),
-        QuantityStats(
-            "rho_matches_closed_form",
-            float(np.min(rho)) - rho_form,
-            float(np.max(rho)) - rho_form,
-            abs(float(np.mean(rho)) - rho_form),
-            1e-9,
-            abs(float(np.mean(rho)) - rho_form) <= 1e-9,
-        ),
-        QuantityStats(
-            "mittenpunkt_norm",
-            float(np.min(x9n)),
-            float(np.max(x9n)),
-            float(np.max(x9n)),
-            1e-9 * shape.a,
-            float(np.max(x9n)) <= 1e-9 * shape.a,
-        ),
+        _bounded("rho_matches_closed_form", float(np.min(rho)) - rho_form,
+                 float(np.max(rho)) - rho_form, abs(float(np.mean(rho)) - rho_form), 1e-9),
+        _bounded("mittenpunkt_norm", float(np.min(x9n)), float(np.max(x9n)),
+                 float(np.max(x9n)), 1e-9 * shape.a),
         _rel_spread_stats("act_cb_semi_major", act_major, 1e-9),
         _rel_spread_stats("act_cb_semi_minor", act_minor, 1e-9),
         _rel_spread_stats("medial_cb_semi_major", med_major, 1e-9),
         _rel_spread_stats("medial_cb_semi_minor", med_minor, 1e-9),
-        QuantityStats(
-            "cb_axis_alignment",
-            0.0,
-            float(np.max(angles)),
-            float(np.max(angles)),
-            1e-9,
-            float(np.max(angles)) <= 1e-9,
-        ),
+        _bounded("cb_axis_alignment", 0.0, float(np.max(angles)), float(np.max(angles)), 1e-9),
     ]
     return InvariantReport(
         shape.a, shape.b, n, rho_form, float(np.mean(rho)), entries

@@ -8,6 +8,7 @@ from orbitconics import (
     BilliardShape,
     InvalidShape,
     Point,
+    PoristicShape,
     ShapeClass,
     caustic,
     classify_orbit,
@@ -37,6 +38,24 @@ def test_shape_validation():
         BilliardShape(1.0, 1.5)
     with pytest.raises(InvalidShape):
         BilliardShape(1.5, 0.0)
+
+
+@pytest.mark.parametrize("make, args", [
+    *((BilliardShape, ab) for ab in (
+        (math.inf, 1.0), (math.nan, 1.0), (1e100, 1.0), (1e76, 1.0), (1.5, 1e-320),
+        (1e-100, 1e-101))),
+    *((PoristicShape, rR) for rR in ((0.3, math.inf), (0.3, 1e300), (math.nan, 1.0))),
+])
+def test_shapes_refuse_bad_input_with_invalid_shape_only(make, args):
+    with pytest.raises(InvalidShape) as info:
+        make(*args)
+    assert type(info.value) is InvalidShape
+    message = str(info.value)
+    assert "finite" in message
+    if make is BilliardShape:
+        assert "a > b > 0" in message and f"a={args[0]}, b={args[1]}" in message
+    else:
+        assert "R >= 2 r" in message and f"r={args[0]}, R={args[1]}" in message
 
 
 def test_delta_between_squares():

@@ -11,11 +11,13 @@ from orbitconics import (
     Point,
     PointAtInfinity,
     RightTriangle,
+    ShapeClass,
     Triangle,
     UndefinedForShape,
     act,
     caustic,
     center,
+    classify_triangle,
     excentral,
     medial,
     orbit,
@@ -252,8 +254,9 @@ def test_orthic_cb_center_equilateral():
 def test_orthic_cb_center_obtuse_matches_orthic_mittenpunkt():
     shape = BilliardShape(1.5, 1.0)
     tri = orbit(shape, 1.2).triangle
-    point, branch = orthic_cb_center(tri, return_branch=True)
-    assert branch == "obtuse"
+    point = orthic_cb_center(tri)
+    # the rule used is the one of the triangle's shape class
+    assert classify_triangle(tri) is ShapeClass.OBTUSE
     assert point.dist(center(orthic(tri), 9)) <= 1e-9
     # and it satisfies the symmedian trilinears of the auxiliary triangle
     cos_vals = tri.cosines()
@@ -264,8 +267,8 @@ def test_orthic_cb_center_obtuse_matches_orthic_mittenpunkt():
 
 
 def test_orthic_cb_center_right_limit():
-    point, branch = orthic_cb_center(RIGHT_345, return_branch=True)
-    assert branch == "right"
+    point = orthic_cb_center(RIGHT_345)
+    assert classify_triangle(RIGHT_345) is ShapeClass.RIGHT
     # altitude from the right-angle vertex hits the hypotenuse at (1.44, 1.92);
     # the midpoint agrees with the symmedian point (25 p1 + 9 p2 + 16 p3) / 50
     assert point.dist(Point(0.72, 0.96)) <= 1e-12

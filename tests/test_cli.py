@@ -216,7 +216,8 @@ def test_hyperbolae_output_is_that_of_its_focal_samples(capsys, sizes):
     code, out, _ = run_cli(capsys, ["hyperbolae", "--a", "1.5", "--b", "1", *sizes])
     assert code == 0
     shape = BilliardShape(1.5, 1.0)
-    profile = list(focal_profile(shape, n=int(sizes[1]) if sizes else 720))
+    focal = focal_profile(shape, n=int(sizes[1]) if sizes else 720)
+    profile = list(focal)
     # the report as written from a list of FocalSample
     rows = [f"{s.t!r},{s.feuerbach!r},{s.jerabek_excentral!r}" for s in profile]
     ratios = np.array([s.ratio for s in profile])
@@ -226,6 +227,7 @@ def test_hyperbolae_output_is_that_of_its_focal_samples(capsys, sizes):
         "a": 1.5,
         "b": 1.0,
         "n_samples": len(profile),
+        "n_skipped": len(focal.skipped),
         "ratio_mean": float(ratios.mean()),
         "ratio_spread_rel": float((ratios.max() - ratios.min()) / ratios.mean()),
         "ratio_closed_form": focal_ratio_closed_form(shape),
@@ -321,6 +323,12 @@ def test_family_csv_bytes_match_the_csv_writer(capsys):
     (["hyperbolae", "--a", "inf", "--b", "1"], "a=inf"),
     (["poristic", "--r", "0.3", "--R", "inf"], "R=inf"),
     (["poristic", "--r", "nan", "--R", "1"], "r=nan"),
+    *((
+        [command, "--a", a, "--b", b, *(["--center", "X7"] if command == "locus" else [])],
+        f"a={float(a)}, b={float(b)}",
+    ) for command in ("family", "locus", "invariants", "hyperbolae")
+      for a, b in (("1e100", "1"), ("1e-100", "1e-101"))),
+    (["poristic", "--r", "0.3", "--R", "1e300"], "R=1e+300"),
 ])
 def test_non_finite_shape_exit_1(capsys, argv, echo):
     code, out, err = run_cli(capsys, argv)
@@ -337,3 +345,5 @@ def test_poristic_equilateral_family(capsys):
     assert payload["closed_form"] == 1.0
     assert abs(payload["aspect_mean"] - 1.0) <= 1e-12
     assert payload["aspect_spread_rel"] <= 1e-12
+    # the Mittenpunkt stays at the center: no circle to fit
+    assert payload["mittenpunkt_circle"] is None

@@ -10,6 +10,7 @@ from orbitconics import (
     ConicClass,
     DegenerateConic,
     FocalSample,
+    IllConditioned,
     InvalidShape,
     Point,
     PointAtInfinity,
@@ -103,6 +104,19 @@ def test_poristic_mittenpunkt_locus_circular():
     ps = PoristicShape(0.3625, 1.0)
     pts = [center(poristic_triangle(ps, th), 9) for th in grid(90)]
     assert fit_circle(pts).rms <= 1e-7 * ps.R
+
+
+@pytest.mark.parametrize("r, refused", [
+    (0.5, True), (0.4999999999, True), (0.49999, False), (0.3625, False)])
+def test_fit_circle_refuses_a_locus_bunched_at_a_point(r, refused):
+    # at R = 2r every member is equilateral and the Mittenpunkt stays at the center
+    ps = PoristicShape(r, 1.0)
+    pts = [center(poristic_triangle(ps, th), 9) for th in grid(360)]
+    if refused:
+        with pytest.raises(IllConditioned):
+            fit_circle(pts)
+    else:
+        assert fit_circle(pts).radius > 0.0
 
 
 # -------------------------------------------------------------- hyperbolas
@@ -202,7 +216,7 @@ def test_focal_profile_is_a_view_of_its_samples():
     assert profile[5:8] == samples[5:8]
     assert profile == focal_profile(shape, n=400)
     assert profile != focal_profile(shape, n=401)
-    assert repr(profile) == f"ArrayView({samples!r})"
+    assert repr(profile) == f"FocalProfile({samples!r})"
     for s in profile[:40:7]:
         tri = orbit(shape, s.t).triangle
         assert s.feuerbach == pytest.approx(focal_length(feuerbach_hyperbola(tri)), rel=1e-9)
@@ -236,9 +250,19 @@ def test_focal_profile_leaves_out_refused_samples(alpha):
     shape = BilliardShape(alpha, 1.0)
     profile = focal_profile(shape, n=2000)
     assert 1996 <= len(profile) <= 1998
+    assert len(profile) + len(profile.skipped) == 1998
     ratios = np.array([s.ratio for s in profile])
     assert (ratios.max() - ratios.min()) / ratios.mean() <= 1e-9
     assert count_interior_maxima([s.feuerbach for s in profile]) == 3
+
+
+def test_focal_profile_says_what_it_skipped():
+    profile = focal_profile(BilliardShape(2.002267669205896, 1.0), n=2000)
+    assert len(profile) == 1997
+    [(t, reason)] = profile.skipped
+    assert reason == "DegenerateConic"
+    assert 0.5 < t < 0.53 and t not in [s.t for s in profile]
+    assert focal_profile(BilliardShape(1.5, 1.0), n=2000).skipped == []
 
 
 def test_jerabek_meets_billiard_twice():
