@@ -6,6 +6,10 @@ and identical arguments produce byte-identical output.  Files are
 written atomically (temp file plus rename).  Exit codes: 0 success,
 1 invalid arguments, 2 numerical failure (a machine-readable error
 object is printed to stderr).
+
+Each subcommand imports the library modules it uses when it runs, so
+``render`` without an overlay, ``--help`` and usage errors other than a
+bad ``--n`` never import numpy.
 """
 
 from __future__ import annotations
@@ -17,30 +21,7 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import centers as centers_mod
-from .billiard import SHAPE_CLASSES, BilliardShape, caustic, orbit
-from .circumbilliard import circumbilliard, circumbilliard_of
-from .conic_invariants import (
-    PoristicShape,
-    count_interior_maxima,
-    focal_profile,
-    focal_ratio_closed_form,
-    poristic_cb_aspect,
-    poristic_of,
-)
 from .errors import IllConditioned, InvalidShape, OrbitConicsError
-from .kernel import Points, Skips, Triangle, ellipse_axes
-from .loci import (
-    MIN_SAMPLES,
-    fit_by_shape_class,
-    fit_circle,
-    fit_locus,
-    invariant_report,
-    sample_grid,
-    sweep_locus,
-)
 from .svgout import render_svg
 
 SCHEMA = "orbitconics-report/2"
@@ -76,22 +57,26 @@ def _csv_text(header: str, rows) -> str:
 
 
 def parse_center(text: str):
+    from .centers import ORTHIC_CB_CENTER, SUPPORTED_CENTERS
+
     if text == "vertices":
         return "vertices"
     if text.lower() in ("x6star", "x6*"):
-        return centers_mod.ORTHIC_CB_CENTER
+        return ORTHIC_CB_CENTER
     raw = text[1:] if text[:1] in ("X", "x") else text
     try:
         index = int(raw)
     except ValueError:
         raise ValueError(f"unrecognized center selector {text!r}")
-    if index not in centers_mod.SUPPORTED_CENTERS:
+    if index not in SUPPORTED_CENTERS:
         raise ValueError(f"center X{index} not supported")
     return index
 
 
 def sample_count(text: str) -> int:
     """argparse type of --n: an integer of at least MIN_SAMPLES."""
+    from .loci import MIN_SAMPLES
+
     try:
         n = int(text)
     except ValueError:
@@ -160,6 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_family(args) -> int:
+    from .billiard import SHAPE_CLASSES, BilliardShape, orbit
+    from .loci import sample_grid
+
     fam = orbit(BilliardShape(args.a, args.b), sample_grid(args.n))
     v = fam.tri
     records = zip(
@@ -192,6 +180,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_cb(args) -> int:
+    from .circumbilliard import circumbilliard
+    from .kernel import Triangle
+
     values = [float(v) for v in args.vertices.split(",")]
     if len(values) != 6:
         raise ValueError("--vertices wants six comma-separated numbers")
@@ -216,6 +207,9 @@ def cmd_cb(args) -> int:
 
 
 def cmd_locus(args) -> int:
+    from .billiard import BilliardShape
+    from .loci import fit_by_shape_class, fit_locus, sweep_locus
+
     shape = BilliardShape(args.a, args.b)
     center_id = parse_center(args.center)
     sweep = sweep_locus(shape, center_id, derived=args.derived, n=args.n)
@@ -254,6 +248,9 @@ def cmd_locus(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .billiard import BilliardShape
+    from .loci import invariant_report
+
     shape = BilliardShape(args.a, args.b)
     report = invariant_report(shape, n=args.n)
     payload = {"schema": SCHEMA, "command": "invariants"}
@@ -263,12 +260,20 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_poristic(args) -> int:
+    import numpy as np
+
+    from .centers import center_of
+    from .circumbilliard import circumbilliard_of
+    from .conic_invariants import PoristicShape, poristic_cb_aspect, poristic_of
+    from .kernel import Points, Skips, ellipse_axes
+    from .loci import fit_circle, sample_grid
+
     ps = PoristicShape(args.r, args.R)
     skips = Skips(args.n)
     with np.errstate(all="ignore"):
         tri = poristic_of(ps, sample_grid(args.n), skips)
         _, semi_major, semi_minor, _ = ellipse_axes(circumbilliard_of(tri), skips)
-        x9 = centers_mod.center_of(tri, 9, skips)
+        x9 = center_of(tri, 9, skips)
     skips.raise_first()
     aspects_arr = semi_major / semi_minor
     closed = poristic_cb_aspect(ps)
@@ -298,6 +303,9 @@ def cmd_poristic(args) -> int:
 
 
 def cmd_hyperbolae(args) -> int:
+    from .billiard import BilliardShape
+    from .conic_invariants import count_interior_maxima, focal_profile, focal_ratio_closed_form
+
     shape = BilliardShape(args.a, args.b)
     focal = focal_profile(shape, n=args.n)
     profile = focal.array
@@ -325,6 +333,8 @@ def cmd_render(args) -> int:
     if args.overlay:
         if args.a is None or args.b is None:
             raise ValueError("--overlay needs --a and --b for the ellipse axes")
+        from .billiard import BilliardShape, caustic
+
         shape = BilliardShape(args.a, args.b)
         for name in args.overlay:
             if name == "billiard":

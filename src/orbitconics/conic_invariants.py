@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class PoristicShape:
             raise InvalidShape(f"require finite r and R with R >= 2 r > 0 and a finite "
                                f"center distance, got r={self.r}, R={self.R}")
 
-    @property
+    @cached_property
     def d(self) -> float:
         return math.sqrt(self.R * (self.R - 2.0 * self.r))
 
@@ -243,29 +244,31 @@ def count_interior_maxima(values) -> int:
 def billiard_intersections(shape: BilliardShape, hyp: Conic) -> list[Point]:
     """Real intersections of the hyperbola with the billiard boundary.
 
-    Counts sign changes of the hyperbola form on a boundary grid of
-    INTERSECTION_GRID points and refines each bracket by bisection.
+    Finds the sign changes of the hyperbola form on a boundary grid of
+    INTERSECTION_GRID points, evaluated as one array, and refines each
+    bracket by bisection.
     """
     grid = INTERSECTION_GRID
     ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = np.array([conic_eval(hyp, shape.boundary_point(float(t))) for t in ts])
+    A, B, C, D, E, F = hyp.coeffs
+    x, y = shape.a * np.cos(ts) - hyp.anchor.real, shape.b * np.sin(ts) - hyp.anchor.imag
+    # conic_eval's arithmetic, in its order, on the whole grid
+    vals = A * x * x + 2 * B * x * y + C * y * y + 2 * D * x + 2 * E * y + F
     points = []
-    for i in range(grid):
-        j = (i + 1) % grid
+    for i in np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0)).tolist():
+        lo = float(ts[i])
         if vals[i] == 0.0:
-            points.append(shape.boundary_point(float(ts[i])))
+            points.append(shape.boundary_point(lo))
             continue
-        if vals[i] * vals[j] < 0.0:
-            lo, hi = float(ts[i]), float(ts[i]) + 2.0 * math.pi / grid
-            flo = vals[i]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = conic_eval(hyp, shape.boundary_point(mid))
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            points.append(shape.boundary_point(0.5 * (lo + hi)))
+        hi, flo = lo + 2.0 * math.pi / grid, vals[i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = conic_eval(hyp, shape.boundary_point(mid))
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        points.append(shape.boundary_point(0.5 * (lo + hi)))
     return points
 
 

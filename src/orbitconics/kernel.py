@@ -556,20 +556,31 @@ def largest(*xs):
 def circumconic_of(v: Tri, perspector) -> Conic:
     """Circumconic ``u1 yz + u2 zx + u3 xy = 0`` of perspector (u1 : u2 : u3), anchored at p1.
 
-    The symmetric barycentric matrix ``M = [[0, u3, u2], [u3, 0, u1], [u2, u1, 0]]``
-    maps to Cartesian coordinates through the sidelines, the rows of
-    ``B^-1`` for the vertex matrix ``B`` up to a common factor:
-    ``Q = L^T M L``.  Works on numbers and arrays alike.
+    ``Q = L^T M L`` for the barycentric matrix ``M = [[0, u3, u2], [u3, 0, u1],
+    [u2, u1, 0]]`` and the sidelines ``L`` about p1, written out.  With
+    q_k = p_k - p1 = x_k + i y_k the sidelines are (y2 - y3, x3 - x2, q2 x q3),
+    (y3, -x3, 0) and (-y2, x2, 0): the two through p1 have no constant
+    term, so D and E keep one product each and F, the value at p1, is a
+    zero.  F keeps the sign of the generic product (``cb`` prints it),
+    taken from the signed zeros of those two cross products.  Equal bit
+    for bit to the generic form (``tests/oracles.circumconic_generic``)
+    on every triangle of nonzero area, up to the sign of a D or E that
+    underflows to zero.  Works on numbers and arrays alike.
     """
     u1, u2, u3 = perspector
-    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = v.sidelines(v.p1)
-    a, b, c = (a1, a2, a3), (b1, b2, b3), (c1, c2, c3)
-
-    def form(p, q):
-        return (u1 * (p[1] * q[2] + p[2] * q[1]) + u2 * (p[2] * q[0] + p[0] * q[2])
-                + u3 * (p[0] * q[1] + p[1] * q[0]))
-
-    return Conic(form(a, a), form(a, b), form(b, b), form(a, c), form(b, c), form(c, c), v.p1)
+    q2, q3 = v.p2 - v.p1, v.p3 - v.p1
+    a1, b1, c1 = q2.imag - q3.imag, q3.real - q2.real, cross(q2, q3)
+    a2, b2, a3, b3 = q3.imag, -q3.real, -q2.imag, q2.real
+    c2, c3 = cross(q3, 0j), cross(0j, q2)
+    return Conic(
+        u1 * (2 * (a2 * a3)) + u2 * (2 * (a3 * a1)) + u3 * (2 * (a1 * a2)),
+        u1 * (a2 * b3 + a3 * b2) + u2 * (a3 * b1 + a1 * b3) + u3 * (a1 * b2 + a2 * b1),
+        u1 * (2 * (b2 * b3)) + u2 * (2 * (b3 * b1)) + u3 * (2 * (b1 * b2)),
+        u2 * (a3 * c1) + u3 * (a2 * c1),
+        u2 * (b3 * c1) + u3 * (b2 * c1),
+        u1 * (c2 * c3) + u2 * (c3 * c1) + u3 * (c1 * c2),
+        v.p1,
+    )
 
 
 def solve_circumconic(t: Triangle, center: Point) -> Conic:
@@ -601,11 +612,16 @@ def determinants(q: Conic):
 
 
 def classify_conic(conic: Conic) -> ConicClass:
-    """Ellipse / hyperbola / parabola via the sign of A C - B^2."""
+    """Ellipse / hyperbola / parabola via the sign of A C - B^2.
+
+    The coefficients are first divided by the power of two that brings
+    the largest below 1: exact, so the class is that of the conic as
+    given, and neither the cube of the scale nor det3 overflows.
+    """
     A, B, C, D, E, F = conic.coeffs
-    det, band, det3 = determinants(conic)
-    scale3 = max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)) ** 3
-    if abs(det3) <= 1e-12 * scale3:
+    scale, exponent = math.frexp(max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)))
+    det, band, det3 = determinants(Conic(*(math.ldexp(x, -exponent) for x in conic.coeffs)))
+    if abs(det3) <= 1e-12 * scale**3:
         return ConicClass.DEGENERATE
     if det > band:
         return ConicClass.ELLIPSE

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own construction
 paths: the orbit oracle iterates the raw reflection map and solves the
 closure condition by bisection, the extremal-radius search measures
 ellipse axes by brute force along rays, and the excentral inconic axes
-are computed in high-precision decimals.
+are computed in high-precision decimals.  The last two functions are
+references of another kind: the generic circumconic form and the
+point-by-point intersection loop that the library's written-out and
+array versions must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from orbitconics import conic_eval
 
 
 def reflection_map_orbit(a: float, b: float, t: float):
@@ -142,3 +147,51 @@ def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
         else:
             raise KeyError(which)
         return tuple(float(v) for v in axes)
+
+
+def circumconic_generic(v, perspector):
+    """Circumconic of perspector (u1 : u2 : u3) as the generic form ``Q = L^T M L``.
+
+    ``M = [[0, u3, u2], [u3, 0, u1], [u2, u1, 0]]`` is mapped through the
+    three sidelines of ``Tri.sidelines(p1)``, each coefficient a bilinear
+    form of two of their columns: the reference that the library's
+    written-out ``kernel.circumconic_of`` must equal bit for bit.
+    Returns (A, B, C, D, E, F).
+    """
+    u1, u2, u3 = perspector
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = v.sidelines(v.p1)
+    a, b, c = (a1, a2, a3), (b1, b2, b3), (c1, c2, c3)
+
+    def form(p, q):
+        return (u1 * (p[1] * q[2] + p[2] * q[1]) + u2 * (p[2] * q[0] + p[0] * q[2])
+                + u3 * (p[0] * q[1] + p[1] * q[0]))
+
+    return (form(a, a), form(a, b), form(b, b), form(a, c), form(b, c), form(c, c))
+
+
+def billiard_intersections_pointwise(shape, hyp, grid: int = 4096):
+    """``conic_invariants.billiard_intersections`` with the grid evaluated one point at a time.
+
+    The same arithmetic in the same order, so the library's one-array
+    evaluation must give the same points.
+    """
+    ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    vals = np.array([conic_eval(hyp, shape.boundary_point(float(t))) for t in ts])
+    points = []
+    for i in range(grid):
+        j = (i + 1) % grid
+        if vals[i] == 0.0:
+            points.append(shape.boundary_point(float(ts[i])))
+            continue
+        if vals[i] * vals[j] < 0.0:
+            lo, hi = float(ts[i]), float(ts[i]) + 2.0 * math.pi / grid
+            flo = vals[i]
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = conic_eval(hyp, shape.boundary_point(mid))
+                if flo * fm <= 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            points.append(shape.boundary_point(0.5 * (lo + hi)))
+    return points

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import angle_dist_mod_pi, xy_coefficients
-from oracles import excentral_inconic_axes_decimal
+from oracles import billiard_intersections_pointwise, excentral_inconic_axes_decimal
 from orbitconics import (
     BilliardShape,
     ConicClass,
@@ -274,6 +274,15 @@ def test_jerabek_meets_billiard_twice():
             assert abs(SHAPE.boundary_value(p)) <= 1e-9
             scale = math.sqrt(sum(c * c for c in xy_coefficients(hyp)))
             assert abs(conic_eval(hyp, p)) / scale <= 1e-9
+
+
+def test_billiard_intersections_equal_the_pointwise_loop():
+    # the hyperbolae of the acceptance criterion and of the demo (t = 0.4) and those above
+    for t in (0.4, 1.1, 2.3):
+        tri = orbit(SHAPE, t).triangle
+        for hyp in (jerabek_excentral(tri), feuerbach_hyperbola(tri)):
+            points = billiard_intersections(SHAPE, hyp)
+            assert points and points == billiard_intersections_pointwise(SHAPE, hyp)
 
 
 def test_translated_hyperbolas_are_xy_equals_k():

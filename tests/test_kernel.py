@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, five_coefficients, random_triangle, residual_scale
-from oracles import extremal_radii, incircle
+from oracles import circumconic_generic, extremal_radii, incircle
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -33,6 +33,7 @@ from orbitconics import (
     solve_circumconic,
     solve_inconic,
 )
+from orbitconics.kernel import circumconic_of
 
 UNIT_CIRCLE = Conic(-1.0, 0.0, -1.0, 0.0, 0.0, 1.0)
 
@@ -163,6 +164,53 @@ def test_classify_basic():
     assert classify_conic(Conic(1.0, 0, 0, 0, 0.5, 1.0)) is ConicClass.PARABOLA
     # parallel line pair x = +-1
     assert classify_conic(Conic(-1.0, 0, 0, 0, 0, 1.0)) is ConicClass.DEGENERATE
+
+
+def test_classify_is_unchanged_by_a_power_of_two(rng):
+    conics = [UNIT_CIRCLE, Conic(0, 0.5, 0, 0, 0, 1.0), Conic(1.0, 0, 0, 0, 0.5, 1.0),
+              Conic(-1.0, 0, 0, 0, 0, 1.0)]
+    conics += [Conic(*rng.uniform(-10.0, 10.0, 6).tolist()) for _ in range(300)]
+    conics += [solve_circumconic(tri, center(tri, 9)) for tri in map(random_triangle, [rng] * 50)]
+    for conic in conics:
+        cls = classify_conic(conic)
+        for k in (-900, -513, -170, -60, -1, 1, 60, 170, 513, 900):
+            scaled = Conic(*(math.ldexp(c, k) for c in conic.coeffs), conic.anchor)
+            assert classify_conic(scaled) is cls
+
+
+def test_classify_huge_coefficients():
+    # the cube of the largest coefficient would overflow a float
+    assert classify_conic(Conic(1e200, 0.0, 2e200, 0.0, 0.0, -3e200)) is ConicClass.ELLIPSE
+    assert classify_conic(Conic(1e200, 0.0, -2e200, 0.0, 0.0, -3e200)) is ConicClass.HYPERBOLA
+    # its x semi-axis is 10^-51.5 of its y semi-axis: a line pair at the relative threshold
+    assert classify_conic(Conic(1e103, 0, 1, 0, 0, -1)) is ConicClass.DEGENERATE
+
+
+def _bits(x):
+    """The float64 bit patterns of a number or an array, so that -0.0 differs from 0.0."""
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def test_circumconic_of_is_the_generic_form_bit_for_bit(rng):
+    # random triangles, triangles with sides along the axes and signed zero
+    # coordinates, and triangles far from unit size
+    grid = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    stacks = [rng.uniform(-5.0, 5.0, (2000, 3, 2)), rng.choice(grid, (2000, 3, 2)),
+              rng.uniform(-1.0, 1.0, (2000, 3, 2)) * 10.0 ** rng.uniform(-60, 150, (2000, 1, 1))]
+    for coords in stacks:
+        z = coords.view(complex)[..., 0]  # keeps the sign of a zero coordinate
+        stack = Tri(z[:, 0], z[:, 1], z[:, 2])
+        keep = stack.area > 0.0
+        stack = Tri(z[keep, 0], z[keep, 1], z[keep, 2])
+        sides = np.array([stack.s1, stack.s2, stack.s3])
+        for perspector in (tuple(sides), tuple(rng.choice([-1.0, 1.0], sides.shape) * sides)):
+            with np.errstate(over="ignore", invalid="ignore"):  # the largest triangles overflow
+                expected = circumconic_generic(stack, perspector)
+                assert _bits(circumconic_of(stack, perspector).coeffs) == _bits(expected)
+            for i in range(0, len(stack.p1), 7):
+                one = Tri(*(complex(p[i]) for p in stack.vertices))
+                u = tuple(float(x[i]) for x in perspector)
+                assert _bits(circumconic_of(one, u).coeffs) == _bits(circumconic_generic(one, u))
 
 
 def test_ellipse_params_axis_aligned():
