@@ -11,15 +11,21 @@ numerical correctness monitor in the tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import centers
 from .errors import DegenerateTriangle, InvalidShape
-from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, ufuncs, where
+from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, is_array, ufuncs, where
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Fewest samples a sweep or fit accepts.
+MIN_SAMPLES = 8
 
 
 class ShapeClass(Enum):
@@ -98,12 +104,19 @@ class Family:
 
     @cached_property
     def tri(self) -> Tri:
-        z = self.vertices.view(np.complex128)[..., 0]
+        z = self.vertices.view(complex)[..., 0]
         return Tri(z[:, 0], z[:, 1], z[:, 2])
 
     @cached_property
     def codes(self) -> np.ndarray:
-        return self.tri.shape_code().astype(np.int8)
+        return self.tri.shape_code().astype("int8")
+
+
+def sample_grid(n: int) -> np.ndarray:
+    """n parameters uniform on the circle, offset by half a step."""
+    import numpy as np
+
+    return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
 
 
 def caustic(shape: BilliardShape) -> EllipseParams:
@@ -159,14 +172,16 @@ def orbit(shape: BilliardShape, t):
 
     The second vertex is the nearer bounce in increasing boundary
     parameter, the third the farther one, so the vertices wind
-    counterclockwise for every t.  For an array of parameters the whole
-    ``Family`` is built at once; it raises the failure of the first
-    degenerate member.
+    counterclockwise for every t.  For a sequence or array of parameters
+    the whole ``Family`` is built at once; it raises the failure of the
+    first degenerate member.
     """
-    if isinstance(t, float) or np.ndim(t) == 0:
+    if not isinstance(t, Sequence) and not (is_array(t) and t.ndim > 0):
         x1, y1, x2, y2, x3, y3 = _orbit_vertices(shape, t)
         tri = Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
         return OrbitSample(t, tri, classify_triangle(tri))
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     coords = _orbit_vertices(shape, t)
     fam = Family(t, np.stack(coords, axis=-1).reshape(t.shape + (3, 2)))

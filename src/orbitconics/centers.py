@@ -14,10 +14,19 @@ and a whole family of triangles for the batched kernel.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
-from .kernel import RAISE, RIGHT_DEADBAND, Point, Skips, Tri, Triangle, perp_foot, ufuncs, where
+from .kernel import (
+    RAISE,
+    RIGHT_DEADBAND,
+    Point,
+    Skips,
+    Tri,
+    Triangle,
+    is_array,
+    perp_foot,
+    ufuncs,
+    where,
+)
 
 #: Kimberling indices with a direct or composite rule below.
 SUPPORTED_CENTERS = frozenset(
@@ -227,10 +236,12 @@ def orthic_cb_center_of(v: Tri, guard):
         g.check(aux.thin(), DegenerateTriangle, "auxiliary triangle area below tolerance")
         return center_of(aux, 6, g)
 
-    if not isinstance(code, np.ndarray):
+    if not is_array(code):
         if code == 0:
             return center_of(v, 6, guard)
         return obtuse_rule(guard) if code == 2 else altitude_midpoint(p, q, r)
+    import numpy as np
+
     acute, obtuse = Skips(code.size), Skips(code.size)
     point = np.where(code == 0, center_of(v, 6, acute),
                      np.where(code == 2, obtuse_rule(obtuse), altitude_midpoint(p, q, r)))

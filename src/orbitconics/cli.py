@@ -3,35 +3,47 @@
 Output conventions: CSV files have a fixed documented header row and
 shortest-roundtrip float formatting, JSON reports carry a schema field,
 and identical arguments produce byte-identical output.  Files are
-written atomically (temp file plus rename).  Exit codes: 0 success,
-1 invalid arguments, 2 numerical failure (a machine-readable error
-object is printed to stderr).
+written atomically (temp file plus rename), with the mode a plain write
+would give them.  Exit codes: 0 success, 1 invalid arguments, 2
+numerical failure (a machine-readable error object is printed to
+stderr).
 
-Each subcommand imports the library modules it uses when it runs, so
-``render`` without an overlay, ``--help`` and usage errors other than a
-bad ``--n`` never import numpy.
+Each subcommand imports the library modules it uses when it runs, and
+numpy is loaded only by the subcommands that sweep arrays: ``family``,
+``locus``, ``invariants``, ``poristic`` and ``hyperbolae``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
+import stat
 import sys
-import tempfile
 
 from .errors import IllConditioned, InvalidShape, OrbitConicsError
-from .svgout import render_svg
 
 SCHEMA = "orbitconics-report/2"
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in its directory and a rename.
+
+    The file gets the mode ``open(path, "w")`` would give it: an existing
+    target keeps its mode, a new file gets 0o666 less the umask.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".orbitconics-")
+    tmp = os.path.join(directory, f".orbitconics-{os.urandom(8).hex()}")
+    # O_EXCL: never write through a file or link already at the temp name
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -75,7 +87,7 @@ def parse_center(text: str):
 
 def sample_count(text: str) -> int:
     """argparse type of --n: an integer of at least MIN_SAMPLES."""
-    from .loci import MIN_SAMPLES
+    from .billiard import MIN_SAMPLES
 
     try:
         n = int(text)
@@ -145,15 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_family(args) -> int:
-    from .billiard import SHAPE_CLASSES, BilliardShape, orbit
-    from .loci import sample_grid
+    from .billiard import SHAPE_CLASSES, BilliardShape, orbit, sample_grid
 
     fam = orbit(BilliardShape(args.a, args.b), sample_grid(args.n))
     v = fam.tri
+    names = [cls.value for cls in SHAPE_CLASSES]
     records = zip(
         fam.t.tolist(),
         fam.vertices.tolist(),
-        [SHAPE_CLASSES[c].value for c in fam.codes],
+        [names[c] for c in fam.codes.tolist()],
         v.perimeter().tolist(),
         (v.inradius() / v.circumradius()).tolist(),
     )
@@ -262,11 +274,12 @@ def cmd_invariants(args) -> int:
 def cmd_poristic(args) -> int:
     import numpy as np
 
+    from .billiard import sample_grid
     from .centers import center_of
     from .circumbilliard import circumbilliard_of
     from .conic_invariants import PoristicShape, poristic_cb_aspect, poristic_of
     from .kernel import Points, Skips, ellipse_axes
-    from .loci import fit_circle, sample_grid
+    from .loci import fit_circle
 
     ps = PoristicShape(args.r, args.R)
     skips = Skips(args.n)
@@ -329,6 +342,10 @@ def cmd_hyperbolae(args) -> int:
 
 
 def cmd_render(args) -> int:
+    import csv
+
+    from .svgout import render_svg
+
     overlays = []
     if args.overlay:
         if args.a is None or args.b is None:

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import centers
-from .billiard import BilliardShape, inradius_to_circumradius, orbit
+from .billiard import BilliardShape, inradius_to_circumradius, orbit, sample_grid
 from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
 from .kernel import (
     RAISE,
@@ -36,7 +36,6 @@ from .kernel import (
     unresolved,
     where,
 )
-from .loci import sample_grid
 
 #: Boundary samples on which ``billiard_intersections`` brackets the crossings.
 INTERSECTION_GRID = 4096

@@ -11,6 +11,9 @@ computes in plain Python floats, numpy for a stack.  ``Points`` is a
 read-only sequence of ``Point`` over a complex array, and a ``Triangle``
 a view over its one-triangle ``Tri`` that builds Points when read.
 
+numpy is imported only where arrays are made or read (``is_array``
+tells them apart), so one triangle never loads it.
+
 Every conic is a ``Conic``: the six coefficients of
 
     A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0
@@ -27,12 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import reduce
-
-import numpy as np
 
 from .errors import (
     DegenerateConic,
@@ -46,7 +48,7 @@ from .errors import (
 # Pivot-ratio threshold for declaring a linear system singular.
 CONDITION_LIMIT = 1e12
 # Spacing of doubles at 1.
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 # Triangle degeneracy: area >= AREA_TOL * (longest side)^2.
 AREA_TOL = 1e-12
 # Tangency verification for inconics (scaled discriminant).
@@ -117,6 +119,8 @@ class ArrayView(Sequence):
     __slots__ = ("array", "item")
 
     def __init__(self, array, item):
+        import numpy as np
+
         self.array = np.asarray(array).view()
         self.array.flags.writeable = False
         self.item = item
@@ -134,6 +138,8 @@ class ArrayView(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, ArrayView):
+            import numpy as np
+
             return self.item == other.item and np.array_equal(self.array, other.array)
         if isinstance(other, (list, tuple)):
             return list(self) == list(other)
@@ -151,6 +157,8 @@ class Points(ArrayView):
     __slots__ = ()
 
     def __init__(self, z):
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         bad = np.flatnonzero(~np.isfinite(z))
         if bad.size:
@@ -183,12 +191,22 @@ def length(d):
     """
     if type(d) is complex:
         return abs(d)
+    import numpy as np
+
     return np.hypot(d.real, d.imag)
+
+
+def is_array(x) -> bool:
+    """Whether x is a numpy array, asked without importing numpy: before that, no array exists."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 def where(cond, a, b):
     """``np.where`` for an array condition; a plain choice for one bool."""
-    if isinstance(cond, np.ndarray):
+    if is_array(cond):
+        import numpy as np
+
         return np.where(cond, a, b)
     return a if cond else b
 
@@ -224,7 +242,9 @@ def ufuncs(*xs):
     check that refuses such an input.
     """
     for x in xs:
-        if isinstance(x, np.ndarray):
+        if is_array(x):
+            import numpy as np
+
             return np
     return _SCALARS
 
@@ -256,16 +276,18 @@ class Skips:
     """
 
     def __init__(self, n: int):
+        import numpy as np
+
         self.code = np.full(n, -1, dtype=np.intp)
         self.failures: list[tuple[type, str]] = []
 
     @property
-    def valid(self) -> np.ndarray:
+    def valid(self):
         return self.code < 0
 
     def check(self, failed, exc, message: str) -> None:
         new = failed & (self.code < 0)
-        if np.any(new):
+        if new.any():
             self.code[new] = len(self.failures)
             self.failures.append((exc, message))
 
@@ -282,11 +304,11 @@ class Skips:
 
     def skipped(self, t) -> list[tuple[float, str]]:
         """(t[i], exception type name) of each failed sample i, for the samples' parameters t."""
-        return [(float(t[i]), self.reason(i)) for i in np.flatnonzero(self.code >= 0)]
+        return [(float(t[i]), self.reason(i)) for i in (self.code >= 0).nonzero()[0]]
 
     def raise_first(self) -> None:
         """Raise the failure of the first failed sample, if any."""
-        bad = np.flatnonzero(self.code >= 0)
+        bad = (self.code >= 0).nonzero()[0]
         if bad.size:
             exc, message = self.failures[self.code[bad[0]]]
             raise exc(message)
@@ -311,6 +333,8 @@ class Tri:
 
     @classmethod
     def stack(cls, triangles) -> "Tri":
+        import numpy as np
+
         z = np.array([t.tri.vertices for t in triangles])
         return cls(z[:, 0], z[:, 1], z[:, 2])
 
@@ -753,6 +777,8 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
     its coefficients and checks independent of where the triangle sits.
     Tangency of all three sidelines is verified before returning.
     """
+    import numpy as np
+
     rows = []
     for u, v, w in t.tri.sidelines(center.z):
         rows.append([u * u, 2 * u * v, 2 * u * w, v * v, 2 * v * w, w * w])
@@ -784,7 +810,9 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
     return conic
 
 
-def _adjugate(m: np.ndarray) -> np.ndarray:
+def _adjugate(m):
+    import numpy as np
+
     out = np.empty((3, 3))
     for i in range(3):
         for j in range(3):

@@ -17,11 +17,13 @@ import numpy as np
 
 from . import centers
 from .billiard import (
+    MIN_SAMPLES,
     SHAPE_CLASSES,
     BilliardShape,
     ShapeClass,
     inradius_to_circumradius,
     orbit,
+    sample_grid,
 )
 from .circumbilliard import circumbilliard_of
 from .errors import IllConditioned
@@ -29,8 +31,6 @@ from .kernel import CONDITION_LIMIT, ArrayView, Point, Points, Skips, ellipse_ax
 
 ELLIPTIC_RMS = 1e-8
 NON_ELLIPTIC_RMS = 1e-4
-#: Fewest samples a sweep or fit accepts.
-MIN_SAMPLES = 8
 
 
 class Verdict(Enum):
@@ -68,11 +68,6 @@ class LocusSweep:
     t_values: list[float]
     shape_classes: ArrayView
     skipped: list[tuple[float, str]] = field(default_factory=list)
-
-
-def sample_grid(n: int) -> np.ndarray:
-    """n parameters uniform on the circle, offset by half a step."""
-    return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
 
 
 def _require_samples(n: int) -> None:

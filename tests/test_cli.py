@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from orbitconics import BilliardShape, count_interior_maxima, focal_profile, focal_ratio_closed_form
-from orbitconics.cli import SCHEMA, _csv_text, _json_dump, main, parse_center
+from orbitconics.cli import SCHEMA, _csv_text, _json_dump, main, parse_center, write_text_atomic
 
 
 def run_cli(capsys, argv):
@@ -347,3 +349,43 @@ def test_poristic_equilateral_family(capsys):
     assert payload["aspect_spread_rel"] <= 1e-12
     # the Mittenpunkt stays at the center: no circle to fit
     assert payload["mittenpunkt_circle"] is None
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask 022", "umask 077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_out_files_get_the_mode_of_a_plain_write(capsys, tmp_path, umask):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    out = tmp_path / "family.csv"
+    assert main(["family", "--a", "1.5", "--b", "1", "--n", "8", "--out", str(out)]) == 0
+    assert _mode(out) == _mode(plain) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["family.csv", "plain.csv"]
+
+
+def test_atomic_write_keeps_the_mode_of_an_existing_file(tmp_path, umask):
+    out = tmp_path / "kept.txt"
+    out.write_text("old")
+    os.chmod(out, 0o640)
+    write_text_atomic(str(out), "new")
+    assert out.read_text() == "new"
+    assert _mode(out) == 0o640
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_text_atomic(str(target), "text")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(tmp_path / "new.txt"), "\ud800")
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]

@@ -1,4 +1,4 @@
-"""The package and the CLI import numpy only when a subcommand or a name needs it.
+"""The package and the CLI import numpy only when a subcommand or a name needs arrays.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported everything.
@@ -57,7 +57,38 @@ def loaded_after(statements: str, *args: str):
 
 def test_importing_the_cli_loads_no_numpy():
     assert loaded_after("import orbitconics.cli") == [
-        "orbitconics", "orbitconics.cli", "orbitconics.errors", "orbitconics.svgout"]
+        "orbitconics", "orbitconics.cli", "orbitconics.errors"]
+
+
+def run_cli(*argv: str, code: int = 0):
+    """Modules loaded by one ``cli.main(argv)`` in a fresh interpreter, which must return ``code``."""
+    return loaded_after("from orbitconics import cli\n"
+                        "code = cli.main(sys.argv[2:])\n"
+                        "assert code == int(sys.argv[1]), code", str(code), *argv)
+
+
+def test_cb_loads_no_numpy(tmp_path):
+    out = tmp_path / "cb.json"
+    modules = run_cli("cb", "--vertices", "0,0,4,0,1,3", "--out", str(out))
+    assert "numpy" not in modules
+    assert "orbitconics.circumbilliard" in modules
+    assert json.loads(out.read_text())["command"] == "cb"
+
+
+def test_bad_sample_count_loads_no_numpy():
+    modules = run_cli("family", "--a", "1.5", "--b", "1", "--n", "3", code=1)
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--a", "1.5", "--b", "1", "--n", "8"],
+    ["hyperbolae", "--a", "1.5", "--b", "1", "--n", "40"],
+], ids=lambda argv: argv[0])
+def test_family_and_hyperbolae_skip_the_sweep_and_fit_modules(argv, tmp_path):
+    modules = run_cli(*argv, "--out", str(tmp_path / "out.csv"))
+    assert "numpy" in modules
+    assert "orbitconics.loci" not in modules
+    assert "orbitconics.circumbilliard" not in modules
 
 
 @pytest.mark.parametrize("argv", [
@@ -93,6 +124,16 @@ def test_render_with_overlay_loads_the_billiard(tmp_path):
         " '--overlay', 'caustic', '--a', '1.5', '--b', '1']) == 1",
         str(tmp_path / "missing.csv"), str(tmp_path / "o.svg"))
     assert "orbitconics.billiard" in modules
+
+
+def test_render_with_billiard_overlay_loads_no_numpy(tmp_path):
+    (tmp_path / "locus.csv").write_text("t,x,y\n0.0,1.0,0.0\n1.0,0.0,1.0\n2.0,-1.0,0.5\n")
+    modules = run_cli("render", "--input", str(tmp_path / "locus.csv"),
+                      "--out", str(tmp_path / "locus.svg"), "--overlay", "billiard",
+                      "--a", "1.5", "--b", "1")
+    assert "numpy" not in modules
+    assert "orbitconics.billiard" in modules
+    assert (tmp_path / "locus.svg").read_text().startswith("<svg")
 
 
 def test_package_import_binds_only_the_exceptions():

@@ -6,12 +6,14 @@ no numpy scalar is made on the scalar path.
 """
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 
 import orbitconics as oc
-from orbitconics import billiard, centers, conic_invariants, kernel, loci
+from orbitconics import kernel
 from orbitconics.circumbilliard import DERIVED_TRIANGLES
 
 SHAPE = oc.BilliardShape(2.0, 1.0)
@@ -19,7 +21,7 @@ PORISTIC = oc.PoristicShape(0.3, 1.0)
 NAN, INF = math.nan, math.inf
 
 
-class _NoNumpy:
+class _NoNumpy(types.ModuleType):
     """Stands in for numpy in the library: only the array type may be looked up."""
 
     def __getattr__(self, name):
@@ -49,10 +51,36 @@ def _scalar_calls():
 
 def test_scalar_path_runs_no_numpy_function(monkeypatch):
     calls = list(_scalar_calls())
-    for module in (kernel, billiard, centers, conic_invariants, loci):
-        monkeypatch.setattr(module, "np", _NoNumpy())
+    stub = _NoNumpy("numpy")
+    # a function-level ``import numpy`` gets the stub from sys.modules,
+    # a module-level one through the module's ``np``
+    monkeypatch.setitem(sys.modules, "numpy", stub)
+    bound = [m for name, m in sorted(sys.modules.items())
+             if name.startswith("orbitconics") and hasattr(m, "np")]
+    assert {m.__name__ for m in bound} == {"orbitconics.conic_invariants", "orbitconics.loci"}
+    for module in bound:
+        monkeypatch.setattr(module, "np", stub)
     for _, call in calls:
         call()
+
+
+@pytest.mark.parametrize("t", [1, 0.4, np.float64(0.4), np.int64(1), np.array(0.4)],
+                         ids=["int", "float", "float64", "int64", "0-d array"])
+def test_orbit_of_a_number_is_one_sample(t):
+    sample = oc.orbit(SHAPE, t)
+    assert isinstance(sample, oc.OrbitSample)
+    expected = oc.orbit(SHAPE, float(t)).triangle.vertices
+    for p, q in zip(sample.triangle.vertices, expected):
+        assert p.as_tuple() == pytest.approx(q.as_tuple(), rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("ts", [[0.4, 1.3], (0.4, 1.3), np.array([0.4, 1.3]), range(2)],
+                         ids=["list", "tuple", "1-d array", "range"])
+def test_orbit_of_a_sequence_is_a_family(ts):
+    fam = oc.orbit(SHAPE, ts)
+    assert isinstance(fam, oc.Family)
+    assert fam.t.tolist() == [float(t) for t in ts]
+    assert fam.vertices.shape == (2, 3, 2)
 
 
 def test_scalar_results_are_plain_floats():
