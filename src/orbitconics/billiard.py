@@ -82,6 +82,16 @@ class BilliardShape:
     def conic(self) -> Conic:
         return Conic(1.0 / self.a**2, 0.0, 1.0 / self.b**2, 0.0, 0.0, -1.0)
 
+    def family(self, t, guard) -> Tri:
+        """Orbit triangles at the parameter array t, refused through the Skips ``guard``."""
+        import numpy as np
+
+        z = np.stack(_orbit_vertices(self, t), axis=-1).view(complex)
+        guard.check(~np.isfinite(z).all(axis=-1), ValueError, "non-finite orbit vertex")
+        tri = Tri(z[:, 0], z[:, 1], z[:, 2])
+        guard.check(tri.thin(), DegenerateTriangle, "orbit triangle area below tolerance")
+        return tri
+
 
 @dataclass(frozen=True)
 class OrbitSample:
@@ -92,20 +102,20 @@ class OrbitSample:
 
 @dataclass(frozen=True)
 class Family:
-    """A whole orbit family as struct-of-arrays.
+    """A whole triangle family as struct-of-arrays.
 
-    ``vertices`` is an ``(n, 3, 2)`` coordinate array, read as complex
-    vertices through ``tri``; ``codes`` are the shape classes as indices
-    into ``SHAPE_CLASSES``.
+    ``vertices`` is ``tri`` as an ``(n, 3, 2)`` coordinate array; ``codes``
+    are the shape classes as indices into ``SHAPE_CLASSES``.
     """
 
     t: np.ndarray
-    vertices: np.ndarray
+    tri: Tri
 
     @cached_property
-    def tri(self) -> Tri:
-        z = self.vertices.view(complex)[..., 0]
-        return Tri(z[:, 0], z[:, 1], z[:, 2])
+    def vertices(self) -> np.ndarray:
+        import numpy as np
+
+        return np.stack(self.tri.vertices, axis=-1).view(float).reshape(self.t.shape + (3, 2))
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -113,10 +123,17 @@ class Family:
 
 
 def sample_grid(n: int) -> np.ndarray:
-    """n parameters uniform on the circle, offset by half a step."""
+    """n >= MIN_SAMPLES parameters uniform on the circle, offset by half a step."""
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     import numpy as np
 
     return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+
+
+def sampled_family(shape: BilliardShape, n: int) -> Family:
+    """The ``Family`` on ``sample_grid(n)``, the grid every sweep samples."""
+    return orbit(shape, sample_grid(n))
 
 
 def caustic(shape: BilliardShape) -> EllipseParams:
@@ -167,14 +184,15 @@ def _orbit_vertices(shape: BilliardShape, t):
     return (x, y, where(swap, sx, qx), where(swap, sy, qy), where(swap, qx, sx), where(swap, qy, sy))
 
 
-def orbit(shape: BilliardShape, t):
+def orbit(shape: BilliardShape, t, skips: Skips | None = None):
     """Orbit triangle with first vertex at (a cos t, b sin t).
 
     The second vertex is the nearer bounce in increasing boundary
     parameter, the third the farther one, so the vertices wind
     counterclockwise for every t.  For a sequence or array of parameters
-    the whole ``Family`` is built at once; it raises the failure of the
-    first degenerate member.
+    the whole ``Family`` of any shape with ``family`` is built at once;
+    its refused members are recorded in ``skips`` when one is given,
+    else the failure of the first is raised.
     """
     if not isinstance(t, Sequence) and not (is_array(t) and t.ndim > 0):
         x1, y1, x2, y2, x3, y3 = _orbit_vertices(shape, t)
@@ -183,12 +201,10 @@ def orbit(shape: BilliardShape, t):
     import numpy as np
 
     t = np.asarray(t, dtype=float)
-    coords = _orbit_vertices(shape, t)
-    fam = Family(t, np.stack(coords, axis=-1).reshape(t.shape + (3, 2)))
-    skips = Skips(t.size)
-    skips.check(~np.isfinite(fam.vertices).all(axis=(-2, -1)), ValueError, "non-finite orbit vertex")
-    skips.check(fam.tri.thin(), DegenerateTriangle, "orbit triangle area below tolerance")
-    skips.raise_first()
+    guard = Skips(t.size) if skips is None else skips
+    fam = Family(t, shape.family(t, guard))
+    if skips is None:
+        guard.raise_first()
     return fam
 
 

@@ -1,12 +1,17 @@
 """Command-line front end: families, sweeps, fits, invariant suites, SVG.
 
+Each subcommand parses its arguments, calls one library function and
+writes what it returns; the sweeps, with their one skip policy, live in
+the library.  A sweep keeping fewer than 8 samples exits 2 (its first
+refusal) and writes nothing.
+
 Output conventions: CSV files have a fixed documented header row and
 shortest-roundtrip float formatting, JSON reports carry a schema field,
 and identical arguments produce byte-identical output.  Files are
-written atomically (temp file plus rename), with the mode a plain write
-would give them.  Exit codes: 0 success, 1 invalid arguments, 2
-numerical failure (a machine-readable error object is printed to
-stderr).
+written atomically (temp file plus rename), through a symlink, with the
+mode a plain write would give them.  Exit codes: 0 success, 1 invalid
+arguments, 2 numerical failure (a machine-readable error object is
+printed to stderr).
 
 Each subcommand imports the library modules it uses when it runs, and
 numpy is loaded only by the subcommands that sweep arrays: ``family``,
@@ -21,7 +26,7 @@ import os
 import stat
 import sys
 
-from .errors import IllConditioned, InvalidShape, OrbitConicsError
+from .errors import InvalidShape, OrbitConicsError
 
 SCHEMA = "orbitconics-report/2"
 
@@ -32,12 +37,12 @@ def write_text_atomic(path: str, text: str) -> None:
     The file gets the mode ``open(path, "w")`` would give it: an existing
     target keeps its mode, a new file gets 0o666 less the umask.
     """
+    path = os.path.realpath(path)  # write through a symlink, as open(path, "w") does
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         mode = None
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".orbitconics-{os.urandom(8).hex()}")
+    tmp = os.path.join(os.path.dirname(path), f".orbitconics-{os.urandom(8).hex()}")
     # O_EXCL: never write through a file or link already at the temp name
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -157,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_family(args) -> int:
-    from .billiard import SHAPE_CLASSES, BilliardShape, orbit, sample_grid
+    from .billiard import SHAPE_CLASSES, BilliardShape, sampled_family
 
-    fam = orbit(BilliardShape(args.a, args.b), sample_grid(args.n))
+    fam = sampled_family(BilliardShape(args.a, args.b), args.n)
     v = fam.tri
     names = [cls.value for cls in SHAPE_CLASSES]
     records = zip(
@@ -263,55 +268,17 @@ def cmd_invariants(args) -> int:
     from .billiard import BilliardShape
     from .loci import invariant_report
 
-    shape = BilliardShape(args.a, args.b)
-    report = invariant_report(shape, n=args.n)
-    payload = {"schema": SCHEMA, "command": "invariants"}
-    payload.update(report.as_dict())
-    _emit(_json_dump(payload), args.out)
+    report = invariant_report(BilliardShape(args.a, args.b), n=args.n)
+    _emit(_json_dump({"schema": SCHEMA, "command": "invariants", **report.as_dict()}), args.out)
     return 0
 
 
 def cmd_poristic(args) -> int:
-    import numpy as np
+    from .conic_invariants import PoristicShape
+    from .loci import poristic_report
 
-    from .billiard import sample_grid
-    from .centers import center_of
-    from .circumbilliard import circumbilliard_of
-    from .conic_invariants import PoristicShape, poristic_cb_aspect, poristic_of
-    from .kernel import Points, Skips, ellipse_axes
-    from .loci import fit_circle
-
-    ps = PoristicShape(args.r, args.R)
-    skips = Skips(args.n)
-    with np.errstate(all="ignore"):
-        tri = poristic_of(ps, sample_grid(args.n), skips)
-        _, semi_major, semi_minor, _ = ellipse_axes(circumbilliard_of(tri), skips)
-        x9 = center_of(tri, 9, skips)
-    skips.raise_first()
-    aspects_arr = semi_major / semi_minor
-    closed = poristic_cb_aspect(ps)
-    try:
-        circle = fit_circle(Points(x9))
-        mittenpunkt_circle = {
-            "center": [circle.center.x, circle.center.y],
-            "radius": circle.radius,
-            "rms": circle.rms,
-        }
-    except IllConditioned:
-        mittenpunkt_circle = None
-    payload = {
-        "schema": SCHEMA,
-        "command": "poristic",
-        "r": args.r,
-        "R": args.R,
-        "n": args.n,
-        "aspect_mean": float(aspects_arr.mean()),
-        "aspect_spread_rel": float((aspects_arr.max() - aspects_arr.min()) / aspects_arr.mean()),
-        "closed_form": closed,
-        "closed_form_abs_diff": abs(float(aspects_arr.mean()) - closed),
-        "mittenpunkt_circle": mittenpunkt_circle,
-    }
-    _emit(_json_dump(payload), args.out)
+    report = poristic_report(PoristicShape(args.r, args.R), n=args.n)
+    _emit(_json_dump({"schema": SCHEMA, "command": "poristic", **report.as_dict()}), args.out)
     return 0
 
 

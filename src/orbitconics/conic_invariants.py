@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import centers
-from .billiard import BilliardShape, inradius_to_circumradius, orbit, sample_grid
+from .billiard import MIN_SAMPLES, BilliardShape, inradius_to_circumradius, orbit, sample_grid
 from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
 from .kernel import (
     RAISE,
@@ -66,47 +66,46 @@ class PoristicShape:
     def rho(self) -> float:
         return self.r / self.R
 
+    def family(self, theta, guard) -> Tri:
+        """Family members with first vertex at angle theta on the circumcircle.
 
-def poristic_of(ps: PoristicShape, theta, guard) -> Tri:
-    """Family members with first vertex at angle theta on the circumcircle.
-
-    The two tangents from the vertex to the incircle meet the
-    circumcircle again at the other two vertices; tangency of the third
-    side then holds by the Poncelet porism and is verified
-    (ClosureFailure).  ``theta`` is a number (``guard`` RAISE) or an
-    array (``guard`` a Skips).
-    """
-    inc = complex(ps.d, 0.0)
-    f = ufuncs(theta)
-    v1 = ps.R * (f.cos(theta) + 1j * f.sin(theta))
-    w = inc - v1
-    reach = length(w)
-    # only when d rounds to R (r/R below 1e-16)
-    guard.check(reach <= 0.0, ValueError, "first vertex on the incircle center")
-    # sine and cosine of the half angle between the two tangents
-    sin_half = f.minimum(1.0, ps.r / reach)
-    cos_half = f.sqrt(1.0 - sin_half * sin_half)
-    # unit directions of the tangents: w / reach turned by +-half
-    ex, ey = w.real * (1.0 / reach), w.imag * (1.0 / reach)
-    v2, v3 = (
-        v1 + (-2.0 * dot(v1, u)) * u
-        for u in (
-            (ex * cos_half - ey * sin_half) + 1j * (ey * cos_half + ex * sin_half),
-            (ex * cos_half + ey * sin_half) + 1j * (ey * cos_half - ex * sin_half),
+        The two tangents from the vertex to the incircle meet the
+        circumcircle again at the other two vertices; tangency of the
+        third side then holds by the Poncelet porism and is verified
+        (ClosureFailure).  ``theta`` is a number (``guard`` RAISE) or an
+        array (``guard`` a Skips).
+        """
+        inc = complex(self.d, 0.0)
+        f = ufuncs(theta)
+        v1 = self.R * (f.cos(theta) + 1j * f.sin(theta))
+        w = inc - v1
+        reach = length(w)
+        # only when d rounds to R (r/R below 1e-16)
+        guard.check(reach <= 0.0, ValueError, "first vertex on the incircle center")
+        # sine and cosine of the half angle between the two tangents
+        sin_half = f.minimum(1.0, self.r / reach)
+        cos_half = f.sqrt(1.0 - sin_half * sin_half)
+        # unit directions of the tangents: w / reach turned by +-half
+        ex, ey = w.real * (1.0 / reach), w.imag * (1.0 / reach)
+        v2, v3 = (
+            v1 + (-2.0 * dot(v1, u)) * u
+            for u in (
+                (ex * cos_half - ey * sin_half) + 1j * (ey * cos_half + ex * sin_half),
+                (ex * cos_half + ey * sin_half) + 1j * (ey * cos_half - ex * sin_half),
+            )
         )
-    )
-    # distance of the incircle center from the third side, minus r, times |v2 v3|
-    side = length(v3 - v2)
-    guard.check(abs(abs(cross(v3 - v2, inc - v2)) - ps.r * side) > 1e-9 * ps.R * side,
-                ClosureFailure, "third side misses the incircle")
-    out = Tri(v1, v2, v3)
-    guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
-    return out
+        # distance of the incircle center from the third side, minus r, times |v2 v3|
+        side = length(v3 - v2)
+        guard.check(abs(abs(cross(v3 - v2, inc - v2)) - self.r * side) > 1e-9 * self.R * side,
+                    ClosureFailure, "third side misses the incircle")
+        out = Tri(v1, v2, v3)
+        guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
+        return out
 
 
 def poristic_triangle(ps: PoristicShape, theta: float) -> Triangle:
     """Family member with first vertex at angle theta on the circumcircle."""
-    return Triangle.from_tri(poristic_of(ps, theta, RAISE))
+    return Triangle.from_tri(ps.family(theta, RAISE))
 
 
 def poristic_cb_aspect(ps: PoristicShape) -> float:
@@ -216,20 +215,17 @@ def focal_profile(shape: BilliardShape, n: int = 720) -> FocalProfile:
     """FocalSamples over the quarter of the family grid in t in (0, pi/2).
 
     Parameters within 1e-3 rad of the isosceles endpoints are excluded
-    (the hyperbolas degenerate there).  Samples whose hyperbola
-    degenerates are skipped and reported; the first such failure is
-    raised only when no sample is left.
+    (the hyperbolas degenerate there).  Refused samples are skipped and
+    reported, as by ``loci.sweep_locus``.
     """
     t = sample_grid(n) / 4
     t = t[(t >= 1e-3) & (0.5 * math.pi - t >= 1e-3)]
-    fam = orbit(shape, t)
     skips = Skips(t.size)
     with np.errstate(all="ignore"):
-        feuerbach = focal_length(feuerbach_hyperbola(fam.tri, skips), skips)
-        jerabek = focal_length(jerabek_excentral(fam.tri, skips), skips)
-    keep = skips.valid
-    if not keep.any():
-        skips.raise_first()
+        v = orbit(shape, t, skips).tri
+        feuerbach = focal_length(feuerbach_hyperbola(v, skips), skips)
+        jerabek = focal_length(jerabek_excentral(v, skips), skips)
+    keep = skips.kept(MIN_SAMPLES)
     return FocalProfile(np.column_stack((t, feuerbach, jerabek))[keep], skips.skipped(t))
 
 

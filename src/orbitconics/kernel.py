@@ -313,6 +313,14 @@ class Skips:
             exc, message = self.failures[self.code[bad[0]]]
             raise exc(message)
 
+    def kept(self, minimum: int):
+        """The validity mask; else the first failure (or ValueError) if fewer than minimum."""
+        keep = self.valid
+        if keep.sum() < minimum:
+            self.raise_first()
+            raise ValueError(f"need at least {minimum} samples")
+        return keep
+
 
 class Tri:
     """Triangle with complex vertices: numbers for one, arrays for a stack.

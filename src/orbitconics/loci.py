@@ -1,16 +1,18 @@
 """Center-locus sweeps, zero-centered ellipse fits, invariant reports.
 
-A locus is sampled on a uniform parameter grid offset by half a step
-(so exact isosceles configurations, where several derived conics
-degenerate, are never hit).  Classification fits the two-parameter
-model A x^2 + B y^2 = 1 by least squares; the verdict compares the rms
-algebraic residual against the mean sample radius.
+A sweep samples a shape's triangle family (``shape.family``) on a
+uniform parameter grid offset by half a step (so exact isosceles
+configurations, where several derived conics degenerate, are never
+hit), and skips and counts refused samples (``Skips.kept``).
+Classification fits the two-parameter model A x^2 + B y^2 = 1 by
+least squares; the verdict compares the rms algebraic residual against
+the mean sample radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -70,28 +72,17 @@ class LocusSweep:
     skipped: list[tuple[float, str]] = field(default_factory=list)
 
 
-def _require_samples(n: int) -> None:
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+def sweep_locus(shape, center_id, derived: str | None = None, n: int = 720) -> LocusSweep:
+    """Positions of a center over the family of ``shape`` (any shape with ``family``).
 
-
-def sweep_locus(
-    shape: BilliardShape,
-    center_id,
-    derived: str | None = None,
-    n: int = 720,
-) -> LocusSweep:
-    """Positions of a center over the orbit family.
-
-    ``center_id`` is a supported Kimberling index, the orthic-center
-    selector, or the string "vertices" to collect the (derived)
-    triangle's vertices themselves.  Samples whose derived construction
-    degenerates are skipped and reported.
+    ``center_id`` is a supported Kimberling index, the orthic-center selector,
+    or the string "vertices" to collect the (derived) triangle's vertices
+    themselves.  Refused samples are skipped and reported.
     """
-    _require_samples(n)
-    fam = orbit(shape, sample_grid(n))
-    v, skips = fam.tri, Skips(n)
+    skips = Skips(n)
     with np.errstate(all="ignore"):
+        fam = orbit(shape, sample_grid(n), skips)
+        v = fam.tri
         if center_id == "vertices":
             target = centers.derived_of(v, derived, skips) if derived else v
             z = np.stack(target.vertices, axis=1)
@@ -100,7 +91,7 @@ def sweep_locus(
             z = centers.center_of(v, center_id, skips)[:, None]
         else:
             z = centers.center_of(centers.derived_of(v, derived, skips), center_id, skips)[:, None]
-    keep = skips.valid
+    keep = skips.kept(MIN_SAMPLES)
     per_sample = z.shape[1]
     classes = ArrayView(np.repeat(fam.codes[keep], per_sample), SHAPE_CLASSES.__getitem__)
     return LocusSweep(Points(z[keep].ravel()), np.repeat(fam.t[keep], per_sample).tolist(),
@@ -114,7 +105,8 @@ def fit_locus(samples) -> LocusFitReport:
     sequence of Points or (x, y) pairs.
     """
     pts = Points.of(samples)
-    _require_samples(len(pts))
+    if len(pts) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     x, y = pts.array.real, pts.array.imag
     x2, y2 = x * x, y * y
     # normal equations [[sxx, sxy], [sxy, syy]] (A, B) = (sx, sy) by Cramer's rule,
@@ -195,21 +187,14 @@ def fit_by_shape_class(sweep: LocusSweep) -> dict[str, LocusFitReport]:
 @dataclass(frozen=True)
 class QuantityStats:
     name: str
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     spread: float
     tolerance: float
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "min": self.minimum,
-            "max": self.maximum,
-            "spread": self.spread,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -217,6 +202,7 @@ class InvariantReport:
     a: float
     b: float
     n: int
+    n_skipped: int
     rho_closed_form: float
     rho_mean: float
     entries: list[QuantityStats]
@@ -230,6 +216,7 @@ class InvariantReport:
             "a": self.a,
             "b": self.b,
             "n": self.n,
+            "n_skipped": self.n_skipped,
             "rho_closed_form": self.rho_closed_form,
             "rho_mean": self.rho_mean,
             "all_passed": self.all_passed,
@@ -252,25 +239,23 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     Checks the perimeter, the inradius-to-circumradius ratio (against
     its closed form), the stationarity of the Mittenpunkt, and the
     constancy and axis alignment of the anticomplementary and medial
-    circumbilliards.  Raises the failure of the first sample on which a
-    construction fails.
+    circumbilliards, on the samples ``Skips.kept`` keeps.
     """
-    _require_samples(n)
-    fam = orbit(shape, sample_grid(n))
-    v, skips = fam.tri, Skips(n)
+    skips = Skips(n)
     with np.errstate(all="ignore"):
+        v = orbit(shape, sample_grid(n), skips).tri
         x9n = abs(centers.center_of(v, 9, skips))
-        _, act_major, act_minor, act_angle = ellipse_axes(
-            circumbilliard_of(centers.derived_of(v, "act", skips)), skips)
-        _, med_major, med_minor, med_angle = ellipse_axes(
-            circumbilliard_of(centers.derived_of(v, "medial", skips)), skips)
-    skips.raise_first()
-    rho = v.inradius() / v.circumradius()
+        act = ellipse_axes(circumbilliard_of(centers.derived_of(v, "act", skips)), skips)
+        med = ellipse_axes(circumbilliard_of(centers.derived_of(v, "medial", skips)), skips)
+        rows = np.stack([v.perimeter(), v.inradius() / v.circumradius(), x9n, *act[1:], *med[1:]])
+    keep = skips.kept(MIN_SAMPLES)
+    (perimeter, rho, x9n, act_major, act_minor, act_angle,
+     med_major, med_minor, med_angle) = rows[:, keep]
     ang = np.concatenate([act_angle, med_angle]) % math.pi
     angles = np.minimum(ang, math.pi - ang)
     rho_form = inradius_to_circumradius(shape)
     entries = [
-        _rel_spread_stats("perimeter", v.perimeter(), 1e-9),
+        _rel_spread_stats("perimeter", perimeter, 1e-9),
         _rel_spread_stats("inradius_to_circumradius", rho, 1e-9),
         _bounded("rho_matches_closed_form", float(np.min(rho)) - rho_form,
                  float(np.max(rho)) - rho_form, abs(float(np.mean(rho)) - rho_form), 1e-9),
@@ -282,6 +267,46 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
         _rel_spread_stats("medial_cb_semi_minor", med_minor, 1e-9),
         _bounded("cb_axis_alignment", 0.0, float(np.max(angles)), float(np.max(angles)), 1e-9),
     ]
-    return InvariantReport(
-        shape.a, shape.b, n, rho_form, float(np.mean(rho)), entries
-    )
+    return InvariantReport(shape.a, shape.b, n, int(n - keep.sum()), rho_form,
+                           float(np.mean(rho)), entries)
+
+
+@dataclass(frozen=True)
+class PoristicReport:
+    r: float
+    R: float
+    n: int
+    n_skipped: int
+    aspect_mean: float
+    aspect_spread_rel: float
+    closed_form: float
+    closed_form_abs_diff: float
+    mittenpunkt_circle: dict | None
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def poristic_report(ps, n: int = 360) -> PoristicReport:
+    """Circumbilliard aspect and Mittenpunkt circle over the family of a ``PoristicShape``.
+
+    The circle is None where ``fit_circle`` refuses it, as at R = 2r.
+    """
+    from .conic_invariants import poristic_cb_aspect
+
+    skips = Skips(n)
+    with np.errstate(all="ignore"):
+        v = orbit(ps, sample_grid(n), skips).tri
+        _, semi_major, semi_minor, _ = ellipse_axes(circumbilliard_of(v), skips)
+        x9 = centers.center_of(v, 9, skips)
+    keep = skips.kept(MIN_SAMPLES)
+    aspects = semi_major[keep] / semi_minor[keep]
+    try:
+        fit = fit_circle(Points(x9[keep]))
+        circle = {"center": [fit.center.x, fit.center.y], "radius": fit.radius, "rms": fit.rms}
+    except IllConditioned:
+        circle = None
+    mean, closed = float(aspects.mean()), poristic_cb_aspect(ps)
+    return PoristicReport(ps.r, ps.R, n, int(n - keep.sum()), mean,
+                          float((aspects.max() - aspects.min()) / aspects.mean()),
+                          closed, abs(mean - closed), circle)

@@ -389,3 +389,51 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_text_atomic(str(tmp_path / "new.txt"), "\ud800")
     assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real.name)
+    argv = ["family", "--a", "1.5", "--b", "1", "--n", "8"]
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert main(argv) == 0
+    assert real.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_out_through_a_dangling_symlink_creates_its_target(tmp_path):
+    link = tmp_path / "link.txt"
+    link.symlink_to("made.txt")
+    write_text_atomic(str(link), "new")
+    assert link.is_symlink()
+    assert (tmp_path / "made.txt").read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "made.txt"]
+
+
+@pytest.mark.parametrize("fit", [["--fit"], []], ids=["fit", "dump"])
+def test_sweep_with_too_few_kept_samples_exit_2_and_writes_nothing(capsys, tmp_path, fit):
+    # a/b puts 4 of the 8 grid orbits on right triangles, whose orthic collapses;
+    # the sweep itself refuses, so a plain dump of the 4 kept points fails too
+    out = tmp_path / "f.csv"
+    code, stdout, err = run_cli(capsys, [
+        "locus", "--a", "1.4156328339036535", "--b", "1", "--center", "X4",
+        "--derived", "orthic", "--n", "8", *fit, "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"] == "RightTriangle"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--a", "1.5", "--b", "1", "--n", "16"],
+    ["poristic", "--r", "0.3625", "--R", "1", "--n", "16"],
+], ids=lambda argv: argv[0])
+def test_reports_count_their_skipped_samples(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    keys = list(payload)
+    assert keys[keys.index("n") + 1] == "n_skipped"
+    assert payload["n_skipped"] == 0

@@ -40,8 +40,10 @@ from orbitconics import (
     poristic_triangle,
     solve_circumconic,
     solve_inconic,
+    sweep_locus,
     x3_inconic_ratio,
 )
+from orbitconics.loci import poristic_report, sample_grid
 
 SHAPE = BilliardShape(1.5, 1.0)
 
@@ -104,6 +106,27 @@ def test_poristic_mittenpunkt_locus_circular():
     ps = PoristicShape(0.3625, 1.0)
     pts = [center(poristic_triangle(ps, th), 9) for th in grid(90)]
     assert fit_circle(pts).rms <= 1e-7 * ps.R
+
+
+def test_batched_poristic_sweep_matches_the_scalar_centers():
+    ps = PoristicShape(0.3625, 1.0)
+    sweep = sweep_locus(ps, 9, n=90)
+    assert not sweep.skipped
+    assert sweep.t_values == sample_grid(90).tolist()
+    for p, th in zip(sweep.points, sweep.t_values):
+        assert p.dist(center(poristic_triangle(ps, th), 9)) <= 1e-12 * ps.R
+    assert fit_circle(sweep.points).rms <= 1e-7 * ps.R
+
+
+def test_poristic_report_matches_the_scalar_aspects():
+    ps = PoristicShape(0.3625, 1.0)
+    report = poristic_report(ps, n=60)
+    aspects = [circumbilliard(poristic_triangle(ps, th)).aspect for th in grid(60)]
+    mean = float(np.mean(aspects))
+    assert report.n_skipped == 0
+    assert abs(report.aspect_mean - mean) <= 1e-12
+    assert abs(report.aspect_spread_rel - (max(aspects) - min(aspects)) / mean) <= 1e-12
+    assert report.closed_form == poristic_cb_aspect(ps)
 
 
 @pytest.mark.parametrize("r, refused", [

@@ -132,3 +132,14 @@ def test_skips_keep_the_first_failure_per_sample():
                                                    "RightTriangle"]
     with pytest.raises(DegenerateTriangle, match="second"):
         skips.raise_first()
+    # kept: the mask when enough samples are valid, else the first failure
+    with pytest.raises(DegenerateTriangle, match="second"):
+        skips.kept(1)
+    assert skips.kept(0).tolist() == [False, False, False]
+    mixed = Skips(4)
+    mixed.check([False, True, False, True], RightTriangle, "odd")
+    assert mixed.kept(2).tolist() == [True, False, True, False]
+    with pytest.raises(RightTriangle, match="odd"):
+        mixed.kept(3)
+    with pytest.raises(ValueError, match="need at least 5 samples"):
+        Skips(4).kept(5)

@@ -33,3 +33,26 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: Names whose import would put sweep code back into the CLI, which calls the library's sweeps.
+SWEEP_CODE = {"numpy", "Skips", "sample_grid", "ellipse_axes"}
+
+
+def imported_names(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def test_the_sweep_check_sees_a_sweep_import():
+    source = "def f():\n    import numpy.linalg\n    from .kernel import Skips as S\n"
+    assert imported_names(source) & SWEEP_CODE == {"numpy", "Skips"}
+
+
+def test_the_cli_has_no_sweep_code():
+    assert imported_names((PACKAGE / "cli.py").read_text()) & SWEEP_CODE == set()

@@ -5,21 +5,24 @@ import pytest
 
 from orbitconics import (
     BilliardShape,
+    DegenerateTriangle,
     IllConditioned,
     InvalidShape,
     Point,
     Points,
+    PoristicShape,
     RightTriangle,
     Verdict,
     fit_by_shape_class,
     fit_locus,
+    focal_profile,
     invariant_report,
     orbit,
     orthic,
     right_angle_vertex,
     sweep_locus,
 )
-from orbitconics.loci import sample_grid
+from orbitconics.loci import poristic_report, sample_grid
 
 SHAPE = BilliardShape(1.5, 1.0)
 
@@ -244,3 +247,52 @@ def test_shape_class_fits_leave_out_an_undetermined_piece():
     with pytest.raises(IllConditioned):
         fit_locus(acute)
     assert sorted(fit_by_shape_class(sweep)) == ["obtuse"]
+
+
+class _Refusing:
+    """``shape`` with a family that refuses the samples at the indices ``bad``."""
+
+    def __init__(self, shape, bad):
+        self.shape, self.bad = shape, bad
+
+    def __getattr__(self, name):
+        return getattr(self.shape, name)
+
+    def family(self, t, guard):
+        guard.check(np.isin(np.arange(t.size), self.bad), DegenerateTriangle, "refused")
+        return self.shape.family(t, guard)
+
+
+SWEEPS = {
+    "sweep_locus": (SHAPE, lambda s, n: [t for t, _ in sweep_locus(s, 7, n=n).skipped]),
+    "poristic sweep_locus": (PoristicShape(0.3625, 1.0),
+                             lambda s, n: [t for t, _ in sweep_locus(s, 9, n=n).skipped]),
+    "invariant_report": (SHAPE, lambda s, n: invariant_report(s, n).n_skipped),
+    "poristic_report": (PoristicShape(0.3625, 1.0), lambda s, n: poristic_report(s, n).n_skipped),
+    "focal_profile": (SHAPE, lambda s, n: [t for t, _ in focal_profile(s, n).skipped]),
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_every_sweep_skips_and_counts_refused_samples(name):
+    shape, skipped = SWEEPS[name]
+    got = skipped(_Refusing(shape, [0, 5]), 16)
+    grid = sample_grid(16) / (4 if name == "focal_profile" else 1)
+    assert got == (2 if isinstance(got, int) else grid[[0, 5]].tolist())
+    assert skipped(shape, 16) in (0, [])
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_every_sweep_raises_the_first_refusal_below_the_minimum(name):
+    shape, skipped = SWEEPS[name]
+    with pytest.raises(DegenerateTriangle, match="refused"):
+        skipped(_Refusing(shape, list(range(3, 12))), 16)
+
+
+@pytest.mark.parametrize("n", [0, 7])
+@pytest.mark.parametrize("name", SWEEPS)
+def test_every_sweep_refuses_fewer_than_8_samples_before_sampling(name, n):
+    # every sample of the family would be refused, so only the argument check can answer
+    shape, skipped = SWEEPS[name]
+    with pytest.raises(ValueError, match="need at least 8 samples"):
+        skipped(_Refusing(shape, list(range(n))), n)
