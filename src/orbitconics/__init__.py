@@ -29,16 +29,14 @@ _LAZY_EXPORTS = {
     "billiard": (
         "BilliardShape", "Family", "OrbitSample", "ShapeClass", "caustic", "classify_orbit",
         "classify_triangle", "equilateral_orthic_threshold", "inradius_to_circumradius",
-        "isosceles_dimensions", "obtuse_threshold", "orbit", "orthic_center_transition",
-        "right_angle_vertex",
+        "obtuse_threshold", "orbit", "orthic_center_transition", "right_angle_vertex",
     ),
     "centers": (
         "ORTHIC_CB_CENTER", "SUPPORTED_CENTERS", "act", "center", "derived_triangle",
-        "excentral", "medial", "orthic", "orthic_cb_center", "trilinear_to_cartesian",
+        "excentral", "medial", "orthic", "orthic_cb_center",
     ),
     "circumbilliard": (
-        "CircumbilliardResult", "circumbilliard", "derived_cb", "intouch_points",
-        "intouch_superposition_check", "reflection_residual",
+        "CircumbilliardResult", "circumbilliard", "derived_cb", "reflection_residual",
     ),
     "conic_invariants": (
         "FocalProfile", "FocalSample", "PoristicShape", "billiard_intersections",
@@ -48,9 +46,8 @@ _LAZY_EXPORTS = {
     ),
     "kernel": (
         "Conic", "ConicClass", "EllipseParams", "Point", "Points", "Skips", "Tri", "Triangle",
-        "classify_conic", "conic_center", "conic_eval", "conic_to_ellipse_params",
-        "ellipse_to_conic", "focal_length", "line_conic_tangency_residual", "solve_circumconic",
-        "solve_inconic",
+        "classify_conic", "conic_center", "conic_eval", "conic_to_ellipse_params", "focal_length",
+        "line_conic_tangency_residual", "solve_circumconic", "solve_inconic",
     ),
     "loci": (
         "CircleFit", "InvariantReport", "LocusFitReport", "LocusSweep", "Verdict",

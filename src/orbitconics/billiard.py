@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 
 from . import centers
 from .errors import DegenerateTriangle, InvalidShape
-from .kernel import Conic, EllipseParams, Point, Skips, Tri, Triangle, is_array, ufuncs, where
+from .kernel import (RAISE, Conic, EllipseParams, Point, Skips, Tri, Triangle, complex_of, is_array,
+                     ufuncs, where)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,12 +84,9 @@ class BilliardShape:
         return Conic(1.0 / self.a**2, 0.0, 1.0 / self.b**2, 0.0, 0.0, -1.0)
 
     def family(self, t, guard) -> Tri:
-        """Orbit triangles at the parameter array t, refused through the Skips ``guard``."""
-        import numpy as np
-
-        z = np.stack(_orbit_vertices(self, t), axis=-1).view(complex)
-        guard.check(~np.isfinite(z).all(axis=-1), ValueError, "non-finite orbit vertex")
-        tri = Tri(z[:, 0], z[:, 1], z[:, 2])
+        """Orbit triangles at t, a number (``guard`` RAISE) or an array (``guard`` a Skips)."""
+        tri = Tri(*_orbit_vertices(self, t))
+        guard.check(tri.nonfinite(), ValueError, "non-finite orbit vertex")
         guard.check(tri.thin(), DegenerateTriangle, "orbit triangle area below tolerance")
         return tri
 
@@ -156,7 +154,7 @@ def classify_triangle(t: Triangle) -> ShapeClass:
 
 
 def _orbit_vertices(shape: BilliardShape, t):
-    """Vertex coordinates (x1, y1, x2, y2, x3, y3) of the orbit at t.
+    """The three complex vertices of the orbit at t.
 
     ``t`` is a number or an array (see ``kernel.ufuncs``).  The
     normals n of the two sides through p1 = (x, y) make them tangent to
@@ -181,23 +179,24 @@ def _orbit_vertices(shape: BilliardShape, t):
         partners.append((qx, qy, forward))
     (qx, qy, fq), (sx, sy, fs) = partners
     swap = fs < fq
-    return (x, y, where(swap, sx, qx), where(swap, sy, qy), where(swap, qx, sx), where(swap, qy, sy))
+    return (complex_of(x, y), complex_of(where(swap, sx, qx), where(swap, sy, qy)),
+            complex_of(where(swap, qx, sx), where(swap, qy, sy)))
 
 
 def orbit(shape: BilliardShape, t, skips: Skips | None = None):
-    """Orbit triangle with first vertex at (a cos t, b sin t).
+    """Member of the family of ``shape`` (any shape with ``family``) at parameter t.
 
-    The second vertex is the nearer bounce in increasing boundary
-    parameter, the third the farther one, so the vertices wind
-    counterclockwise for every t.  For a sequence or array of parameters
-    the whole ``Family`` of any shape with ``family`` is built at once;
-    its refused members are recorded in ``skips`` when one is given,
-    else the failure of the first is raised.
+    For a ``BilliardShape`` the orbit triangle with first vertex at
+    (a cos t, b sin t): the second vertex is the nearer bounce in
+    increasing boundary parameter, the third the farther one, so the
+    vertices wind counterclockwise for every t.  One number gives an
+    ``OrbitSample``.  A sequence or array of parameters gives the whole
+    ``Family`` at once; its refused members are recorded in ``skips``
+    when one is given, else the failure of the first is raised.
     """
     if not isinstance(t, Sequence) and not (is_array(t) and t.ndim > 0):
-        x1, y1, x2, y2, x3, y3 = _orbit_vertices(shape, t)
-        tri = Triangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
-        return OrbitSample(t, tri, classify_triangle(tri))
+        tri = shape.family(t, RAISE)
+        return OrbitSample(t, Triangle.from_tri(tri), SHAPE_CLASSES[tri.shape_code()])
     import numpy as np
 
     t = np.asarray(t, dtype=float)
@@ -252,16 +251,6 @@ def orthic_center_transition(shape: BilliardShape) -> Point:
     t = math.atan2(p.y / shape.b, p.x / shape.a)
     v = orbit(shape, t).triangle.tri
     return Point.from_complex(centers.altitude_midpoint(*centers.vertices_by_largest_angle(v)))
-
-
-def isosceles_dimensions(shape: BilliardShape) -> tuple[float, float]:
-    """Base half-width and height of the upright isosceles orbit, in b = 1 units."""
-    al = shape.alpha
-    al2 = al * al
-    dn = math.sqrt(al2 * al2 - al2 + 1.0)
-    s_eq = al2 / (al2 - 1.0) * math.sqrt(2.0 * dn - al2 - 1.0)
-    h = (al2 + dn + 1.0) / (al2 + dn)
-    return s_eq, h
 
 
 def inradius_to_circumradius(shape: BilliardShape) -> float:

@@ -49,11 +49,6 @@ def _point_of(v: Tri, tri, guard):
     return (w1 * v.p1 + w2 * v.p2 + w3 * v.p3) * (1.0 / den)
 
 
-def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:
-    """Cartesian position of homogeneous trilinears (t1 : t2 : t3)."""
-    return Point.from_complex(_point_of(t.tri, tri, RAISE))
-
-
 def _sines(cos_a, cos_b, cos_c):
     f = ufuncs(cos_a)
     return tuple(f.sqrt(f.maximum(1.0 - c * c, 0.0)) for c in (cos_a, cos_b, cos_c))
@@ -80,9 +75,9 @@ def _direct_trilinears(v: Tri, index: int, guard):
     if index == 10:
         return ((s2 + s3) / s1, (s3 + s1) / s2, (s1 + s2) / s3)
     if index == 1156:
-        d1 = (s2 - s3) ** 2 + s1 * (s2 + s3 - 2 * s1)
-        d2 = (s3 - s1) ** 2 + s2 * (s3 + s1 - 2 * s2)
-        d3 = (s1 - s2) ** 2 + s3 * (s1 + s2 - 2 * s3)
+        d1 = (s2 - s3) * (s2 - s3) + s1 * (s2 + s3 - 2 * s1)
+        d2 = (s3 - s1) * (s3 - s1) + s2 * (s3 + s1 - 2 * s2)
+        d3 = (s1 - s2) * (s1 - s2) + s3 * (s1 + s2 - 2 * s3)
         guard.check((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0), UndefinedForShape,
                     "X1156 is undefined for an equilateral triangle")
         return (1.0 / d1, 1.0 / d2, 1.0 / d3)

@@ -14,19 +14,8 @@ import math
 from dataclasses import dataclass
 
 from . import centers
-from .billiard import BilliardShape, orbit
 from .centers import derived_triangle
-from .kernel import (
-    Conic,
-    EllipseParams,
-    Point,
-    Tri,
-    Triangle,
-    circumconic_of,
-    conic_eval,
-    conic_to_ellipse_params,
-    perp_foot,
-)
+from .kernel import Conic, EllipseParams, Point, Tri, Triangle, circumconic_of, conic_to_ellipse_params
 
 DERIVED_TRIANGLES = ("excentral", "act", "medial", "orthic")
 
@@ -89,35 +78,3 @@ def reflection_residual(conic: Conic, t: Triangle) -> float:
         bis = bis / bis.norm()
         worst = max(worst, math.asin(min(1.0, abs(bis.cross(g)))))
     return worst
-
-
-def intouch_points(t: Triangle) -> tuple[Point, Point, Point]:
-    """Incircle tangency points, as perpendicular feet from the incenter."""
-    inc = centers.center(t, 1).z
-    p1, p2, p3 = t.tri.vertices
-    return tuple(
-        Point.from_complex(perp_foot(inc, q, r)) for q, r in ((p2, p3), (p3, p1), (p1, p2))
-    )
-
-
-@dataclass(frozen=True)
-class SuperpositionReport:
-    act_on_billiard: float
-    reference_on_medial_cb: float
-
-
-def intouch_superposition_check(shape: BilliardShape, t: float) -> SuperpositionReport:
-    """Residuals of two superposition facts for the orbit at parameter t.
-
-    The intouch points of the anticomplementary triangle lie on the
-    billiard boundary, and the intouch points of the orbit itself lie
-    on the medial triangle's circumbilliard.
-    """
-    tri = orbit(shape, t).triangle
-    act_touch = intouch_points(centers.act(tri))
-    res_act = max(abs(shape.boundary_value(p)) for p in act_touch)
-    medial_cb = derived_cb(tri, "medial").conic
-    res_med = max(
-        abs(conic_eval(medial_cb, p)) / medial_cb.coeff_norm() for p in intouch_points(tri)
-    )
-    return SuperpositionReport(res_act, res_med)

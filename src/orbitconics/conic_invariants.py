@@ -27,6 +27,7 @@ from .kernel import (
     Tri,
     Triangle,
     conic_eval,
+    conic_form,
     cross,
     dot,
     focal_length,
@@ -72,8 +73,9 @@ class PoristicShape:
         The two tangents from the vertex to the incircle meet the
         circumcircle again at the other two vertices; tangency of the
         third side then holds by the Poncelet porism and is verified
-        (ClosureFailure).  ``theta`` is a number (``guard`` RAISE) or an
-        array (``guard`` a Skips).
+        (ClosureFailure).  A non-finite vertex is refused (ValueError) as
+        by ``BilliardShape.family``.  ``theta`` is a number (``guard``
+        RAISE) or an array (``guard`` a Skips).
         """
         inc = complex(self.d, 0.0)
         f = ufuncs(theta)
@@ -94,11 +96,12 @@ class PoristicShape:
                 (ex * cos_half + ey * sin_half) + 1j * (ey * cos_half - ex * sin_half),
             )
         )
+        out = Tri(v1, v2, v3)
+        guard.check(out.nonfinite(), ValueError, "non-finite orbit vertex")
         # distance of the incircle center from the third side, minus r, times |v2 v3|
-        side = length(v3 - v2)
+        side = out.s1
         guard.check(abs(abs(cross(v3 - v2, inc - v2)) - self.r * side) > 1e-9 * self.R * side,
                     ClosureFailure, "third side misses the incircle")
-        out = Tri(v1, v2, v3)
         guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
         return out
 
@@ -239,16 +242,13 @@ def count_interior_maxima(values) -> int:
 def billiard_intersections(shape: BilliardShape, hyp: Conic) -> list[Point]:
     """Real intersections of the hyperbola with the billiard boundary.
 
-    Finds the sign changes of the hyperbola form on a boundary grid of
-    INTERSECTION_GRID points, evaluated as one array, and refines each
-    bracket by bisection.
+    Finds the sign changes of the hyperbola form (``kernel.conic_form``)
+    on a boundary grid of INTERSECTION_GRID points, evaluated as one
+    array, and refines each bracket by bisection through the same form.
     """
     grid = INTERSECTION_GRID
     ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    A, B, C, D, E, F = hyp.coeffs
-    x, y = shape.a * np.cos(ts) - hyp.anchor.real, shape.b * np.sin(ts) - hyp.anchor.imag
-    # conic_eval's arithmetic, in its order, on the whole grid
-    vals = A * x * x + 2 * B * x * y + C * y * y + 2 * D * x + 2 * E * y + F
+    vals = conic_form(hyp, shape.a * np.cos(ts), shape.b * np.sin(ts))
     points = []
     for i in np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0)).tolist():
         lo = float(ts[i])

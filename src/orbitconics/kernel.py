@@ -18,7 +18,8 @@ Every conic is a ``Conic``: the six coefficients of
 
     A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0
 
-in coordinates relative to an anchor point.  Circumconics are closed
+in coordinates relative to an anchor point; ``conic_form`` evaluates it
+at numbers or arrays of coordinates.  Circumconics are closed
 forms: a symmetric barycentric matrix mapped through the sidelines
 (``circumconic_of``).  An inconic with a prescribed center is obtained
 in the dual plane and mapped back through the adjugate.  Center,
@@ -196,6 +197,15 @@ def length(d):
     return np.hypot(d.real, d.imag)
 
 
+def complex_of(x, y):
+    """x + iy with both parts kept bit for bit, signed zeros too; numbers or arrays."""
+    if not is_array(x):
+        return complex(x, y)
+    import numpy as np
+
+    return np.stack((x, y), axis=-1).view(complex)[..., 0]
+
+
 def is_array(x) -> bool:
     """Whether x is a numpy array, asked without importing numpy: before that, no array exists."""
     np = sys.modules.get("numpy")
@@ -339,13 +349,6 @@ class Tri:
         self.s1, self.s2, self.s3 = length(p2 - p3), length(p3 - p1), length(p1 - p2)
         self.area = 0.5 * abs(cross(p2 - p1, p3 - p1))
 
-    @classmethod
-    def stack(cls, triangles) -> "Tri":
-        import numpy as np
-
-        z = np.array([t.tri.vertices for t in triangles])
-        return cls(z[:, 0], z[:, 1], z[:, 2])
-
     @property
     def vertices(self):
         return (self.p1, self.p2, self.p3)
@@ -368,6 +371,11 @@ class Tri:
 
     def perimeter(self):
         return self.s1 + self.s2 + self.s3
+
+    def nonfinite(self):
+        """Whether a vertex is nan or infinite, read off the perimeter (numbers or arrays)."""
+        s = self.perimeter()
+        return (s != s) | (s == math.inf)
 
     def inradius(self):
         return self.area / (0.5 * self.perimeter())
@@ -463,17 +471,6 @@ class EllipseParams:
     @property
     def aspect(self) -> float:
         return self.semi_major / self.semi_minor
-
-    def axis_endpoints(self) -> list[Point]:
-        ca, sa = math.cos(self.axis_angle), math.sin(self.axis_angle)
-        u = Point(ca, sa)
-        v = Point(-sa, ca)
-        return [
-            self.center + self.semi_major * u,
-            self.center - self.semi_major * u,
-            self.center + self.semi_minor * v,
-            self.center - self.semi_minor * v,
-        ]
 
 
 class Triangle:
@@ -573,11 +570,16 @@ class Triangle:
         return max(self.sidelengths())
 
 
+def conic_form(q: Conic, x, y):
+    """Value of A x^2 + 2B xy + C y^2 + 2D x + 2E y + F at the point (x, y); numbers or arrays."""
+    A, B, C, D, E, F = q.coeffs
+    x, y = x - q.anchor.real, y - q.anchor.imag
+    return A * x * x + 2 * B * x * y + C * y * y + 2 * D * x + 2 * E * y + F
+
+
 def conic_eval(conic: Conic, p: Point) -> float:
     """Value of A x^2 + 2B xy + C y^2 + 2D x + 2E y + F at p."""
-    A, B, C, D, E, F = conic.coeffs
-    x, y = p.x - conic.anchor.real, p.y - conic.anchor.imag
-    return A * x * x + 2 * B * x * y + C * y * y + 2 * D * x + 2 * E * y + F
+    return conic_form(conic, p.x, p.y)
 
 
 def largest(*xs):
@@ -689,7 +691,7 @@ def ellipse_axes(q: Conic, guard):
     K = K * sign
     guard.check(K <= 0.0, NotAnEllipse, "conic has no real points")
     f = ufuncs(K)
-    r = f.sqrt(0.25 * (A - C) ** 2 + B * B)
+    r = f.sqrt(0.25 * ((A - C) * (A - C)) + B * B)
     big = abs(m) + r
     semi_minor = f.sqrt(K / big)
     semi_major = semi_minor * f.sqrt(f.maximum(big * big / det, 1.0))
@@ -729,7 +731,7 @@ def focal_length(q: Conic, guard=RAISE):
     _, _, K = _center_and_level(q, det)
     f = ufuncs(K)
     m = 0.5 * (A + C)
-    big = f.sqrt(0.25 * (A - C) ** 2 + B * B) + abs(m)
+    big = f.sqrt(0.25 * ((A - C) * (A - C)) + B * B) + abs(m)
     return 2.0 * f.sqrt(abs(K) / where(m * f.sign(K) >= 0.0, big, -det / big))
 
 
@@ -750,16 +752,6 @@ def unresolved(q: Conic):
     # ulp (cofactors / |det3| + 2 (|A| + |C| + 2|B|) / |det|) / 2 > 1e-9, multiplied out
     return (0.5 * ulp * (cofactors * abs(det) + 2 * (abs(A) + abs(C) + 2 * abs(B)) * abs(det3))
             >= 1e-9 * abs(det3 * det))
-
-
-def ellipse_to_conic(params: EllipseParams) -> Conic:
-    """An ellipse given by its canonical parameters, anchored at its center."""
-    A, B = params.semi_major, params.semi_minor
-    ca, sa = math.cos(params.axis_angle), math.sin(params.axis_angle)
-    qxx = ca * ca / (A * A) + sa * sa / (B * B)
-    qyy = sa * sa / (A * A) + ca * ca / (B * B)
-    qxy = ca * sa * (1.0 / (A * A) - 1.0 / (B * B))
-    return Conic(qxx, qxy, qyy, 0.0, 0.0, -1.0, params.center.z)
 
 
 def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:

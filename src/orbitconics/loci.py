@@ -43,18 +43,15 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class LocusFitReport:
+    """``mean_radius`` is the mean distance of the samples from the origin."""
+
     samples: Points
     fit_A: float
     fit_B: float
     rms_residual: float
     verdict: Verdict
     fitted_axes: tuple[float, float] | None
-
-    @property
-    def mean_radius(self) -> float:
-        """Mean of ``Point.norm`` over the samples."""
-        z = self.samples.array
-        return float(np.mean(list(map(math.hypot, z.real.tolist(), z.imag.tolist()))))
+    mean_radius: float
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def fit_locus(samples) -> LocusFitReport:
     A, B = (sx * syy - sxy * sy) / det, (sxx * sy - sxy * sx) / det
     res = A * x2 + B * y2 - 1.0
     rms = float(np.sqrt(np.mean(res * res)))
-    mean_radius = float(np.mean(np.sqrt(x2 + y2)))
+    mean_radius = float(np.mean(np.hypot(x, y)))
     if A > 0.0 and B > 0.0:
         axes = (1.0 / math.sqrt(A), 1.0 / math.sqrt(B))
         if rms <= ELLIPTIC_RMS * mean_radius:
@@ -132,7 +129,7 @@ def fit_locus(samples) -> LocusFitReport:
     else:
         axes = None
         verdict = Verdict.NON_ELLIPTIC
-    return LocusFitReport(pts, float(A), float(B), rms, verdict, axes)
+    return LocusFitReport(pts, float(A), float(B), rms, verdict, axes, mean_radius)
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,39 @@ Everything here deliberately avoids the library's own construction
 paths: the orbit oracle iterates the raw reflection map and solves the
 closure condition by bisection, the extremal-radius search measures
 ellipse axes by brute force along rays, and the excentral inconic axes
-are computed in high-precision decimals.  The last two functions are
-references of another kind: the generic circumconic form and the
-point-by-point intersection loop that the library's written-out and
-array versions must equal bit for bit.
+are computed in high-precision decimals.  Then come references of
+another kind: the generic circumconic form and the point-by-point
+intersection loop that the library's written-out and array versions
+must equal bit for bit.  The helpers at the end build test inputs and
+check classical facts through the library (trilinears to Cartesians,
+canonical ellipse parameters to a conic, the upright isosceles orbit,
+intouch points and their superposition facts, stacked triangles); only
+the tests use them, so the package does not export them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from orbitconics import conic_eval
+from orbitconics import (
+    BilliardShape,
+    Conic,
+    EllipseParams,
+    Point,
+    Tri,
+    Triangle,
+    act,
+    center,
+    conic_eval,
+    derived_cb,
+    orbit,
+)
+from orbitconics.centers import _point_of
+from orbitconics.kernel import RAISE, perp_foot
 
 
 def reflection_map_orbit(a: float, b: float, t: float):
@@ -195,3 +214,79 @@ def billiard_intersections_pointwise(shape, hyp, grid: int = 4096):
                     lo, flo = mid, fm
             points.append(shape.boundary_point(0.5 * (lo + hi)))
     return points
+
+
+def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:
+    """Cartesian position of homogeneous trilinears (t1 : t2 : t3), by the library's weighting."""
+    return Point.from_complex(_point_of(t.tri, tri, RAISE))
+
+
+def ellipse_to_conic(params: EllipseParams) -> Conic:
+    """An ellipse given by its canonical parameters, anchored at its center."""
+    A, B = params.semi_major, params.semi_minor
+    ca, sa = math.cos(params.axis_angle), math.sin(params.axis_angle)
+    qxx = ca * ca / (A * A) + sa * sa / (B * B)
+    qyy = sa * sa / (A * A) + ca * ca / (B * B)
+    qxy = ca * sa * (1.0 / (A * A) - 1.0 / (B * B))
+    return Conic(qxx, qxy, qyy, 0.0, 0.0, -1.0, params.center.z)
+
+
+def axis_endpoints(params: EllipseParams) -> list[Point]:
+    """The four ends of the major and minor axes."""
+    ca, sa = math.cos(params.axis_angle), math.sin(params.axis_angle)
+    u = Point(ca, sa)
+    v = Point(-sa, ca)
+    return [
+        params.center + params.semi_major * u,
+        params.center - params.semi_major * u,
+        params.center + params.semi_minor * v,
+        params.center - params.semi_minor * v,
+    ]
+
+
+def isosceles_dimensions(shape: BilliardShape) -> tuple[float, float]:
+    """Base half-width and height of the upright isosceles orbit, in b = 1 units."""
+    al = shape.alpha
+    al2 = al * al
+    dn = math.sqrt(al2 * al2 - al2 + 1.0)
+    s_eq = al2 / (al2 - 1.0) * math.sqrt(2.0 * dn - al2 - 1.0)
+    h = (al2 + dn + 1.0) / (al2 + dn)
+    return s_eq, h
+
+
+def intouch_points(t: Triangle) -> tuple[Point, Point, Point]:
+    """Incircle tangency points, as perpendicular feet from the incenter."""
+    inc = center(t, 1).z
+    p1, p2, p3 = t.tri.vertices
+    return tuple(
+        Point.from_complex(perp_foot(inc, q, r)) for q, r in ((p2, p3), (p3, p1), (p1, p2))
+    )
+
+
+@dataclass(frozen=True)
+class SuperpositionReport:
+    act_on_billiard: float
+    reference_on_medial_cb: float
+
+
+def intouch_superposition_check(shape: BilliardShape, t: float) -> SuperpositionReport:
+    """Residuals of two superposition facts for the orbit at parameter t.
+
+    The intouch points of the anticomplementary triangle lie on the
+    billiard boundary, and the intouch points of the orbit itself lie
+    on the medial triangle's circumbilliard.
+    """
+    tri = orbit(shape, t).triangle
+    act_touch = intouch_points(act(tri))
+    res_act = max(abs(shape.boundary_value(p)) for p in act_touch)
+    medial_cb = derived_cb(tri, "medial").conic
+    res_med = max(
+        abs(conic_eval(medial_cb, p)) / medial_cb.coeff_norm() for p in intouch_points(tri)
+    )
+    return SuperpositionReport(res_act, res_med)
+
+
+def stack_tris(triangles) -> Tri:
+    """One stacked ``Tri`` of the vertices of ``Triangle``s."""
+    z = np.array([t.tri.vertices for t in triangles])
+    return Tri(z[:, 0], z[:, 1], z[:, 2])

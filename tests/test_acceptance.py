@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from conftest import angle_dist_mod_pi, xy_coefficients
-from oracles import reflection_map_orbit
+from oracles import intouch_superposition_check, reflection_map_orbit
 from orbitconics import (
     BilliardShape,
     Point,
@@ -34,7 +34,6 @@ from orbitconics import (
     focal_length,
     focal_profile,
     inradius_to_circumradius,
-    intouch_superposition_check,
     jerabek_excentral,
     obtuse_threshold,
     orbit,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reflection_map_orbit
+from oracles import ellipse_to_conic, isosceles_dimensions, reflection_map_orbit
 from orbitconics import (
     BilliardShape,
     InvalidShape,
@@ -13,10 +13,8 @@ from orbitconics import (
     caustic,
     classify_orbit,
     classify_triangle,
-    ellipse_to_conic,
     equilateral_orthic_threshold,
     inradius_to_circumradius,
-    isosceles_dimensions,
     line_conic_tangency_residual,
     obtuse_threshold,
     orbit,

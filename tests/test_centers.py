@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triangle
-from oracles import circumcircle, incircle
+from oracles import circumcircle, incircle, trilinear_to_cartesian
 from orbitconics import (
     BilliardShape,
     Point,
@@ -25,7 +25,6 @@ from orbitconics import (
     orthic_cb_center,
     orthic_center_transition,
     right_angle_vertex,
-    trilinear_to_cartesian,
 )
 
 EQUILATERAL = Triangle(

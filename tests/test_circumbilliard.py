@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import angle_dist_mod_pi, random_triangle
+from oracles import intouch_points, intouch_superposition_check
 from orbitconics import (
     BilliardShape,
     ConicClass,
@@ -15,8 +16,6 @@ from orbitconics import (
     derived_cb,
     derived_triangle,
     equilateral_orthic_threshold,
-    intouch_points,
-    intouch_superposition_check,
     orbit,
     orthic_cb_center,
     reflection_residual,

@@ -292,6 +292,17 @@ def test_console_entry_point():
     assert result.stdout.startswith("t,x1,y1")
 
 
+@pytest.mark.parametrize("scale", ["e46", "e60"])
+def test_cb_beyond_the_float_range_exits_1_without_traceback(scale):
+    vertices = ",".join(f"{c}{scale}" if c != "0" else c for c in "0,0,3,0,1,2".split(","))
+    result = subprocess.run([sys.executable, "-m", "orbitconics.cli", "cb", f"--vertices={vertices}"],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("orbitconics: error: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_no_subcommand_exit_1():
     result = subprocess.run(
         [sys.executable, "-m", "orbitconics.cli"], capture_output=True, text=True

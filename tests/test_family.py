@@ -2,20 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_dist_mod_pi
+from conftest import angle_dist_mod_pi, random_triangle
+from oracles import stack_tris
 from orbitconics import (
     ORTHIC_CB_CENTER,
     SUPPORTED_CENTERS,
     BilliardShape,
     DegenerateTriangle,
     OrbitConicsError,
+    PoristicShape,
     RightTriangle,
     Skips,
-    Tri,
     Triangle,
     center,
     circumbilliard,
@@ -24,6 +26,7 @@ from orbitconics import (
     jerabek_excentral,
     obtuse_threshold,
     orbit,
+    poristic_triangle,
     right_angle_vertex,
 )
 from orbitconics.billiard import SHAPE_CLASSES
@@ -85,7 +88,7 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
 
     shift = (offset[0] * scale * alpha, offset[1] * scale * alpha)
     moved = [_moved(s.triangle, rotation, scale, shift) for s in samples]
-    v = Tri.stack(moved)
+    v = stack_tris(moved)
     tol = [1e-12 * t.scale() for t in moved]
     for center_id in CENTER_IDS:
         skips = Skips(len(moved))
@@ -113,7 +116,7 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
     # the xy-hyperbolae exist for orbits held upright and centred; moved
     # copies must fail with the same reason in both paths
     for triangles in ([_moved(s.triangle, 0.0, scale, (0.0, 0.0)) for s in samples], moved):
-        v = Tri.stack(triangles)
+        v = stack_tris(triangles)
         for hyperbola in (feuerbach_hyperbola, jerabek_excentral):
             skips = Skips(len(triangles))
             focal = focal_length(hyperbola(v, skips), skips)
@@ -122,6 +125,49 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
                 assert skips.reason(i) == reason
                 if not reason:
                     assert abs(focal[i] - want) <= 1e-12 * tri.scale()
+
+
+@pytest.mark.parametrize("shape", [BilliardShape(1.5, 1.0), PoristicShape(0.3625, 1.0)],
+                         ids=["billiard", "poristic"])
+def test_one_number_and_array_orbit_refuse_nan_alike(shape):
+    with pytest.raises(ValueError) as one:
+        orbit(shape, math.nan)
+    with pytest.raises(ValueError) as many:
+        orbit(shape, [0.4, math.nan])
+    assert type(one.value) is type(many.value) is ValueError
+    assert str(one.value) == str(many.value) == "non-finite orbit vertex"
+    skips = Skips(3)
+    fam = orbit(shape, np.array([0.4, math.nan, 1.3]), skips)
+    assert [skips.reason(i) for i in range(3)] == ["", "ValueError", ""]
+    assert np.isfinite(fam.vertices[[0, 2]]).all()
+
+
+def test_orbit_of_a_poristic_shape_is_its_poristic_triangle():
+    ps = PoristicShape(0.3625, 1.0)
+    thetas = (np.arange(90) + 0.5) * (TAU / 90)
+    fam = orbit(ps, thetas)
+    for i, theta in enumerate(thetas.tolist()):
+        sample = orbit(ps, theta)
+        assert sample.triangle == poristic_triangle(ps, theta)
+        assert sample.shape_class is SHAPE_CLASSES[fam.codes[i]]
+        for k, p in enumerate(sample.triangle.vertices):
+            assert math.hypot(*(fam.vertices[i, k] - p.as_tuple())) <= 1e-15 * ps.R
+    with pytest.raises(ValueError, match="non-finite orbit vertex"):
+        poristic_triangle(ps, math.nan)
+
+
+def test_squares_round_alike_for_one_triangle_and_a_stack(rng):
+    # products, not float powers, so one triangle rounds as numpy's elementwise square does
+    triangles = [random_triangle(rng) for _ in range(2000)]
+    v = stack_tris(triangles)
+    skips = Skips(len(triangles))
+    x1156 = center_of(v, 1156, skips)
+    _, major, minor, _ = ellipse_axes(circumbilliard_of(v), skips)
+    for i, tri in enumerate(triangles):
+        if skips.valid[i]:
+            assert center(tri, 1156).z == x1156[i]
+            params = circumbilliard(tri).params
+            assert (params.semi_major, params.semi_minor) == (major[i], minor[i])
 
 
 def test_skips_keep_the_first_failure_per_sample():

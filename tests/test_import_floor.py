@@ -22,21 +22,21 @@ LIBRARY_MODULES = sorted(f"orbitconics.{name}" for name in orbitconics._LAZY_EXP
 #: The package's public names, pinned: the exceptions and the lazy table must give exactly these.
 EXPORTS = [
     "BilliardShape", "CircleFit", "CircumbilliardResult", "ClosureFailure", "Conic", "ConicClass",
-    "DegenerateConic", "DegenerateTriangle", "EllipseParams", "Family", "FocalProfile", "FocalSample",
-    "IllConditioned", "InvalidShape", "InvariantReport", "LocusFitReport", "LocusSweep", "NoRealConic",
-    "NotAnEllipse", "ORTHIC_CB_CENTER", "OrbitConicsError", "OrbitSample", "Point", "PointAtInfinity",
-    "Points", "PoristicShape", "RightTriangle", "SUPPORTED_CENTERS", "ShapeClass", "SingularSystem",
-    "Skips", "Tri", "Triangle", "UndefinedForShape", "Verdict", "act", "billiard_intersections",
-    "caustic", "center", "circumbilliard", "classify_conic", "classify_orbit", "classify_triangle",
-    "conic_center", "conic_eval", "conic_to_ellipse_params", "count_interior_maxima", "derived_cb",
-    "derived_triangle", "ellipse_to_conic", "equilateral_orthic_threshold", "excentral",
-    "excentral_inconic_axes", "feuerbach_hyperbola", "fit_by_shape_class", "fit_circle", "fit_locus",
-    "focal_length", "focal_profile", "focal_ratio_closed_form", "inradius_to_circumradius",
-    "intouch_points", "intouch_superposition_check", "invariant_report", "isosceles_dimensions",
+    "DegenerateConic", "DegenerateTriangle", "EllipseParams", "Family", "FocalProfile",
+    "FocalSample", "IllConditioned", "InvalidShape", "InvariantReport", "LocusFitReport",
+    "LocusSweep", "NoRealConic", "NotAnEllipse", "ORTHIC_CB_CENTER", "OrbitConicsError",
+    "OrbitSample", "Point", "PointAtInfinity", "Points", "PoristicShape", "RightTriangle",
+    "SUPPORTED_CENTERS", "ShapeClass", "SingularSystem", "Skips", "Tri", "Triangle",
+    "UndefinedForShape", "Verdict", "act", "billiard_intersections", "caustic", "center",
+    "circumbilliard", "classify_conic", "classify_orbit", "classify_triangle", "conic_center",
+    "conic_eval", "conic_to_ellipse_params", "count_interior_maxima", "derived_cb",
+    "derived_triangle", "equilateral_orthic_threshold", "excentral", "excentral_inconic_axes",
+    "feuerbach_hyperbola", "fit_by_shape_class", "fit_circle", "fit_locus", "focal_length",
+    "focal_profile", "focal_ratio_closed_form", "inradius_to_circumradius", "invariant_report",
     "jerabek_excentral", "line_conic_tangency_residual", "macbeath_inconic_ratio", "medial",
     "obtuse_threshold", "orbit", "orthic", "orthic_cb_center", "orthic_center_transition",
     "poristic_cb_aspect", "poristic_triangle", "reflection_residual", "right_angle_vertex",
-    "solve_circumconic", "solve_inconic", "sweep_locus", "trilinear_to_cartesian", "x3_inconic_ratio",
+    "solve_circumconic", "solve_inconic", "sweep_locus", "x3_inconic_ratio",
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from orbitconics import (
     BilliardShape,
     DegenerateTriangle,
+    LocusFitReport,
     IllConditioned,
     InvalidShape,
     Point,
@@ -162,6 +164,14 @@ def test_invariant_report_rejects_circle():
 # ---------------------------------------------------------------- array-backed points
 
 SPLIT = BilliardShape(2.0, 1.0)
+
+
+def test_mean_radius_is_the_one_mean_of_the_sample_distances():
+    assert "mean_radius" in {f.name for f in dataclasses.fields(LocusFitReport)}
+    for center_id in (7, 168):
+        report = fit_locus(sweep_locus(SHAPE, center_id, n=720).points)
+        z = report.samples.array
+        assert report.mean_radius == float(np.mean(np.hypot(z.real, z.imag)))
 
 
 def _same_fit(got, want):
