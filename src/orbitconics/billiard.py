@@ -5,7 +5,8 @@ built in closed form: the two orbit sides leaving the pinned vertex are
 the tangent lines to the confocal caustic, and each meets the boundary
 at one further point.  Closure of the third side (and the reflection
 law at every vertex) then holds by the Poncelet porism and doubles as a
-numerical correctness monitor in the tests.
+numerical correctness monitor in the tests.  ``poncelet_vertices`` also
+builds the poristic triangles, from their circumcircle and incircle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from . import centers
 from .errors import DegenerateTriangle, InvalidShape
 from .kernel import (RAISE, Conic, EllipseParams, Point, Skips, Tri, Triangle, complex_of, is_array,
-                     ufuncs, where)
+                     nonfinite, ufuncs, where)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,7 +86,8 @@ class BilliardShape:
 
     def family(self, t, guard) -> Tri:
         """Orbit triangles at t, a number (``guard`` RAISE) or an array (``guard`` a Skips)."""
-        tri = Tri(*_orbit_vertices(self, t))
+        major, minor = _caustic_axes(self)
+        tri = Tri(*poncelet_vertices(t, self.a, self.b, 0.0, major**2, minor**2, guard))
         guard.check(tri.nonfinite(), ValueError, "non-finite orbit vertex")
         guard.check(tri.thin(), DegenerateTriangle, "orbit triangle area below tolerance")
         return tri
@@ -153,32 +155,37 @@ def classify_triangle(t: Triangle) -> ShapeClass:
     return SHAPE_CLASSES[t.tri.shape_code()]
 
 
-def _orbit_vertices(shape: BilliardShape, t):
-    """The three complex vertices of the orbit at t.
+def poncelet_vertices(t, a, b, c, A, B, guard):
+    """Complex vertices of the Poncelet triangle at parameter t, counterclockwise.
 
-    ``t`` is a number or an array (see ``kernel.ufuncs``).  The
-    normals n of the two sides through p1 = (x, y) make them tangent to
-    the caustic x^2/A + y^2/B = 1: n^T (diag(A, B) - p1 p1^T) n = 0.  That
-    2x2 form factors in closed form as n ~ (r, A - x^2) and
-    n ~ (B - y^2, r), with the root r taken so that it loses no digits.
-    Each side then meets the boundary once more.
+    Inscribed in (x/a)^2 + (y/b)^2 = 1 from p1 = (a cos t, b sin t), its
+    two sides through p1 are tangent to the inner conic
+    (x - c)^2/A + y^2/B = 1: for p' = p1 - (c, 0) their normals solve
+    n^T (diag(A, B) - p' p'^T) n = 0, which factors as n ~ (r, A - x'^2)
+    and n ~ (B - y'^2, r), the root r taken so that it loses no digits.
+    Each side meets the outer conic once more.  ``t`` is a number
+    (``guard`` RAISE) or an array (a Skips); a non-finite t, and a p1
+    inside the inner conic by rounding, are refused before a math
+    function sees them.
     """
-    a2, b2 = shape.a**2, shape.b**2
-    caus = caustic(shape)
-    A, B = caus.semi_major**2, caus.semi_minor**2
     f = ufuncs(t)
-    x, y = shape.a * f.cos(t), shape.b * f.sin(t)
-    xy = x * y
-    r = xy + f.copysign(f.sqrt(A * y * y + B * x * x - A * B), xy)
+    refused = nonfinite(t)
+    guard.check(refused, ValueError, "non-finite orbit vertex")
+    t = where(refused, 0.0, t)
+    x, y = a * f.cos(t), b * f.sin(t)
+    u = x - c
+    uy = u * y
+    disc = A * y * y + B * u * u - A * B
+    guard.check(disc < 0.0, ValueError, "first vertex inside the inner conic")
+    r = uy + f.copysign(f.sqrt(f.maximum(disc, 0.0)), uy)
+    a2, b2 = a**2, b**2
     partners = []
     # side directions (-n_y, n_x)
-    for ux, uy in ((x * x - A, r), (-r, B - y * y)):
-        k = -2.0 * (x * ux / a2 + y * uy / b2) / (ux * ux / a2 + uy * uy / b2)
-        qx, qy = x + k * ux, y + k * uy
-        forward = (f.arctan2(qy / shape.b, qx / shape.a) - t) % (2.0 * math.pi)
-        partners.append((qx, qy, forward))
-    (qx, qy, fq), (sx, sy, fs) = partners
-    swap = fs < fq
+    for dx, dy in ((u * u - A, r), (-r, B - y * y)):
+        k = -2.0 * (x * dx / a2 + y * dy / b2) / (dx * dx / a2 + dy * dy / b2)
+        partners.append((x + k * dx, y + k * dy))
+    (qx, qy), (sx, sy) = partners
+    swap = (qx - x) * (sy - y) - (qy - y) * (sx - x) < 0.0
     return (complex_of(x, y), complex_of(where(swap, sx, qx), where(swap, sy, qy)),
             complex_of(where(swap, qx, sx), where(swap, qy, sy)))
 
@@ -187,12 +194,13 @@ def orbit(shape: BilliardShape, t, skips: Skips | None = None):
     """Member of the family of ``shape`` (any shape with ``family``) at parameter t.
 
     For a ``BilliardShape`` the orbit triangle with first vertex at
-    (a cos t, b sin t): the second vertex is the nearer bounce in
-    increasing boundary parameter, the third the farther one, so the
-    vertices wind counterclockwise for every t.  One number gives an
-    ``OrbitSample``.  A sequence or array of parameters gives the whole
-    ``Family`` at once; its refused members are recorded in ``skips``
-    when one is given, else the failure of the first is raised.
+    (a cos t, b sin t), for a ``PoristicShape`` the triangle with first
+    vertex at angle t on the circumcircle.  Both are built by
+    ``poncelet_vertices`` and wind counterclockwise for every t.  One
+    number gives an ``OrbitSample``.  A sequence or array of parameters
+    gives the whole ``Family`` at once; its refused members are recorded
+    in ``skips`` when one is given, else the failure of the first is
+    raised.
     """
     if not isinstance(t, Sequence) and not (is_array(t) and t.ndim > 0):
         tri = shape.family(t, RAISE)

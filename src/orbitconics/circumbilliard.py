@@ -19,16 +19,6 @@ from .kernel import Conic, EllipseParams, Point, Tri, Triangle, circumconic_of, 
 
 DERIVED_TRIANGLES = ("excentral", "act", "medial", "orthic")
 
-#: Expected circumbilliard center of each derived triangle, as a center
-#: id of the reference triangle.
-DERIVED_CB_CENTER = {
-    "excentral": 168,
-    "act": 7,
-    "medial": 142,
-    "orthic": centers.ORTHIC_CB_CENTER,
-}
-
-
 @dataclass(frozen=True)
 class CircumbilliardResult:
     conic: Conic

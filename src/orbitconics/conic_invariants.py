@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from . import centers
-from .billiard import MIN_SAMPLES, BilliardShape, inradius_to_circumradius, orbit, sample_grid
+from .billiard import (MIN_SAMPLES, BilliardShape, inradius_to_circumradius, orbit,
+                       poncelet_vertices, sample_grid)
 from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
 from .kernel import (
     RAISE,
@@ -29,10 +30,8 @@ from .kernel import (
     conic_eval,
     conic_form,
     cross,
-    dot,
     focal_length,
     largest,
-    length,
     ufuncs,
     unresolved,
     where,
@@ -70,37 +69,19 @@ class PoristicShape:
     def family(self, theta, guard) -> Tri:
         """Family members with first vertex at angle theta on the circumcircle.
 
-        The two tangents from the vertex to the incircle meet the
-        circumcircle again at the other two vertices; tangency of the
-        third side then holds by the Poncelet porism and is verified
-        (ClosureFailure).  A non-finite vertex is refused (ValueError) as
-        by ``BilliardShape.family``.  ``theta`` is a number (``guard``
-        RAISE) or an array (``guard`` a Skips).
+        The Poncelet triangles of the circumcircle and the incircle
+        (``billiard.poncelet_vertices``), counterclockwise; tangency of
+        the third side holds by the porism and is verified
+        (ClosureFailure).  ``theta`` is a number (``guard`` RAISE) or an
+        array (``guard`` a Skips).
         """
-        inc = complex(self.d, 0.0)
-        f = ufuncs(theta)
-        v1 = self.R * (f.cos(theta) + 1j * f.sin(theta))
-        w = inc - v1
-        reach = length(w)
-        # only when d rounds to R (r/R below 1e-16)
-        guard.check(reach <= 0.0, ValueError, "first vertex on the incircle center")
-        # sine and cosine of the half angle between the two tangents
-        sin_half = f.minimum(1.0, self.r / reach)
-        cos_half = f.sqrt(1.0 - sin_half * sin_half)
-        # unit directions of the tangents: w / reach turned by +-half
-        ex, ey = w.real * (1.0 / reach), w.imag * (1.0 / reach)
-        v2, v3 = (
-            v1 + (-2.0 * dot(v1, u)) * u
-            for u in (
-                (ex * cos_half - ey * sin_half) + 1j * (ey * cos_half + ex * sin_half),
-                (ex * cos_half + ey * sin_half) + 1j * (ey * cos_half - ex * sin_half),
-            )
-        )
+        r2 = self.r * self.r
+        v1, v2, v3 = poncelet_vertices(theta, self.R, self.R, self.d, r2, r2, guard)
         out = Tri(v1, v2, v3)
         guard.check(out.nonfinite(), ValueError, "non-finite orbit vertex")
-        # distance of the incircle center from the third side, minus r, times |v2 v3|
+        # distance of the incircle center (d, 0) from the third side, minus r, times |v2 v3|
         side = out.s1
-        guard.check(abs(abs(cross(v3 - v2, inc - v2)) - self.r * side) > 1e-9 * self.R * side,
+        guard.check(abs(abs(cross(v3 - v2, self.d - v2)) - self.r * side) > 1e-9 * self.R * side,
                     ClosureFailure, "third side misses the incircle")
         guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
         return out

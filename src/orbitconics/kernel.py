@@ -212,6 +212,11 @@ def is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
+def nonfinite(x):
+    """Whether x is nan or infinite; numbers or arrays."""
+    return (x != x) | (abs(x) == math.inf)
+
+
 def where(cond, a, b):
     """``np.where`` for an array condition; a plain choice for one bool."""
     if is_array(cond):
@@ -374,8 +379,7 @@ class Tri:
 
     def nonfinite(self):
         """Whether a vertex is nan or infinite, read off the perimeter (numbers or arrays)."""
-        s = self.perimeter()
-        return (s != s) | (s == math.inf)
+        return nonfinite(self.perimeter())
 
     def inradius(self):
         return self.area / (0.5 * self.perimeter())
@@ -679,7 +683,8 @@ def ellipse_axes(q: Conic, guard):
 
     Read off the six coefficients: the eigenvalues of [[A, B], [B, C]]
     are m +- r, and the semi-axes are sqrt(K / eigenvalue).  The angle
-    lies in [0, pi); circle-degenerate ellipses report 0.  Numbers or
+    lies in [0, pi); circle-degenerate ellipses report 0.  A center or
+    semi-axis beyond the float range is refused (ValueError).  Numbers or
     arrays; ``guard`` is RAISE or a Skips.
     """
     A, B, C = q.A, q.B, q.C
@@ -697,7 +702,11 @@ def ellipse_axes(q: Conic, guard):
     semi_major = semi_minor * f.sqrt(f.maximum(big * big / det, 1.0))
     angle = (0.5 * f.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
     angle = angle * ((2.0 * r >= 1e-12 * big) & (math.pi - angle >= 1e-12))
-    return q.anchor + (cx + 1j * cy), semi_major, semi_minor, angle
+    center = q.anchor + (cx + 1j * cy)
+    # semi_major is semi_minor times a factor >= 1, so it is non-finite when either is
+    guard.check(nonfinite(center.real) | nonfinite(center.imag) | nonfinite(semi_major), ValueError,
+                "non-finite ellipse center or semi-axes")
+    return center, semi_major, semi_minor, angle
 
 
 def conic_to_ellipse_params(conic: Conic) -> EllipseParams:

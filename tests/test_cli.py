@@ -292,15 +292,29 @@ def test_console_entry_point():
     assert result.stdout.startswith("t,x1,y1")
 
 
-@pytest.mark.parametrize("scale", ["e46", "e60"])
-def test_cb_beyond_the_float_range_exits_1_without_traceback(scale):
-    vertices = ",".join(f"{c}{scale}" if c != "0" else c for c in "0,0,3,0,1,2".split(","))
-    result = subprocess.run([sys.executable, "-m", "orbitconics.cli", "cb", f"--vertices={vertices}"],
-                            capture_output=True, text=True)
+def assert_exits_1_with_one_error_line(argv):
+    # a numpy RuntimeWarning on the way is an error
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "orbitconics.cli",
+                             *argv], capture_output=True, text=True)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("orbitconics: error: ")
     assert result.stderr.count("\n") == 1
+    return result.stderr
+
+
+@pytest.mark.parametrize("scale", ["e46", "e60"])
+def test_cb_beyond_the_float_range_exits_1_without_traceback(scale):
+    vertices = ",".join(f"{c}{scale}" if c != "0" else c for c in "0,0,3,0,1,2".split(","))
+    assert_exits_1_with_one_error_line(["cb", f"--vertices={vertices}"])
+
+
+@pytest.mark.parametrize("argv", [["invariants", "--a", "1.5e44", "--b", "1e44"],
+                                  ["poristic", "--r", "0.3625e44", "--R", "1e44"]],
+                         ids=["invariants", "poristic"])
+def test_axes_beyond_the_float_range_exit_1_without_traceback(argv):
+    # every circumbilliard's axes overflow, so every sample is refused
+    assert "non-finite ellipse center or semi-axes" in assert_exits_1_with_one_error_line(argv)
 
 
 def test_no_subcommand_exit_1():

@@ -127,19 +127,52 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
                     assert abs(focal[i] - want) <= 1e-12 * tri.scale()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shape", [BilliardShape(1.5, 1.0), PoristicShape(0.3625, 1.0)],
                          ids=["billiard", "poristic"])
 def test_one_number_and_array_orbit_refuse_nan_alike(shape):
+    # infinite parameters too, before math.cos or np.cos sees them
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as one:
+            orbit(shape, bad)
+        with pytest.raises(ValueError) as many:
+            orbit(shape, [0.4, bad])
+        assert type(one.value) is type(many.value) is ValueError
+        assert str(one.value) == str(many.value) == "non-finite orbit vertex"
+        skips = Skips(3)
+        fam = orbit(shape, np.array([0.4, bad, 1.3]), skips)
+        assert [skips.reason(i) for i in range(3)] == ["", "ValueError", ""]
+        assert np.isfinite(fam.vertices[[0, 2]]).all()
+
+
+def _signed_doubled_areas(vertices):
+    """cross(p2 - p1, p3 - p1) of (..., 3, 2) vertex arrays: positive when counterclockwise."""
+    u, w = vertices[..., 1, :] - vertices[..., 0, :], vertices[..., 2, :] - vertices[..., 0, :]
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+@pytest.mark.parametrize("shape",
+                         [BilliardShape(alpha, 1.0) for alpha in np.linspace(1.05, 3.0, 14)]
+                         + [PoristicShape(rho, 1.0) for rho in (0.5, 0.3625, 0.1, 1e-3)], ids=repr)
+def test_both_families_wind_counterclockwise(shape):
+    thetas = (np.arange(360) + 0.5) * (TAU / 360)
+    fam = orbit(shape, thetas)
+    assert (_signed_doubled_areas(fam.vertices) > 0.0).all()
+    for theta in thetas[::9].tolist():
+        one = np.array([p.as_tuple() for p in orbit(shape, theta).triangle.vertices])
+        assert _signed_doubled_areas(one) > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_first_vertex_inside_the_inner_conic_is_refused_alike():
+    # r/R = 1e-17: d rounds to R, so the vertex at angle 0 is the incircle center
+    shape = PoristicShape(1e-17, 1.0)
     with pytest.raises(ValueError) as one:
-        orbit(shape, math.nan)
+        orbit(shape, 0.0)
     with pytest.raises(ValueError) as many:
-        orbit(shape, [0.4, math.nan])
+        orbit(shape, [0.0])
     assert type(one.value) is type(many.value) is ValueError
-    assert str(one.value) == str(many.value) == "non-finite orbit vertex"
-    skips = Skips(3)
-    fam = orbit(shape, np.array([0.4, math.nan, 1.3]), skips)
-    assert [skips.reason(i) for i in range(3)] == ["", "ValueError", ""]
-    assert np.isfinite(fam.vertices[[0, 2]]).all()
+    assert str(one.value) == str(many.value) == "first vertex inside the inner conic"
 
 
 def test_orbit_of_a_poristic_shape_is_its_poristic_triangle():

@@ -32,7 +32,8 @@ from orbitconics import (
     solve_circumconic,
     solve_inconic,
 )
-from orbitconics.kernel import circumconic_of
+from orbitconics.circumbilliard import circumbilliard_of
+from orbitconics.kernel import RAISE, Skips, circumconic_of, ellipse_axes
 
 UNIT_CIRCLE = Conic(-1.0, 0.0, -1.0, 0.0, 0.0, 1.0)
 
@@ -350,3 +351,18 @@ def test_conic_eval_definition(x, y, u, v):
     p = Point(x, y)
     direct = 1 + c1 * x + c2 * y + c3 * x * y + c4 * x * x + c5 * y * y
     assert conic_eval(conic, p) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ellipse_axes_refuse_axes_beyond_the_float_range_alike():
+    # the circumbilliard of a triangle at 1e46 has overflowing coefficients
+    one = Tri(0j, 3e46 + 0j, 1e46 + 2e46j)
+    with pytest.raises(ValueError, match="^non-finite ellipse center or semi-axes$"):
+        ellipse_axes(circumbilliard_of(one), RAISE)
+    stack = Tri(*(np.array([z, z * 1e-46]) for z in one.vertices))
+    skips = Skips(2)
+    with np.errstate(all="ignore"):
+        _, major, minor, _ = ellipse_axes(circumbilliard_of(stack), skips)
+    assert [skips.reason(i) for i in range(2)] == ["ValueError", ""]
+    assert skips.failures == [(ValueError, "non-finite ellipse center or semi-axes")]
+    assert np.isfinite([major[1], minor[1]]).all()

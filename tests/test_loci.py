@@ -156,6 +156,16 @@ def test_invariant_report_passes():
         assert len(payload["checks"]) == 9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("report, shape", [(invariant_report, BilliardShape(1.5e44, 1e44)),
+                                           (poristic_report, PoristicShape(0.3625e44, 1e44))],
+                         ids=["invariants", "poristic"])
+def test_reports_refuse_circumbilliard_axes_beyond_the_float_range(report, shape):
+    # every sample's circumbilliard axes overflow; none is kept with inf or nan axes
+    with pytest.raises(ValueError, match="^non-finite ellipse center or semi-axes$"):
+        report(shape, n=16)
+
+
 def test_invariant_report_rejects_circle():
     with pytest.raises(InvalidShape):
         invariant_report(BilliardShape(1.0, 1.0), n=16)
@@ -213,8 +223,7 @@ def test_sweep_and_fits_build_no_point_per_sample(monkeypatch):
         fit_locus(sweep.points)
         fit_by_shape_class(sweep)
         counts.append(len(built))
-    # the caustic's center, once per sweep
-    assert counts == [1, 1]
+    assert counts == [0, 0]
 
 
 def test_points_view_is_a_read_only_sequence():
