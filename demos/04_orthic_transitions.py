@@ -6,8 +6,11 @@ Above the aspect-ratio threshold sqrt(2 sqrt(2) - 1) ~ 1.352 the orbit
 family contains obtuse triangles; the boundary splits into arcs and the
 orthic-CB center locus into four pieces.  At the right-triangle
 configurations the orthic collapses to a segment, and the center locus
-jumps between the symmedian-point rule and the auxiliary-triangle rule
-through an explicit transition point.
+passes from its acute to its obtuse pieces through an explicit
+transition point.  One rule gives the center on both sides: the
+symmedian point X6 of the acute member of the orthocentric system
+{p1, p2, p3, H}, which is the orbit itself when it is acute and the
+orbit with its obtuse vertex replaced by H when it is obtuse.
 
 At a/b = sqrt(4 sqrt(3) - 3) ~ 1.982 the orthic of the upright
 isosceles orbit is equilateral, so its circumbilliard is a circle.
@@ -36,14 +39,14 @@ print("\nright-angle vertex:", p)
 print("transition point:  ", orthic_center_transition(shape))
 
 # walk the parameter across the right-triangle configuration
-print("\nbranch switching around the right configuration:")
+print("\ncenter around the right configuration:")
 for dt in (-0.02, -0.005, 0.0, 0.005, 0.02):
     t = t_perp + dt
     sample = orbit(shape, t)
-    # the center rule is the one of the orbit's shape class
+    # the acute member is the orbit itself unless the orbit is obtuse
     point = orthic_cb_center(sample.triangle)
     print(
-        f"  t - t_perp = {dt:+.3f}  orbit and center rule are {sample.shape_class.value:6s}"
+        f"  t - t_perp = {dt:+.3f}  orbit is {sample.shape_class.value:6s}"
         f"  center = ({point.x:+.6f}, {point.y:+.6f})"
     )
 

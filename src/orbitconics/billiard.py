@@ -251,14 +251,13 @@ def right_angle_vertex(shape: BilliardShape) -> Point:
 def orthic_center_transition(shape: BilliardShape) -> Point:
     """First-quadrant branch point of the orthic-circumbilliard center locus.
 
-    The orthic-CB center of the right-triangle orbit by the right-angle
-    rule of ``centers.orthic_cb_center_of``: the midpoint of the altitude
-    from the right-angle vertex.
+    The orthic-CB center of the right-triangle orbit: its X6, the midpoint
+    of the altitude from the right-angle vertex, where the locus passes
+    from acute to obtuse orbits.
     """
     p = right_angle_vertex(shape)
     t = math.atan2(p.y / shape.b, p.x / shape.a)
-    v = orbit(shape, t).triangle.tri
-    return Point.from_complex(centers.altitude_midpoint(*centers.vertices_by_largest_angle(v)))
+    return centers.orthic_cb_center(orbit(shape, t).triangle)
 
 
 def inradius_to_circumradius(shape: BilliardShape) -> float:

@@ -2,10 +2,11 @@
 
 Centers are specified by trilinear coordinates and converted to
 Cartesians through sidelength weighting.  Angle-based trilinears (cos,
-sec, cos of angle differences) are always computed from sidelengths via
-the law of cosines.  A handful of centers are composite: they are
-defined as a named center of a derived triangle or as an affine
-combination of other centers.
+cos of angle differences) are always computed from sidelengths via the
+law of cosines.  The other centers are composite: a named center of a
+derived triangle, or an affine combination of other centers, such as
+the Euler-line identities X4 = p1 + p2 + p3 - 2 X3 and
+X5 = (p1 + p2 + p3 - X3) / 2.
 
 Every rule is written once on ``kernel.Tri`` (``center_of``,
 ``derived_of``), so it evaluates one triangle for the scalar API below
@@ -19,10 +20,8 @@ from .kernel import (
     RAISE,
     RIGHT_DEADBAND,
     Point,
-    Skips,
     Tri,
     Triangle,
-    is_array,
     perp_foot,
     ufuncs,
     where,
@@ -84,16 +83,6 @@ def _direct_trilinears(v: Tri, index: int, guard):
     ca, cb, cc = v.cosines()
     if index == 3:
         return (ca, cb, cc)
-    if index == 4:
-        guard.check(
-            (abs(ca) < 1e-15) | (abs(cb) < 1e-15) | (abs(cc) < 1e-15),
-            UndefinedForShape,
-            "orthocenter of a right triangle is at a vertex-altitude limit",
-        )
-        return (1.0 / ca, 1.0 / cb, 1.0 / cc)
-    if index == 5:
-        sa, sb, sc = _sines(ca, cb, cc)
-        return (cb * cc + sb * sc, cc * ca + sc * sa, ca * cb + sa * sb)
     if index == 11:
         sa, sb, sc = _sines(ca, cb, cc)
         return (
@@ -114,6 +103,10 @@ def center_of(v: Tri, center_id, guard):
     index = int(center_id)
     if index not in SUPPORTED_CENTERS:
         raise KeyError(f"center X{index} not supported")
+    if index == 4:
+        return v.p1 + v.p2 + v.p3 - 2.0 * center_of(v, 3, guard)
+    if index == 5:
+        return 0.5 * (v.p1 + v.p2 + v.p3 - center_of(v, 3, guard))
     if index == 40:
         return center_of(derived_of(v, "excentral", guard), 3, guard)
     if index == 69:
@@ -198,51 +191,19 @@ def orthic(t: Triangle) -> Triangle:
     return derived_triangle(t, "orthic")
 
 
-def vertices_by_largest_angle(v: Tri):
-    """Vertices (P, Q, R) of ``v``: P at the largest angle (the first, on ties), then Q and R."""
-    ca, cb, cc = v.cosines()
-    first, second = (ca <= cb) & (ca <= cc), cb <= cc
-    return tuple(
-        where(first, u1, where(second, u2, u3))
-        for u1, u2, u3 in ((v.p1, v.p2, v.p3), (v.p2, v.p3, v.p1), (v.p3, v.p1, v.p2))
-    )
-
-
-def altitude_midpoint(p, q, r):
-    """Midpoint of the altitude from p: the orthic-CB center of a triangle right-angled at p."""
-    return 0.5 * (p + perp_foot(p, q, r))
-
-
 def orthic_cb_center_of(v: Tri, guard):
-    """Orthic-CB center of ``v``.
+    """Orthic-CB center of ``v``: X6 of the acute member of its orthocentric system.
 
-    Acute: X6.  Obtuse at vertex P: X6 of the triangle spanned by the
-    other two vertices and the orthocenter.  Right (within the dead
-    band): the common limit of both rules, the midpoint of the altitude
-    from the right-angle vertex.  Only the chosen rule's failures count:
-    one triangle runs that rule alone, a stack runs each rule with its
-    own Skips and keeps the failures of the members that use it.
+    The triangle's vertices and its orthocenter H form an orthocentric
+    system, and the center is X6 of the triangle that replaces an obtuse
+    vertex by H.  An acute or right (within the dead band) triangle is
+    its own acute member; for a right one X6 is the midpoint of the
+    altitude from the right-angle vertex, the common limit of both sides.
     """
-    code = v.shape_code()
-    p, q, r = vertices_by_largest_angle(v)
-
-    def obtuse_rule(g):
-        aux = Tri(q, r, center_of(v, 4, g))
-        g.check(aux.thin(), DegenerateTriangle, "auxiliary triangle area below tolerance")
-        return center_of(aux, 6, g)
-
-    if not is_array(code):
-        if code == 0:
-            return center_of(v, 6, guard)
-        return obtuse_rule(guard) if code == 2 else altitude_midpoint(p, q, r)
-    import numpy as np
-
-    acute, obtuse = Skips(code.size), Skips(code.size)
-    point = np.where(code == 0, center_of(v, 6, acute),
-                     np.where(code == 2, obtuse_rule(obtuse), altitude_midpoint(p, q, r)))
-    guard.absorb(acute, code == 0)
-    guard.absorb(obtuse, code == 2)
-    return point
+    h = center_of(v, 4, guard)
+    aux = Tri(*(where(c < -RIGHT_DEADBAND, h, p) for c, p in zip(v.cosines(), v.vertices)))
+    guard.check(aux.thin(), DegenerateTriangle, "auxiliary triangle area below tolerance")
+    return center_of(aux, 6, guard)
 
 
 def orthic_cb_center(t: Triangle) -> Point:

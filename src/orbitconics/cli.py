@@ -310,6 +310,7 @@ def cmd_hyperbolae(args) -> int:
 
 def cmd_render(args) -> int:
     import csv
+    import math
 
     from .svgout import render_svg
 
@@ -330,7 +331,15 @@ def cmd_render(args) -> int:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "x" not in reader.fieldnames or "y" not in reader.fieldnames:
             raise ValueError("input CSV needs 'x' and 'y' columns")
-        points = [(float(row["x"]), float(row["y"])) for row in reader]
+        points = []
+        for row in reader:
+            try:  # a missing value reads as None
+                x, y = float(row["x"]), float(row["y"])
+            except (TypeError, ValueError):
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"input CSV line {reader.line_num} needs a finite 'x' and 'y'")
+            points.append((x, y))
     write_text_atomic(args.out, render_svg(points, overlays=overlays))
     return 0
 

@@ -306,12 +306,6 @@ class Skips:
             self.code[new] = len(self.failures)
             self.failures.append((exc, message))
 
-    def absorb(self, other: "Skips", where) -> None:
-        """Take over the failures of ``other`` on the samples selected by ``where``."""
-        new = where & (other.code >= 0) & (self.code < 0)
-        self.code[new] = other.code[new] + len(self.failures)
-        self.failures.extend(other.failures)
-
     def reason(self, i: int) -> str:
         """Exception type name of sample i's failure ("" when valid)."""
         code = self.code[i]

@@ -154,10 +154,7 @@ def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
         area = abs(cross) / 2
         R = a * b * c / (4 * area)
         ix, iy = (a * x1 + b * x2 + c * x3) / (a + b + c), (a * y1 + b * y2 + c * y3) / (a + b + c)
-        den = 2 * cross
-        n1, n2, n3 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
-        ox = (n1 * (y2 - y3) + n2 * (y3 - y1) + n3 * (y1 - y2)) / den
-        oy = (n1 * (x3 - x2) + n2 * (x1 - x3) + n3 * (x2 - x1)) / den
+        ox, oy = _circumcenter_decimal((x1, y1), (x2, y2), (x3, y3))
         d = ((ox - ix) ** 2 + (oy - iy) ** 2).sqrt()
         if which == "x3":
             axes = (R + d, R - d)
@@ -166,6 +163,38 @@ def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
         else:
             raise KeyError(which)
         return tuple(float(v) for v in axes)
+
+
+def _circumcenter_decimal(p1, p2, p3):
+    """Circumcenter of three points in Decimal coordinates, from the perpendicular bisectors."""
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    den = 2 * ((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
+    n1, n2, n3 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
+    ox = (n1 * (y2 - y3) + n2 * (y3 - y1) + n3 * (y1 - y2)) / den
+    oy = (n1 * (x3 - x2) + n2 * (x1 - x3) + n3 * (x2 - x1)) / den
+    return ox, oy
+
+
+def euler_centers_decimal(vertices, digits: int = 60):
+    """Orthocenter X4 and nine-point center X5 in ``digits``-digit decimals.
+
+    From the float vertices taken exactly: H is where the altitudes from
+    p1 and p2 meet, each the line (X - p_i) . (p_k - p_j) = 0, solved by
+    Cramer's rule; N is the midpoint of H and the circumcenter from the
+    perpendicular bisectors.  No Euler-line identity is used.  Returns
+    the two points as complex numbers rounded to floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p1, p2, p3 = [(Decimal(x), Decimal(y)) for x, y in vertices]
+        (a1, b1, c1), (a2, b2, c2) = [
+            (xk - xj, yk - yj, x * (xk - xj) + y * (yk - yj))
+            for (x, y), (xj, yj), (xk, yk) in ((p1, p2, p3), (p2, p3, p1))
+        ]
+        det = a1 * b2 - a2 * b1
+        hx, hy = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+        ox, oy = _circumcenter_decimal(p1, p2, p3)
+        return complex(float(hx), float(hy)), complex(float((ox + hx) / 2), float((oy + hy) / 2))
 
 
 def circumconic_generic(v, perspector):

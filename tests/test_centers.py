@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triangle
-from oracles import circumcircle, incircle, trilinear_to_cartesian
+from oracles import circumcircle, euler_centers_decimal, incircle, trilinear_to_cartesian
 from orbitconics import (
     BilliardShape,
     Point,
@@ -49,6 +49,32 @@ def test_x1156_undefined_for_equilateral():
 def test_incenter_of_345():
     # incircle radius (3 + 4 - 5) / 2 = 1, tangent to both legs
     assert center(RIGHT_345, 1).dist(Point(1.0, 1.0)) <= 1e-12
+
+
+def test_euler_line_centers_of_345():
+    # a right triangle's orthocenter is its right-angle vertex, and X5 is halfway to X3 = (2, 1.5)
+    assert center(RIGHT_345, 4).dist(Point(0.0, 0.0)) <= 1e-12
+    assert center(RIGHT_345, 5).dist(Point(1.0, 0.75)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.01, 1.5, 2.0, 5.0, 10.0])
+def test_euler_line_centers_match_a_decimal_oracle(rng, alpha):
+    # moved orbit triangles and their excentral triangles, within 1e-11 of the longest side
+    shape = BilliardShape(alpha, 1.0)
+    for k in range(60):
+        tri = orbit(shape, (k + 0.5) * 2 * math.pi / 60).triangle
+        for t in (tri, excentral(tri)):
+            rotation, log_scale = rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)
+            c, s, scale = math.cos(rotation), math.sin(rotation), 10.0**log_scale
+            ox, oy = rng.uniform(-2.0, 2.0, size=2) * scale * alpha
+            moved = Triangle.from_coords(
+                [(scale * (c * p.x - s * p.y) - ox, scale * (s * p.x + c * p.y) - oy)
+                 for p in t.vertices]
+            )
+            h, n = euler_centers_decimal([p.as_tuple() for p in moved.vertices])
+            tol = 1e-11 * max(moved.sidelengths())
+            assert abs(center(moved, 4).z - h) <= tol
+            assert abs(center(moved, 5).z - n) <= tol
 
 
 def test_trilinear_equilateral_centroid():
@@ -283,3 +309,14 @@ def test_orthic_center_transition_closed_forms():
     trans = orthic_center_transition(shape)
     assert trans.dist(Point(x_star, y_star)) <= 1e-10
     assert trans.dist(Point(0.7279272317324986, 0.2367581430887099)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("delta", [1e-9, -1e-9, 1e-6, -1e-6])
+def test_orthic_cb_center_is_continuous_across_the_right_orbit(alpha, delta):
+    # one side of the right-triangle orbit is acute, the other obtuse
+    shape = BilliardShape(alpha, 1.0)
+    p = right_angle_vertex(shape)
+    t_perp = math.atan2(p.y / shape.b, p.x / shape.a)
+    point = orthic_cb_center(orbit(shape, t_perp + delta).triangle)
+    assert point.dist(orthic_center_transition(shape)) <= 10.0 * abs(delta) * shape.a

@@ -281,6 +281,18 @@ def test_render_missing_columns_exit_1(capsys, tmp_path):
     assert "columns" in err
 
 
+@pytest.mark.parametrize("text, line", [("x,y\n1\n2,3\n", 2), ("x,y\n0,0\ninf,1\n", 3),
+                                        ("x,y\n0,0\n1,nan\n", 3)],
+                         ids=["missing-y", "inf", "nan"])
+def test_render_row_without_finite_coordinates_exits_1_naming_it(tmp_path, text, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    out = tmp_path / "o.svg"
+    err = assert_exits_1_with_one_error_line(["render", "--input", str(bad), "--out", str(out)])
+    assert f"line {line} " in err
+    assert not out.exists()
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "orbitconics.cli", "family", "--a", "1.2",
