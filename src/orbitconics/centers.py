@@ -1,12 +1,11 @@
 """Triangle centers (Kimberling X_i) and derived triangles.
 
-Centers are specified by trilinear coordinates and converted to
-Cartesians through sidelength weighting.  Angle-based trilinears (cos,
-cos of angle differences) are always computed from sidelengths via the
-law of cosines.  The other centers are composite: a named center of a
-derived triangle, or an affine combination of other centers, such as
-the Euler-line identities X4 = p1 + p2 + p3 - 2 X3 and
-X5 = (p1 + p2 + p3 - X3) / 2.
+Centers are specified by trilinear coordinates in the side lengths
+alone, with no angles, and converted to Cartesians through sidelength
+weighting; X3 is the circumcenter from the vertex differences.  The
+other centers are composite: a named center of a derived triangle, or
+an affine combination of other centers, such as the Euler-line
+identities X4 = p1 + p2 + p3 - 2 X3 and X5 = (p1 + p2 + p3 - X3) / 2.
 
 Every rule is written once on ``kernel.Tri`` (``center_of``,
 ``derived_of``), so it evaluates one triangle for the scalar API below
@@ -17,13 +16,17 @@ from __future__ import annotations
 
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
 from .kernel import (
+    EPS,
     RAISE,
     RIGHT_DEADBAND,
     Point,
     Tri,
     Triangle,
+    complex_of,
+    cross,
+    dot,
+    largest,
     perp_foot,
-    ufuncs,
     where,
 )
 
@@ -46,11 +49,6 @@ def _point_of(v: Tri, tri, guard):
         "trilinears lie on the line at infinity",
     )
     return (w1 * v.p1 + w2 * v.p2 + w3 * v.p3) * (1.0 / den)
-
-
-def _sines(cos_a, cos_b, cos_c):
-    f = ufuncs(cos_a)
-    return tuple(f.sqrt(f.maximum(1.0 - c * c, 0.0)) for c in (cos_a, cos_b, cos_c))
 
 
 def _direct_trilinears(v: Tri, index: int, guard):
@@ -80,15 +78,14 @@ def _direct_trilinears(v: Tri, index: int, guard):
         guard.check((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0), UndefinedForShape,
                     "X1156 is undefined for an equilateral triangle")
         return (1.0 / d1, 1.0 / d2, 1.0 / d3)
-    ca, cb, cc = v.cosines()
-    if index == 3:
-        return (ca, cb, cc)
     if index == 11:
-        sa, sb, sc = _sines(ca, cb, cc)
+        spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
+        guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
+                    "X11 is undefined for a triangle equilateral within rounding")
         return (
-            1.0 - (cb * cc + sb * sc),
-            1.0 - (cc * ca + sc * sa),
-            1.0 - (ca * cb + sa * sb),
+            (s2 - s3) * (s2 - s3) * (s2 + s3 - s1) / s1,
+            (s3 - s1) * (s3 - s1) * (s3 + s1 - s2) / s2,
+            (s1 - s2) * (s1 - s2) * (s1 + s2 - s3) / s3,
         )
     raise KeyError(index)
 
@@ -103,6 +100,10 @@ def center_of(v: Tri, center_id, guard):
     index = int(center_id)
     if index not in SUPPORTED_CENTERS:
         raise KeyError(f"center X{index} not supported")
+    if index == 3:
+        b, c = v.p2 - v.p1, v.p3 - v.p1
+        u, k = dot(c, c) * b - dot(b, b) * c, 0.5 / cross(b, c)
+        return v.p1 + complex_of(-u.imag * k, u.real * k)
     if index == 4:
         return v.p1 + v.p2 + v.p3 - 2.0 * center_of(v, 3, guard)
     if index == 5:

@@ -18,8 +18,10 @@ import numpy as np
 from . import centers
 from .billiard import (MIN_SAMPLES, BilliardShape, inradius_to_circumradius, orbit,
                        poncelet_vertices, sample_grid)
-from .errors import ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape
+from .errors import (ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape,
+                     PointAtInfinity)
 from .kernel import (
+    EPS,
     RAISE,
     ArrayView,
     Conic,
@@ -259,14 +261,15 @@ def excentral_inconic_axes(t: Triangle, which: str) -> tuple[float, float]:
     incenter-circumcenter distance (Euler).  Nothing cancels: for sides
     a >= b >= c and area K, R - 2r = ((a-b)^2 (a+b-c) + c (a-c)(b-c)) / 4K,
     a sum of nonnegative terms (Schur), and the semi-minor axes use
-    R^2 - d^2 = 2 R r, so R - d = 2 R r / (R + d).  Triangles whose
-    circumcenter is at infinity within rounding are refused
-    (PointAtInfinity, as X3 refuses them): their area, and with it R
-    and r, is rounded beyond 1e-9.
+    R^2 - d^2 = 2 R r, so R - d = 2 R r / (R + d).  A triangle whose
+    area is not resolved to 1e-9, EPS a^2 > 1e-9 K, is refused
+    (PointAtInfinity): its circumcenter is at infinity within rounding,
+    and R and r are rounded beyond 1e-9.
     """
-    centers.center_of(t.tri, 3, RAISE)
-    R, r = t.circumradius(), t.inradius()
     a, b, c = sorted(t.sidelengths(), reverse=True)
+    if EPS * a * a > 1e-9 * t.area():
+        raise PointAtInfinity("triangle area not resolved to 1e-9")
+    R, r = t.circumradius(), t.inradius()
     d = math.sqrt(R * (((a - b) * (a - b) * (a + b - c) + c * (a - c) * (b - c)) / (4.0 * t.area())))
     if which == "x3":
         axes = (R + d, 2.0 * R * r / (R + d))

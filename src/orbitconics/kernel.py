@@ -353,12 +353,12 @@ class Tri:
         return (self.p1, self.p2, self.p3)
 
     def cosines(self):
-        """Cosine of the angle at each vertex, from the law of cosines."""
-        s1, s2, s3 = self.s1, self.s2, self.s3
+        """Cosine of the angle at each vertex, from the dot product of its two edges."""
+        p1, p2, p3 = self.vertices
         return (
-            (s2 * s2 + s3 * s3 - s1 * s1) / (2 * s2 * s3),
-            (s1 * s1 + s3 * s3 - s2 * s2) / (2 * s1 * s3),
-            (s1 * s1 + s2 * s2 - s3 * s3) / (2 * s1 * s2),
+            dot(p2 - p1, p3 - p1) / (self.s3 * self.s2),
+            dot(p3 - p2, p1 - p2) / (self.s1 * self.s3),
+            dot(p1 - p3, p2 - p3) / (self.s2 * self.s1),
         )
 
     def shape_code(self):
@@ -555,7 +555,7 @@ class Triangle:
         return self.tri.perimeter()
 
     def cosines(self) -> tuple[float, float, float]:
-        """Cosine of the angle at each vertex, from the law of cosines."""
+        """Cosine of the angle at each vertex, from the dot product of its two edges."""
         return self.tri.cosines()
 
     def inradius(self) -> float:

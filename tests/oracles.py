@@ -197,6 +197,24 @@ def euler_centers_decimal(vertices, digits: int = 60):
         return complex(float(hx), float(hy)), complex(float((ox + hx) / 2), float((oy + hy) / 2))
 
 
+def cosines_decimal(vertices, digits: int = 60):
+    """Cosine of the angle at each vertex in ``digits``-digit decimals.
+
+    From the float vertices taken exactly, by the law of cosines
+    (b^2 + c^2 - a^2) / 2bc on the squared side lengths; at 60 digits
+    its cancellation leaves well over 16 correct digits.  Rounded to floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = [(Decimal(x), Decimal(y)) for x, y in vertices]
+        sq = [(p[j][0] - p[k][0]) ** 2 + (p[j][1] - p[k][1]) ** 2
+              for j, k in ((1, 2), (2, 0), (0, 1))]
+        return tuple(
+            float((sq[j] + sq[k] - sq[i]) / (2 * (sq[j] * sq[k]).sqrt()))
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        )
+
+
 def circumconic_generic(v, perspector):
     """Circumconic of perspector (u1 : u2 : u3) as the generic form ``Q = L^T M L``.
 

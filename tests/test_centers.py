@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triangle
-from oracles import circumcircle, euler_centers_decimal, incircle, trilinear_to_cartesian
+from oracles import (circumcircle, cosines_decimal, euler_centers_decimal, incircle,
+                     trilinear_to_cartesian)
 from orbitconics import (
     BilliardShape,
     Point,
@@ -41,7 +42,7 @@ def test_equilateral_centers_coincide_at_centroid():
 
 
 def test_x1156_undefined_for_equilateral():
-    for idx in (1156, 100):
+    for idx in (1156, 100, 11):
         with pytest.raises(UndefinedForShape):
             center(EQUILATERAL, idx)
 
@@ -57,7 +58,7 @@ def test_euler_line_centers_of_345():
     assert center(RIGHT_345, 5).dist(Point(1.0, 0.75)) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.01, 1.5, 2.0, 5.0, 10.0])
+@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.01, 1.5, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0])
 def test_euler_line_centers_match_a_decimal_oracle(rng, alpha):
     # moved orbit triangles and their excentral triangles, within 1e-11 of the longest side
     shape = BilliardShape(alpha, 1.0)
@@ -75,6 +76,23 @@ def test_euler_line_centers_match_a_decimal_oracle(rng, alpha):
             tol = 1e-11 * max(moved.sidelengths())
             assert abs(center(moved, 4).z - h) <= tol
             assert abs(center(moved, 5).z - n) <= tol
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.00001, 1.5, 10.0, 100.0, 1000.0])
+def test_cosines_match_a_decimal_oracle(rng, alpha):
+    # moved orbit triangles, within 1e-15 absolute
+    shape = BilliardShape(alpha, 1.0)
+    for k in range(60):
+        tri = orbit(shape, (k + 0.5) * 2 * math.pi / 60).triangle
+        rotation, log_scale = rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)
+        c, s, scale = math.cos(rotation), math.sin(rotation), 10.0**log_scale
+        ox, oy = rng.uniform(-2.0, 2.0, size=2) * scale * alpha
+        moved = Triangle.from_coords(
+            [(scale * (c * p.x - s * p.y) - ox, scale * (s * p.x + c * p.y) - oy)
+             for p in tri.vertices]
+        )
+        want = cosines_decimal([p.as_tuple() for p in moved.vertices])
+        assert moved.cosines() == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 def test_trilinear_equilateral_centroid():
@@ -206,8 +224,9 @@ def test_feuerbach_point_tangency(rng):
         assert abs(x11.dist(center(tri, 5)) - R / 2.0) <= 1e-9
 
 
-def test_feuerbach_point_on_caustic():
-    shape = BilliardShape(1.5, 1.0)
+@pytest.mark.parametrize("alpha", [1.0 + 1e-6, 1.00001, 1.5, 10.0, 100.0])
+def test_feuerbach_point_on_caustic(alpha):
+    shape = BilliardShape(alpha, 1.0)
     caus = caustic(shape)
     for k in range(72):
         tri = orbit(shape, (k + 0.5) * 2 * math.pi / 72).triangle

@@ -142,6 +142,21 @@ def test_locus_x7_elliptic(capsys):
     assert payload["fitted_axes"][0] == pytest.approx(0.7861498055439924, abs=1e-9)
 
 
+@pytest.mark.parametrize("a, verdict", [("1.0000001", None), ("1.00001", "elliptic")])
+def test_locus_x11_near_the_circle(capsys, tmp_path, a, verdict):
+    # at a/b = 1 + 1e-7 every orbit is equilateral within rounding, so X11 is refused
+    code, stdout, err = run_cli(capsys, [
+        "locus", "--a", a, "--b", "1", "--center", "X11", "--fit",
+        "--out", str(tmp_path / "x11.csv")])
+    if verdict is None:
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(err)["error"] == "UndefinedForShape"
+    else:
+        assert code == 0
+        assert json.loads(stdout)["verdict"] == verdict
+
+
 def test_locus_bad_center_exit_1(capsys):
     code, _, err = run_cli(
         capsys, ["locus", "--a", "1.5", "--b", "1", "--center", "X999"]

@@ -213,7 +213,7 @@ def test_focal_ratio_invariant():
     assert abs(ratios.mean() - expected) <= 1e-9
 
 
-@pytest.mark.parametrize("alpha", [1.3, 1.5])
+@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.00001, 1.3, 1.5])
 def test_focal_profile_three_maxima(alpha):
     shape = BilliardShape(alpha, 1.0)
     profile = focal_profile(shape, n=2000)
