@@ -186,8 +186,8 @@ def poncelet_vertices(t, a, b, c, A, B, guard):
         partners.append((x + k * dx, y + k * dy))
     (qx, qy), (sx, sy) = partners
     swap = (qx - x) * (sy - y) - (qy - y) * (sx - x) < 0.0
-    return (complex_of(x, y), complex_of(where(swap, sx, qx), where(swap, sy, qy)),
-            complex_of(where(swap, qx, sx), where(swap, qy, sy)))
+    q, s = complex_of(qx, qy), complex_of(sx, sy)
+    return complex_of(x, y), where(swap, s, q), where(swap, q, s)
 
 
 def orbit(shape: BilliardShape, t, skips: Skips | None = None):

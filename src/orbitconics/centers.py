@@ -30,10 +30,11 @@ from .kernel import (
     where,
 )
 
+#: Kimberling indices with a direct rule (trilinears in the side lengths) below.
+_TRILINEAR_CENTERS = frozenset({1, 2, 6, 7, 8, 9, 10, 11, 1156})
+
 #: Kimberling indices with a direct or composite rule below.
-SUPPORTED_CENTERS = frozenset(
-    {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 40, 69, 100, 142, 144, 168, 1156}
-)
+SUPPORTED_CENTERS = _TRILINEAR_CENTERS | {3, 4, 5, 40, 69, 100, 142, 144, 168}
 
 #: Selector for the orthic-circumbilliard center (acute: X6; obtuse: X6 of
 #: the triangle spanned by the two non-obtuse vertices and the orthocenter).
@@ -71,23 +72,23 @@ def _direct_trilinears(v: Tri, index: int, guard):
         return (s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3)
     if index == 10:
         return ((s2 + s3) / s1, (s3 + s1) / s2, (s1 + s2) / s3)
+    # X11 and X1156 have no limit at the equilateral triangle: refuse sides equal within rounding
+    spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
+    guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
+                f"X{index} is undefined for a triangle equilateral within rounding")
     if index == 1156:
         d1 = (s2 - s3) * (s2 - s3) + s1 * (s2 + s3 - 2 * s1)
         d2 = (s3 - s1) * (s3 - s1) + s2 * (s3 + s1 - 2 * s2)
         d3 = (s1 - s2) * (s1 - s2) + s3 * (s1 + s2 - 2 * s3)
+        # off the equilateral triangles a denominator can still cancel to zero
         guard.check((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0), UndefinedForShape,
-                    "X1156 is undefined for an equilateral triangle")
+                    "X1156 has a zero trilinear denominator")
         return (1.0 / d1, 1.0 / d2, 1.0 / d3)
-    if index == 11:
-        spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
-        guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
-                    "X11 is undefined for a triangle equilateral within rounding")
-        return (
-            (s2 - s3) * (s2 - s3) * (s2 + s3 - s1) / s1,
-            (s3 - s1) * (s3 - s1) * (s3 + s1 - s2) / s2,
-            (s1 - s2) * (s1 - s2) * (s1 + s2 - s3) / s3,
-        )
-    raise KeyError(index)
+    return (  # X11
+        (s2 - s3) * (s2 - s3) * (s2 + s3 - s1) / s1,
+        (s3 - s1) * (s3 - s1) * (s3 + s1 - s2) / s2,
+        (s1 - s2) * (s1 - s2) * (s1 + s2 - s3) / s3,
+    )
 
 
 def center_of(v: Tri, center_id, guard):
@@ -98,6 +99,8 @@ def center_of(v: Tri, center_id, guard):
     if center_id == ORTHIC_CB_CENTER:
         return orthic_cb_center_of(v, guard)
     index = int(center_id)
+    if index in _TRILINEAR_CENTERS:
+        return _point_of(v, _direct_trilinears(v, index, guard), guard)
     if index not in SUPPORTED_CENTERS:
         raise KeyError(f"center X{index} not supported")
     if index == 3:
@@ -118,9 +121,7 @@ def center_of(v: Tri, center_id, guard):
         return 0.5 * (center_of(v, 9, guard) + center_of(v, 7, guard))
     if index == 144:
         return 3.0 * center_of(v, 2, guard) - 2.0 * center_of(v, 7, guard)
-    if index == 168:
-        return center_of(derived_of(v, "excentral", guard), 9, guard)
-    return _point_of(v, _direct_trilinears(v, index, guard), guard)
+    return center_of(derived_of(v, "excentral", guard), 9, guard)  # X168
 
 
 def center(t: Triangle, center_id) -> Point:

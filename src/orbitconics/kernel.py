@@ -29,7 +29,6 @@ coefficients (``ellipse_axes``, ``focal_length``).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections.abc import Sequence
@@ -198,16 +197,24 @@ def length(d):
 
 
 def complex_of(x, y):
-    """x + iy with both parts kept bit for bit, signed zeros too; numbers or arrays."""
-    if not is_array(x):
+    """x + iy, both parts kept bit for bit (signed zeros too); y a number or broadcast to x's shape."""
+    if type(x) in _NUMBERS or not is_array(x):
         return complex(x, y)
     import numpy as np
 
-    return np.stack((x, y), axis=-1).view(complex)[..., 0]
+    z = np.empty(x.shape, complex)
+    z.real, z.imag = x, y
+    return z
+
+
+#: Types ``is_array`` answers at once; its hottest callers test them first and skip the call.
+_NUMBERS = frozenset((bool, int, float, complex))
 
 
 def is_array(x) -> bool:
-    """Whether x is a numpy array, asked without importing numpy: before that, no array exists."""
+    """Whether x is a numpy array: a Python number by its type, else without importing numpy."""
+    if type(x) in _NUMBERS:
+        return False
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
 
@@ -219,11 +226,11 @@ def nonfinite(x):
 
 def where(cond, a, b):
     """``np.where`` for an array condition; a plain choice for one bool."""
-    if is_array(cond):
-        import numpy as np
+    if type(cond) in _NUMBERS or not is_array(cond):
+        return a if cond else b
+    import numpy as np
 
-        return np.where(cond, a, b)
-    return a if cond else b
+    return np.where(cond, a, b)
 
 
 class _Scalars:
@@ -231,16 +238,13 @@ class _Scalars:
 
     sqrt, cos, sin, copysign, arctan2 = math.sqrt, math.cos, math.sin, math.copysign, math.atan2
 
-    @staticmethod
-    def maximum(a, b):
+    def maximum(self, a, b):
         return a if a >= b or a != a else b
 
-    @staticmethod
-    def minimum(a, b):
+    def minimum(self, a, b):
         return a if a <= b or a != a else b
 
-    @staticmethod
-    def sign(x):
+    def sign(self, x):
         return float((x > 0.0) - (x < 0.0)) if x == x else x
 
 
@@ -257,7 +261,7 @@ def ufuncs(*xs):
     check that refuses such an input.
     """
     for x in xs:
-        if is_array(x):
+        if type(x) not in _NUMBERS and is_array(x):
             import numpy as np
 
             return np
@@ -273,8 +277,7 @@ def perp_foot(p, q, r):
 class Raise:
     """Failure policy of the scalar API: the first failed check raises."""
 
-    @staticmethod
-    def check(failed, exc, message: str) -> None:
+    def check(self, failed, exc, message: str) -> None:
         if failed:
             raise exc(message)
 
@@ -288,6 +291,7 @@ class Skips:
     ``check`` records, for every sample still valid where ``failed`` holds,
     the exception the scalar API would raise there; later checks do not
     overwrite it, so each sample keeps its first failure, as a raise would.
+    A check where no sample fails returns after that one test.
     """
 
     def __init__(self, n: int):
@@ -301,6 +305,10 @@ class Skips:
         return self.code < 0
 
     def check(self, failed, exc, message: str) -> None:
+        import numpy as np
+
+        if not np.count_nonzero(failed):
+            return
         new = failed & (self.code < 0)
         if new.any():
             self.code[new] = len(self.failures)
@@ -411,7 +419,7 @@ class ConicClass(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Conic:
     """``A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0``, (x, y) relative to ``anchor``.
 
@@ -428,6 +436,10 @@ class Conic:
     E: float
     F: float
     anchor: complex = 0j
+
+    def __init__(self, A, B, C, D, E, F, anchor=0j):
+        # one update of the frozen instance's dict: cheaper than a __setattr__ call per field
+        vars(self).update(A=A, B=B, C=C, D=D, E=E, F=F, anchor=anchor)
 
     @property
     def coeffs(self) -> tuple:
@@ -446,7 +458,7 @@ class Conic:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EllipseParams:
     """Center, semi-axis lengths and major-axis direction of an ellipse.
 
@@ -459,12 +471,11 @@ class EllipseParams:
     semi_minor: float
     axis_angle: float
 
-    def __post_init__(self):
-        if not (self.semi_major >= self.semi_minor > 0.0):
-            raise ValueError(
-                f"require semi_major >= semi_minor > 0, got "
-                f"({self.semi_major}, {self.semi_minor})"
-            )
+    def __init__(self, center, semi_major, semi_minor, axis_angle):
+        if not (semi_major >= semi_minor > 0.0):
+            raise ValueError(f"require semi_major >= semi_minor > 0, got ({semi_major}, {semi_minor})")
+        vars(self).update(center=center, semi_major=semi_major, semi_minor=semi_minor,
+                          axis_angle=axis_angle)
 
     @property
     def aspect(self) -> float:
@@ -516,7 +527,7 @@ class Triangle:
     @classmethod
     def from_tri(cls, v: Tri) -> "Triangle":
         """Triangle of a one-triangle Tri, kept as its ``tri`` (the same bits)."""
-        if not all(map(cmath.isfinite, v.vertices)):
+        if v.nonfinite():
             list(map(Point.from_complex, v.vertices))  # raises Point's ValueError
         t = cls.__new__(cls)
         t._bind(v, None)
@@ -633,14 +644,19 @@ def solve_circumconic(t: Triangle, center: Point) -> Conic:
 
 
 def determinants(q: Conic):
-    """det = A C - B^2, its dead band 1e-12 (B^2 + |A C|), and the 3x3 determinant det3.
+    """det = A C - B^2 and its dead band 1e-12 (B^2 + |A C|), numbers or arrays.
 
-    Ellipses have det > band, hyperbolae det < -band, line pairs det3 = 0.  Numbers or arrays.
+    Ellipses have det > band, hyperbolae det < -band.
     """
-    A, B, C, D, E, F = q.coeffs
+    A, B, C = q.A, q.B, q.C
     det = A * C - B * B
-    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
-    return det, 1e-12 * (B * B + abs(A * C)), det3
+    return det, 1e-12 * (B * B + abs(A * C))
+
+
+def det3_of(q: Conic, det):
+    """The 3x3 determinant of q, given its det = A C - B^2; line pairs have det3 = 0."""
+    A, B, C, D, E, F = q.coeffs
+    return D * (B * E - C * D) + E * (B * D - A * E) + F * det
 
 
 def classify_conic(conic: Conic) -> ConicClass:
@@ -652,8 +668,9 @@ def classify_conic(conic: Conic) -> ConicClass:
     """
     A, B, C, D, E, F = conic.coeffs
     scale, exponent = math.frexp(max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)))
-    det, band, det3 = determinants(Conic(*(math.ldexp(x, -exponent) for x in conic.coeffs)))
-    if abs(det3) <= 1e-12 * scale**3:
+    scaled = Conic(*(math.ldexp(x, -exponent) for x in conic.coeffs))
+    det, band = determinants(scaled)
+    if abs(det3_of(scaled, det)) <= 1e-12 * scale**3:
         return ConicClass.DEGENERATE
     if det > band:
         return ConicClass.ELLIPSE
@@ -682,7 +699,7 @@ def ellipse_axes(q: Conic, guard):
     arrays; ``guard`` is RAISE or a Skips.
     """
     A, B, C = q.A, q.B, q.C
-    det, band, _ = determinants(q)
+    det, band = determinants(q)
     guard.check(det <= band, NotAnEllipse, "conic does not classify as an ellipse")
     cx, cy, K = _center_and_level(q, det)
     m = 0.5 * (A + C)
@@ -711,7 +728,7 @@ def conic_to_ellipse_params(conic: Conic) -> EllipseParams:
 
 def conic_center(conic: Conic) -> Point:
     """Center of a central conic (ellipse or hyperbola)."""
-    det, band, _ = determinants(conic)
+    det, band = determinants(conic)
     if abs(det) <= band:
         raise PointAtInfinity("a parabolic conic has no center")
     cx, cy, _ = _center_and_level(conic, det)
@@ -729,7 +746,7 @@ def focal_length(q: Conic, guard=RAISE):
     ``2 sqrt(2 |k|)`` for the recentred form x y = k.
     """
     A, B, C = q.A, q.B, q.C
-    det, band, _ = determinants(q)
+    det, band = determinants(q)
     guard.check(det >= -band, DegenerateConic, "conic does not classify as a hyperbola")
     _, _, K = _center_and_level(q, det)
     f = ufuncs(K)
@@ -748,7 +765,8 @@ def unresolved(q: Conic):
     the semi-axes go with sqrt(K / eigenvalue).  Numbers or arrays.
     """
     A, B, C, D, E, F = q.coeffs
-    det, _, det3 = determinants(q)
+    det = determinants(q)[0]
+    det3 = det3_of(q, det)
     cofactors = (abs(C * F - E * E) + abs(A * F - D * D) + abs(det)
                  + 2 * (abs(D * E - B * F) + abs(B * E - C * D) + abs(B * D - A * E)))
     ulp = EPS * largest(*(abs(x) for x in q.coeffs))

@@ -108,16 +108,16 @@ def fit_locus(samples) -> LocusFitReport:
     x2, y2 = x * x, y * y
     # normal equations [[sxx, sxy], [sxy, syy]] (A, B) = (sx, sy) by Cramer's rule,
     # refused when the first partial pivot squared exceeds CONDITION_LIMIT |det|
-    sxx, sxy, syy = float(np.sum(x2 * x2)), float(np.sum(x2 * y2)), float(np.sum(y2 * y2))
-    sx, sy = float(np.sum(x2)), float(np.sum(y2))
+    sxx, sxy, syy = float((x2 * x2).sum()), float((x2 * y2).sum()), float((y2 * y2).sum())
+    sx, sy = float(x2.sum()), float(y2.sum())
     det = sxx * syy - sxy * sxy
     pivot = max(abs(sxx), abs(sxy))
     if det == 0.0 or pivot * pivot > CONDITION_LIMIT * abs(det):
         raise IllConditioned(f"pivot ratio beyond {CONDITION_LIMIT:.0e}")
     A, B = (sx * syy - sxy * sy) / det, (sxx * sy - sxy * sx) / det
     res = A * x2 + B * y2 - 1.0
-    rms = float(np.sqrt(np.mean(res * res)))
-    mean_radius = float(np.mean(np.hypot(x, y)))
+    rms = float(np.sqrt((res * res).mean()))
+    mean_radius = float(np.hypot(x, y).mean())
     if A > 0.0 and B > 0.0:
         axes = (1.0 / math.sqrt(A), 1.0 / math.sqrt(B))
         if rms <= ELLIPTIC_RMS * mean_radius:
@@ -155,7 +155,7 @@ def fit_circle(samples) -> CircleFit:
         raise IllConditioned(f"singular value ratio squared beyond {CONDITION_LIMIT:.0e}")
     cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
     radius = math.sqrt(max(cx * cx + cy * cy - sol[2], 0.0))
-    rms = float(np.sqrt(np.mean((np.hypot(xs - cx, ys - cy) - radius) ** 2)))
+    rms = float(np.sqrt(((np.hypot(xs - cx, ys - cy) - radius) ** 2).mean()))
     return CircleFit(Point(cx, cy), radius, rms)
 
 
@@ -226,8 +226,8 @@ def _bounded(name: str, lo: float, hi: float, spread: float, tol: float) -> Quan
 
 
 def _rel_spread_stats(name: str, values, tol: float) -> QuantityStats:
-    lo, hi = float(np.min(values)), float(np.max(values))
-    return _bounded(name, lo, hi, (hi - lo) / abs(float(np.mean(values))), tol)
+    lo, hi = float(values.min()), float(values.max())
+    return _bounded(name, lo, hi, (hi - lo) / abs(float(values.mean())), tol)
 
 
 def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
@@ -254,18 +254,18 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     entries = [
         _rel_spread_stats("perimeter", perimeter, 1e-9),
         _rel_spread_stats("inradius_to_circumradius", rho, 1e-9),
-        _bounded("rho_matches_closed_form", float(np.min(rho)) - rho_form,
-                 float(np.max(rho)) - rho_form, abs(float(np.mean(rho)) - rho_form), 1e-9),
-        _bounded("mittenpunkt_norm", float(np.min(x9n)), float(np.max(x9n)),
-                 float(np.max(x9n)), 1e-9 * shape.a),
+        _bounded("rho_matches_closed_form", float(rho.min()) - rho_form,
+                 float(rho.max()) - rho_form, abs(float(rho.mean()) - rho_form), 1e-9),
+        _bounded("mittenpunkt_norm", float(x9n.min()), float(x9n.max()),
+                 float(x9n.max()), 1e-9 * shape.a),
         _rel_spread_stats("act_cb_semi_major", act_major, 1e-9),
         _rel_spread_stats("act_cb_semi_minor", act_minor, 1e-9),
         _rel_spread_stats("medial_cb_semi_major", med_major, 1e-9),
         _rel_spread_stats("medial_cb_semi_minor", med_minor, 1e-9),
-        _bounded("cb_axis_alignment", 0.0, float(np.max(angles)), float(np.max(angles)), 1e-9),
+        _bounded("cb_axis_alignment", 0.0, float(angles.max()), float(angles.max()), 1e-9),
     ]
     return InvariantReport(shape.a, shape.b, n, int(n - keep.sum()), rho_form,
-                           float(np.mean(rho)), entries)
+                           float(rho.mean()), entries)
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,22 @@ def test_equilateral_centers_coincide_at_centroid():
 
 
 def test_x1156_undefined_for_equilateral():
-    for idx in (1156, 100, 11):
-        with pytest.raises(UndefinedForShape):
-            center(EQUILATERAL, idx)
+    # the second's sides, 1.732050807568877, ...779 and ...772, differ only by rounding
+    angles = (0.1, 0.1 + 2.0 * math.pi / 3.0, 0.1 + 4.0 * math.pi / 3.0)
+    rounded = Triangle(*(Point(math.cos(a), math.sin(a)) for a in angles))
+    assert len(set(rounded.sidelengths())) == 3
+    for t in (EQUILATERAL, rounded):
+        for idx in (1156, 100, 11):
+            with pytest.raises(UndefinedForShape, match="equilateral within rounding"):
+                center(t, idx)
+
+
+def test_x1156_refuses_a_zero_denominator_off_the_equilateral():
+    # sides (4, 4.5, 2.5): (s2 - s3)^2 + s1 (s2 + s3 - 2 s1) = 4 - 4 cancels to zero
+    t = Triangle(Point(0.25, math.sqrt(6.1875)), Point(0.0, 0.0), Point(4.0, 0.0))
+    assert t.sidelengths() == (4.0, 4.5, 2.5)
+    with pytest.raises(UndefinedForShape, match="zero trilinear denominator"):
+        center(t, 1156)
 
 
 def test_incenter_of_345():

@@ -222,3 +222,15 @@ def test_skips_keep_the_first_failure_per_sample():
         mixed.kept(3)
     with pytest.raises(ValueError, match="need at least 5 samples"):
         Skips(4).kept(5)
+
+
+def test_skips_check_without_a_failing_sample_changes_nothing():
+    skips = Skips(3)
+    skips.check([False, True, False], RightTriangle, "first")
+    code, failures = skips.code, skips.failures
+    before = (code.tolist(), list(failures))
+    # an array, a list, and a mask that fails only where a sample already failed
+    for failed in (np.zeros(3, dtype=bool), [False, False, False], ~skips.valid & [True, True, True]):
+        skips.check(failed, DegenerateTriangle, "second")
+    assert skips.code is code and skips.failures is failures
+    assert (code.tolist(), failures) == before == ([-1, 0, -1], [(RightTriangle, "first")])

@@ -1,5 +1,6 @@
 import math
 import pickle
+import struct
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -33,7 +34,7 @@ from orbitconics import (
     solve_inconic,
 )
 from orbitconics.circumbilliard import circumbilliard_of
-from orbitconics.kernel import RAISE, Skips, circumconic_of, ellipse_axes
+from orbitconics.kernel import RAISE, Skips, circumconic_of, complex_of, ellipse_axes
 
 UNIT_CIRCLE = Conic(-1.0, 0.0, -1.0, 0.0, 0.0, 1.0)
 
@@ -103,6 +104,29 @@ def test_triangle_from_tri_builds_the_same_points_lazily():
         Triangle.from_tri(Tri(0j, 1 + 0j, complex(math.nan, 1.0)))
     with pytest.raises(DegenerateTriangle):
         Triangle.from_tri(Tri(0j, 1 + 1j, 2 + 2j))
+
+
+def test_complex_of_arrays_keeps_the_bits_of_complex():
+    def bits(z):
+        return np.asarray(z, dtype=complex).reshape(-1).view(np.uint64)
+
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+    parts = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, payload_nan, 5e-324, -1.5, 1e308]
+    x = np.repeat(parts, len(parts))
+    y = np.tile(parts, len(parts))
+    got = complex_of(x, y)
+    assert got.shape == x.shape
+    assert (bits(got) == bits([complex(a, b) for a, b in zip(x.tolist(), y.tolist())])).all()
+    # y broadcast to x's shape: a row against every row of x, and one number
+    rows = x.reshape(len(parts), len(parts))
+    got = complex_of(rows, y[: len(parts)])
+    want = [[complex(a, b) for a, b in zip(row, parts)] for row in rows.tolist()]
+    assert got.shape == rows.shape and (bits(got) == bits(want)).all()
+    got = complex_of(x, -0.0)
+    assert (bits(got) == bits([complex(a, -0.0) for a in x.tolist()])).all()
+    # numbers give a Python complex
+    assert type(complex_of(-0.0, math.inf)) is complex
+    assert (bits(complex_of(-0.0, payload_nan)) == bits(complex(-0.0, payload_nan))).all()
 
 
 def test_triangle_sidelength_cache(rng):
