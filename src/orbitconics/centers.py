@@ -1,11 +1,11 @@
 """Triangle centers (Kimberling X_i) and derived triangles.
 
-Centers are specified by trilinear coordinates in the side lengths
-alone, with no angles, and converted to Cartesians through sidelength
-weighting; X3 is the circumcenter from the vertex differences.  The
-other centers are composite: a named center of a derived triangle, or
-an affine combination of other centers, such as the Euler-line
-identities X4 = p1 + p2 + p3 - 2 X3 and X5 = (p1 + p2 + p3 - X3) / 2.
+The direct centers are barycentric weights polynomial in the side
+lengths, with no angles and no division, placed at the weighted mean of
+the vertices; X3 is the circumcenter from the vertex differences.  The
+other centers are affine combinations of these, such as the Euler-line
+identities X4 = p1 + p2 + p3 - 2 X3 and X5 = (p1 + p2 + p3 - X3) / 2 and
+the Bevan point X40 = 2 X3 - X1, except X168, X9 of the excentral triangle.
 
 Every rule is written once on ``kernel.Tri`` (``center_of``,
 ``derived_of``), so it evaluates one triangle for the scalar API below
@@ -30,65 +30,52 @@ from .kernel import (
     where,
 )
 
-#: Kimberling indices with a direct rule (trilinears in the side lengths) below.
-_TRILINEAR_CENTERS = frozenset({1, 2, 6, 7, 8, 9, 10, 11, 1156})
+
+def _cyclic(w):
+    """Barycentrics (w(a, b, c) : w(b, c, a) : w(c, a, b)) from the first weight ``w``."""
+    return lambda a, b, c: (w(a, b, c), w(b, c, a), w(c, a, b))
+
+
+def _x1156_factor(a, b, c):
+    """(b - c)^2 + a (b + c - 2a), the reciprocal of X1156's first trilinear."""
+    return (b - c) * (b - c) + a * (b + c - 2 * a)
+
+
+#: Barycentric weights of the direct centers in the sides (a, b, c) = (s1, s2, s3).
+_BARYCENTRICS = {
+    1: _cyclic(lambda a, b, c: a),
+    2: lambda a, b, c: (1.0, 1.0, 1.0),
+    6: _cyclic(lambda a, b, c: a * a),
+    7: _cyclic(lambda a, b, c: (c + a - b) * (a + b - c)),
+    8: _cyclic(lambda a, b, c: b + c - a),
+    9: _cyclic(lambda a, b, c: a * (b + c - a)),
+    10: _cyclic(lambda a, b, c: b + c),
+    11: _cyclic(lambda a, b, c: (b - c) * (b - c) * (b + c - a)),
+    69: _cyclic(lambda a, b, c: b * b + c * c - a * a),
+    100: _cyclic(lambda a, b, c: a * (c - a) * (a - b)),
+    1156: _cyclic(lambda a, b, c: a * _x1156_factor(b, c, a) * _x1156_factor(c, a, b)),
+}
+
+#: Direct centers with no limit at the equilateral triangle.
+_UNDEFINED_AT_EQUILATERAL = frozenset({11, 100, 1156})
 
 #: Kimberling indices with a direct or composite rule below.
-SUPPORTED_CENTERS = _TRILINEAR_CENTERS | {3, 4, 5, 40, 69, 100, 142, 144, 168}
+SUPPORTED_CENTERS = frozenset(_BARYCENTRICS) | {3, 4, 5, 40, 142, 144, 168}
 
 #: Selector for the orthic-circumbilliard center (acute: X6; obtuse: X6 of
 #: the triangle spanned by the two non-obtuse vertices and the orthocenter).
 ORTHIC_CB_CENTER = "X6star"
 
 
-def _point_of(v: Tri, tri, guard):
-    w1, w2, w3 = v.s1 * tri[0], v.s2 * tri[1], v.s3 * tri[2]
+def _point_of(v: Tri, weights, guard):
+    w1, w2, w3 = weights
     den = w1 + w2 + w3
     guard.check(
         abs(den) <= 1e-12 * (abs(w1) + abs(w2) + abs(w3)),
         PointAtInfinity,
-        "trilinears lie on the line at infinity",
+        "barycentrics lie on the line at infinity",
     )
     return (w1 * v.p1 + w2 * v.p2 + w3 * v.p3) * (1.0 / den)
-
-
-def _direct_trilinears(v: Tri, index: int, guard):
-    s1, s2, s3 = v.s1, v.s2, v.s3
-    if index == 1:
-        return (1.0, 1.0, 1.0)
-    if index == 2:
-        return (1.0 / s1, 1.0 / s2, 1.0 / s3)
-    if index == 6:
-        return (s1, s2, s3)
-    if index == 7:
-        return (
-            1.0 / (s1 * (s2 + s3 - s1)),
-            1.0 / (s2 * (s3 + s1 - s2)),
-            1.0 / (s3 * (s1 + s2 - s3)),
-        )
-    if index == 8:
-        return ((s2 + s3 - s1) / s1, (s3 + s1 - s2) / s2, (s1 + s2 - s3) / s3)
-    if index == 9:
-        return (s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3)
-    if index == 10:
-        return ((s2 + s3) / s1, (s3 + s1) / s2, (s1 + s2) / s3)
-    # X11 and X1156 have no limit at the equilateral triangle: refuse sides equal within rounding
-    spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
-    guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
-                f"X{index} is undefined for a triangle equilateral within rounding")
-    if index == 1156:
-        d1 = (s2 - s3) * (s2 - s3) + s1 * (s2 + s3 - 2 * s1)
-        d2 = (s3 - s1) * (s3 - s1) + s2 * (s3 + s1 - 2 * s2)
-        d3 = (s1 - s2) * (s1 - s2) + s3 * (s1 + s2 - 2 * s3)
-        # off the equilateral triangles a denominator can still cancel to zero
-        guard.check((d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0), UndefinedForShape,
-                    "X1156 has a zero trilinear denominator")
-        return (1.0 / d1, 1.0 / d2, 1.0 / d3)
-    return (  # X11
-        (s2 - s3) * (s2 - s3) * (s2 + s3 - s1) / s1,
-        (s3 - s1) * (s3 - s1) * (s3 + s1 - s2) / s2,
-        (s1 - s2) * (s1 - s2) * (s1 + s2 - s3) / s3,
-    )
 
 
 def center_of(v: Tri, center_id, guard):
@@ -99,8 +86,14 @@ def center_of(v: Tri, center_id, guard):
     if center_id == ORTHIC_CB_CENTER:
         return orthic_cb_center_of(v, guard)
     index = int(center_id)
-    if index in _TRILINEAR_CENTERS:
-        return _point_of(v, _direct_trilinears(v, index, guard), guard)
+    weights = _BARYCENTRICS.get(index)
+    if weights is not None:
+        s1, s2, s3 = v.s1, v.s2, v.s3
+        if index in _UNDEFINED_AT_EQUILATERAL:  # refuse sides equal within rounding
+            spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
+            guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
+                        f"X{index} is undefined for a triangle equilateral within rounding")
+        return _point_of(v, weights(s1, s2, s3), guard)
     if index not in SUPPORTED_CENTERS:
         raise KeyError(f"center X{index} not supported")
     if index == 3:
@@ -112,11 +105,7 @@ def center_of(v: Tri, center_id, guard):
     if index == 5:
         return 0.5 * (v.p1 + v.p2 + v.p3 - center_of(v, 3, guard))
     if index == 40:
-        return center_of(derived_of(v, "excentral", guard), 3, guard)
-    if index == 69:
-        return center_of(derived_of(v, "act", guard), 6, guard)
-    if index == 100:
-        return 2.0 * center_of(v, 9, guard) - center_of(v, 1156, guard)
+        return 2.0 * center_of(v, 3, guard) - center_of(v, 1, guard)
     if index == 142:
         return 0.5 * (center_of(v, 9, guard) + center_of(v, 7, guard))
     if index == 144:

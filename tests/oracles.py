@@ -197,6 +197,62 @@ def euler_centers_decimal(vertices, digits: int = 60):
         return complex(float(hx), float(hy)), complex(float((ox + hx) / 2), float((oy + hy) / 2))
 
 
+#: ETC trilinears of the direct centers and of X142 and X144, as the first
+#: coordinate in the sides (a, b, c); the others follow cyclically.
+_TRILINEARS_DECIMAL = {
+    1: lambda a, b, c: 1,
+    2: lambda a, b, c: 1 / a,
+    6: lambda a, b, c: a,
+    7: lambda a, b, c: 1 / (a * (b + c - a)),
+    8: lambda a, b, c: (b + c - a) / a,
+    9: lambda a, b, c: b + c - a,
+    10: lambda a, b, c: (b + c) / a,
+    11: lambda a, b, c: (b - c) ** 2 * (b + c - a) / a,
+    69: lambda a, b, c: (b * b + c * c - a * a) / a,
+    100: lambda a, b, c: 1 / (b - c),
+    142: lambda a, b, c: b + c - (b - c) ** 2 / a,
+    144: lambda a, b, c: (3 * a * a - 2 * a * (b + c) - (b - c) ** 2) / a,
+    1156: lambda a, b, c: 1 / ((b - c) ** 2 + a * (b + c - 2 * a)),
+}
+
+
+def centers_decimal(vertices, index: int, digits: int = 60) -> complex:
+    """Kimberling center X_index in ``digits``-digit decimals.
+
+    From the float vertices taken exactly: the direct centers, X142 and
+    X144 from their ETC trilinears times the sides, X3 from the
+    perpendicular bisectors, X4 and X5 from ``euler_centers_decimal``,
+    and X40 and X168 as X3 and X9 of the excentral triangle, whose
+    vertices are the excenters.  Returns a complex number rounded to floats.
+    """
+    if index in (4, 5):
+        return euler_centers_decimal(vertices, digits)[index - 4]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = [(Decimal(x), Decimal(y)) for x, y in vertices]
+        if index in (40, 168):
+            a, b, c = _sides_decimal(p)
+            p = [
+                tuple((wa * p[0][k] + wb * p[1][k] + wc * p[2][k]) / (wa + wb + wc) for k in (0, 1))
+                for wa, wb, wc in ((-a, b, c), (a, -b, c), (a, b, -c))
+            ]
+            index = 3 if index == 40 else 9
+        if index == 3:
+            x, y = _circumcenter_decimal(*p)
+        else:
+            a, b, c = _sides_decimal(p)
+            t = _TRILINEARS_DECIMAL[index]
+            w = (a * t(a, b, c), b * t(b, c, a), c * t(c, a, b))
+            x, y = (sum(wi * pi[k] for wi, pi in zip(w, p)) / sum(w) for k in (0, 1))
+        return complex(float(x), float(y))
+
+
+def _sides_decimal(p):
+    """Side lengths opposite each of three Decimal points."""
+    return tuple(((p[j][0] - p[k][0]) ** 2 + (p[j][1] - p[k][1]) ** 2).sqrt()
+                 for j, k in ((1, 2), (2, 0), (0, 1)))
+
+
 def cosines_decimal(vertices, digits: int = 60):
     """Cosine of the angle at each vertex in ``digits``-digit decimals.
 
@@ -264,8 +320,13 @@ def billiard_intersections_pointwise(shape, hyp, grid: int = 4096):
 
 
 def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:
-    """Cartesian position of homogeneous trilinears (t1 : t2 : t3), by the library's weighting."""
-    return Point.from_complex(_point_of(t.tri, tri, RAISE))
+    """Cartesian position of homogeneous trilinears (t1 : t2 : t3).
+
+    The trilinears are weighted by the sides here, into the barycentrics
+    (s1 t1 : s2 t2 : s3 t3) that the library's ``_point_of`` places.
+    """
+    weights = tuple(s * x for s, x in zip(t.sidelengths(), tri))
+    return Point.from_complex(_point_of(t.tri, weights, RAISE))
 
 
 def ellipse_to_conic(params: EllipseParams) -> Conic:

@@ -1,12 +1,13 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triangle
-from oracles import (circumcircle, cosines_decimal, euler_centers_decimal, incircle,
-                     trilinear_to_cartesian)
+from oracles import (centers_decimal, circumcircle, cosines_decimal, euler_centers_decimal,
+                     incircle, trilinear_to_cartesian)
 from orbitconics import (
     BilliardShape,
     Point,
@@ -27,6 +28,7 @@ from orbitconics import (
     orthic_center_transition,
     right_angle_vertex,
 )
+from orbitconics.centers import SUPPORTED_CENTERS
 
 EQUILATERAL = Triangle(
     Point(1.0, 0.0),
@@ -52,12 +54,14 @@ def test_x1156_undefined_for_equilateral():
                 center(t, idx)
 
 
-def test_x1156_refuses_a_zero_denominator_off_the_equilateral():
-    # sides (4, 4.5, 2.5): (s2 - s3)^2 + s1 (s2 + s3 - 2 s1) = 4 - 4 cancels to zero
+def test_x1156_is_the_vertex_where_a_denominator_cancels_to_zero():
+    # sides (4, 4.5, 2.5): (s2 - s3)^2 + s1 (s2 + s3 - 2 s1) = 4 - 4 cancels to zero, so the
+    # trilinears (1/0 : 1/d2 : 1/d3) are p1's and the barycentrics (s1 d2 d3 : 0 : 0) place it
     t = Triangle(Point(0.25, math.sqrt(6.1875)), Point(0.0, 0.0), Point(4.0, 0.0))
     assert t.sidelengths() == (4.0, 4.5, 2.5)
-    with pytest.raises(UndefinedForShape, match="zero trilinear denominator"):
-        center(t, 1156)
+    assert center(t, 1156).dist(t.p1) <= 1e-15 * 4.5
+    want = centers_decimal([p.as_tuple() for p in t.vertices], 100)
+    assert abs(center(t, 100).z - want) <= 1e-15 * 4.5
 
 
 def test_incenter_of_345():
@@ -71,6 +75,16 @@ def test_euler_line_centers_of_345():
     assert center(RIGHT_345, 5).dist(Point(1.0, 0.75)) <= 1e-12
 
 
+def _moved(rng, t, alpha):
+    """``t`` rotated, scaled by 10^[-1, 1] and moved by up to twice that times alpha."""
+    rotation, log_scale = rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)
+    c, s, scale = math.cos(rotation), math.sin(rotation), 10.0**log_scale
+    ox, oy = rng.uniform(-2.0, 2.0, size=2) * scale * alpha
+    return Triangle.from_coords(
+        [(scale * (c * p.x - s * p.y) - ox, scale * (s * p.x + c * p.y) - oy) for p in t.vertices]
+    )
+
+
 @pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.01, 1.5, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0])
 def test_euler_line_centers_match_a_decimal_oracle(rng, alpha):
     # moved orbit triangles and their excentral triangles, within 1e-11 of the longest side
@@ -78,13 +92,7 @@ def test_euler_line_centers_match_a_decimal_oracle(rng, alpha):
     for k in range(60):
         tri = orbit(shape, (k + 0.5) * 2 * math.pi / 60).triangle
         for t in (tri, excentral(tri)):
-            rotation, log_scale = rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)
-            c, s, scale = math.cos(rotation), math.sin(rotation), 10.0**log_scale
-            ox, oy = rng.uniform(-2.0, 2.0, size=2) * scale * alpha
-            moved = Triangle.from_coords(
-                [(scale * (c * p.x - s * p.y) - ox, scale * (s * p.x + c * p.y) - oy)
-                 for p in t.vertices]
-            )
+            moved = _moved(rng, t, alpha)
             h, n = euler_centers_decimal([p.as_tuple() for p in moved.vertices])
             tol = 1e-11 * max(moved.sidelengths())
             assert abs(center(moved, 4).z - h) <= tol
@@ -96,16 +104,35 @@ def test_cosines_match_a_decimal_oracle(rng, alpha):
     # moved orbit triangles, within 1e-15 absolute
     shape = BilliardShape(alpha, 1.0)
     for k in range(60):
-        tri = orbit(shape, (k + 0.5) * 2 * math.pi / 60).triangle
-        rotation, log_scale = rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)
-        c, s, scale = math.cos(rotation), math.sin(rotation), 10.0**log_scale
-        ox, oy = rng.uniform(-2.0, 2.0, size=2) * scale * alpha
-        moved = Triangle.from_coords(
-            [(scale * (c * p.x - s * p.y) - ox, scale * (s * p.x + c * p.y) - oy)
-             for p in tri.vertices]
-        )
+        moved = _moved(rng, orbit(shape, (k + 0.5) * 2 * math.pi / 60).triangle, alpha)
         want = cosines_decimal([p.as_tuple() for p in moved.vertices])
         assert moved.cosines() == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+#: Bound on each center's error against ``centers_decimal`` on the moved orbit
+#: triangles below, about twice the worst measured, over the longest side; for
+#: X11, X100 and X1156, whose weights are products of side differences, over
+#: EPS s_max / max |s_j - s_k| times the longest side.
+DECIMAL_ORACLE_BOUNDS = {
+    1: 1e-15, 2: 1e-15, 3: 2e-12, 4: 5e-12, 5: 1e-12, 6: 1e-15, 7: 1e-15, 8: 1e-15, 9: 1e-14,
+    10: 1e-15, 11: 5.0, 40: 5e-12, 69: 1e-15, 100: 5.0, 142: 5e-15, 144: 2e-15, 168: 1e-8,
+    1156: 8.0,
+}
+
+
+@pytest.mark.parametrize("index", sorted(SUPPORTED_CENTERS))
+@pytest.mark.parametrize("alpha", [1.0 + 1e-5, 1.5, 10.0, 100.0, 300.0])
+def test_every_center_matches_a_decimal_oracle(rng, alpha, index):
+    shape = BilliardShape(alpha, 1.0)
+    for k in range(24):
+        moved = _moved(rng, orbit(shape, (k + 0.5) * 2 * math.pi / 24).triangle, alpha)
+        sides = moved.sidelengths()
+        tol = DECIMAL_ORACLE_BOUNDS[index] * max(sides)
+        if index in (11, 100, 1156):
+            spread = max(abs(sides[1] - sides[2]), abs(sides[2] - sides[0]), abs(sides[0] - sides[1]))
+            tol *= sys.float_info.epsilon * max(sides) / spread
+        want = centers_decimal([p.as_tuple() for p in moved.vertices], index)
+        assert abs(center(moved, index).z - want) <= tol
 
 
 def test_trilinear_equilateral_centroid():
