@@ -179,12 +179,13 @@ def poncelet_vertices(t, a, b, c, A, B, guard):
     guard.check(disc < 0.0, ValueError, "first vertex inside the inner conic")
     r = uy + f.copysign(f.sqrt(f.maximum(disc, 0.0)), uy)
     a2, b2 = a**2, b**2
-    partners = []
-    # side directions (-n_y, n_x)
-    for dx, dy in ((u * u - A, r), (-r, B - y * y)):
-        k = -2.0 * (x * dx / a2 + y * dy / b2) / (dx * dx / a2 + dy * dy / b2)
-        partners.append((x + k * dx, y + k * dy))
-    (qx, qy), (sx, sy) = partners
+    # along the side directions (-n_y, n_x) = (dx, dy) to the partners q and s
+    dx, dy = u * u - A, r
+    k = -2.0 * (x * dx / a2 + y * dy / b2) / (dx * dx / a2 + dy * dy / b2)
+    qx, qy = x + k * dx, y + k * dy
+    dx, dy = -r, B - y * y
+    k = -2.0 * (x * dx / a2 + y * dy / b2) / (dx * dx / a2 + dy * dy / b2)
+    sx, sy = x + k * dx, y + k * dy
     swap = (qx - x) * (sy - y) - (qy - y) * (sx - x) < 0.0
     q, s = complex_of(qx, qy), complex_of(sx, sy)
     return complex_of(x, y), where(swap, s, q), where(swap, q, s)

@@ -31,29 +31,25 @@ from .kernel import (
 )
 
 
-def _cyclic(w):
-    """Barycentrics (w(a, b, c) : w(b, c, a) : w(c, a, b)) from the first weight ``w``."""
-    return lambda a, b, c: (w(a, b, c), w(b, c, a), w(c, a, b))
-
-
 def _x1156_factor(a, b, c):
     """(b - c)^2 + a (b + c - 2a), the reciprocal of X1156's first trilinear."""
     return (b - c) * (b - c) + a * (b + c - 2 * a)
 
 
-#: Barycentric weights of the direct centers in the sides (a, b, c) = (s1, s2, s3).
+#: First barycentric weight w(a, b, c) of the direct centers in the sides (a, b, c) =
+#: (s1, s2, s3); the barycentrics are (w(a, b, c) : w(b, c, a) : w(c, a, b)).
 _BARYCENTRICS = {
-    1: _cyclic(lambda a, b, c: a),
-    2: lambda a, b, c: (1.0, 1.0, 1.0),
-    6: _cyclic(lambda a, b, c: a * a),
-    7: _cyclic(lambda a, b, c: (c + a - b) * (a + b - c)),
-    8: _cyclic(lambda a, b, c: b + c - a),
-    9: _cyclic(lambda a, b, c: a * (b + c - a)),
-    10: _cyclic(lambda a, b, c: b + c),
-    11: _cyclic(lambda a, b, c: (b - c) * (b - c) * (b + c - a)),
-    69: _cyclic(lambda a, b, c: b * b + c * c - a * a),
-    100: _cyclic(lambda a, b, c: a * (c - a) * (a - b)),
-    1156: _cyclic(lambda a, b, c: a * _x1156_factor(b, c, a) * _x1156_factor(c, a, b)),
+    1: lambda a, b, c: a,
+    2: lambda a, b, c: 1.0,
+    6: lambda a, b, c: a * a,
+    7: lambda a, b, c: (c + a - b) * (a + b - c),
+    8: lambda a, b, c: b + c - a,
+    9: lambda a, b, c: a * (b + c - a),
+    10: lambda a, b, c: b + c,
+    11: lambda a, b, c: (b - c) * (b - c) * (b + c - a),
+    69: lambda a, b, c: b * b + c * c - a * a,
+    100: lambda a, b, c: a * (c - a) * (a - b),
+    1156: lambda a, b, c: a * _x1156_factor(b, c, a) * _x1156_factor(c, a, b),
 }
 
 #: Direct centers with no limit at the equilateral triangle.
@@ -86,14 +82,14 @@ def center_of(v: Tri, center_id, guard):
     if center_id == ORTHIC_CB_CENTER:
         return orthic_cb_center_of(v, guard)
     index = int(center_id)
-    weights = _BARYCENTRICS.get(index)
-    if weights is not None:
+    w = _BARYCENTRICS.get(index)
+    if w is not None:
         s1, s2, s3 = v.s1, v.s2, v.s3
         if index in _UNDEFINED_AT_EQUILATERAL:  # refuse sides equal within rounding
             spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
             guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
                         f"X{index} is undefined for a triangle equilateral within rounding")
-        return _point_of(v, weights(s1, s2, s3), guard)
+        return _point_of(v, (w(s1, s2, s3), w(s2, s3, s1), w(s3, s1, s2)), guard)
     if index not in SUPPORTED_CENTERS:
         raise KeyError(f"center X{index} not supported")
     if index == 3:
@@ -119,7 +115,8 @@ def center(t: Triangle, center_id) -> Point:
     ``center_id`` is a Kimberling index from SUPPORTED_CENTERS or the
     string ORTHIC_CB_CENTER.
     """
-    return Point.from_complex(center_of(t.tri, center_id, RAISE))
+    z = center_of(t.tri, center_id, RAISE)
+    return Point(z.real, z.imag)
 
 
 def derived_of(v: Tri, which: str, guard) -> Tri:
@@ -133,10 +130,11 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
     degenerate = DegenerateTriangle
     if which == "excentral":
         s1, s2, s3 = v.s1, v.s2, v.s3
+        q1, q2, q3 = s1 * p1, s2 * p2, s3 * p3  # -s1 * p1 is (-s1) * p1, kept as written
         out = Tri(
-            (-s1 * p1 + s2 * p2 + s3 * p3) * (1.0 / (s2 + s3 - s1)),
-            (s1 * p1 - s2 * p2 + s3 * p3) * (1.0 / (s3 + s1 - s2)),
-            (s1 * p1 + s2 * p2 - s3 * p3) * (1.0 / (s1 + s2 - s3)),
+            (-s1 * p1 + q2 + q3) * (1.0 / (s2 + s3 - s1)),
+            (q1 - q2 + q3) * (1.0 / (s3 + s1 - s2)),
+            (q1 + q2 - q3) * (1.0 / (s1 + s2 - s3)),
         )
     elif which == "act":
         out = Tri(p2 + p3 - p1, p3 + p1 - p2, p1 + p2 - p3)

@@ -13,17 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import centers
-from .centers import derived_triangle
+from .centers import center, derived_triangle
 from .kernel import Conic, EllipseParams, Point, Tri, Triangle, circumconic_of, conic_to_ellipse_params
 
 DERIVED_TRIANGLES = ("excentral", "act", "medial", "orthic")
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CircumbilliardResult:
     conic: Conic
     params: EllipseParams
     mittenpunkt: Point
+
+    def __init__(self, conic, params, mittenpunkt):
+        d = self.__dict__
+        d["conic"], d["params"], d["mittenpunkt"] = conic, params, mittenpunkt
 
     @property
     def aspect(self) -> float:
@@ -38,7 +41,7 @@ def circumbilliard_of(v: Tri) -> Conic:
 def circumbilliard(t: Triangle) -> CircumbilliardResult:
     """Unique circumellipse of ``t`` centered on its Mittenpunkt."""
     conic = circumbilliard_of(t.tri)
-    return CircumbilliardResult(conic, conic_to_ellipse_params(conic), centers.center(t, 9))
+    return CircumbilliardResult(conic, conic_to_ellipse_params(conic), center(t, 9))
 
 
 def derived_cb(t: Triangle, which: str) -> CircumbilliardResult:

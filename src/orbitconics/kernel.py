@@ -63,11 +63,12 @@ class Point:
     y: float
 
     def __init__(self, x: float, y: float):
-        x, y = float(x), float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if type(x) is not float or type(y) is not float:
+            x, y = float(x), float(y)
+        if not x - x == 0.0 == y - y:  # nan for nan and +-inf
             raise ValueError(f"non-finite point ({x}, {y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -105,6 +106,9 @@ class Point:
     @classmethod
     def from_complex(cls, z) -> "Point":
         return cls(z.real, z.imag)
+
+
+_set_x, _set_y = Point.x.__set__, Point.y.__set__  # the slots' setters, past the frozen __setattr__
 
 
 class ArrayView(Sequence):
@@ -184,16 +188,16 @@ def cross(u, v):
     return u.real * v.imag - u.imag * v.real
 
 
-def length(d):
-    """|d| through libm hypot, bit for bit alike for a complex number and an array.
+def lengths(u, v, w):
+    """(|u|, |v|, |w|) through libm hypot, bit for bit alike for complex numbers and arrays.
 
     (numpy's complex ``abs`` and ``math.hypot`` each round differently.)
     """
-    if type(d) is complex:
-        return abs(d)
+    if type(u) is type(v) is type(w) is complex:
+        return abs(u), abs(v), abs(w)
     import numpy as np
 
-    return np.hypot(d.real, d.imag)
+    return tuple(abs(d) if type(d) is complex else np.hypot(d.real, d.imag) for d in (u, v, w))
 
 
 def complex_of(x, y):
@@ -353,8 +357,10 @@ class Tri:
 
     def __init__(self, p1, p2, p3):
         self.p1, self.p2, self.p3 = p1, p2, p3
-        self.s1, self.s2, self.s3 = length(p2 - p3), length(p3 - p1), length(p1 - p2)
-        self.area = 0.5 * abs(cross(p2 - p1, p3 - p1))
+        b, c = p2 - p1, p3 - p1
+        # |p1 - p2| is |b| to the bit: negation is exact and hypot reads magnitudes
+        self.s1, self.s2, self.s3 = lengths(p2 - p3, c, b)
+        self.area = 0.5 * abs(b.real * c.imag - b.imag * c.real)  # cross(b, c)
 
     @property
     def vertices(self):
@@ -381,7 +387,7 @@ class Tri:
 
     def nonfinite(self):
         """Whether a vertex is nan or infinite, read off the perimeter (numbers or arrays)."""
-        return nonfinite(self.perimeter())
+        return nonfinite(self.s1 + self.s2 + self.s3)
 
     def inradius(self):
         return self.area / (0.5 * self.perimeter())
@@ -438,8 +444,9 @@ class Conic:
     anchor: complex = 0j
 
     def __init__(self, A, B, C, D, E, F, anchor=0j):
-        # one update of the frozen instance's dict: cheaper than a __setattr__ call per field
-        vars(self).update(A=A, B=B, C=C, D=D, E=E, F=F, anchor=anchor)
+        # item stores into the frozen instance's dict: no call per field, no keyword dict
+        d = self.__dict__
+        d["A"], d["B"], d["C"], d["D"], d["E"], d["F"], d["anchor"] = A, B, C, D, E, F, anchor
 
     @property
     def coeffs(self) -> tuple:
@@ -474,8 +481,9 @@ class EllipseParams:
     def __init__(self, center, semi_major, semi_minor, axis_angle):
         if not (semi_major >= semi_minor > 0.0):
             raise ValueError(f"require semi_major >= semi_minor > 0, got ({semi_major}, {semi_minor})")
-        vars(self).update(center=center, semi_major=semi_major, semi_minor=semi_minor,
-                          axis_angle=axis_angle)
+        d = self.__dict__
+        d["center"], d["semi_major"], d["semi_minor"], d["axis_angle"] = (center, semi_major,
+                                                                          semi_minor, axis_angle)
 
     @property
     def aspect(self) -> float:
@@ -495,8 +503,8 @@ class Triangle:
         self._bind(Tri(p1.z, p2.z, p3.z), (p1, p2, p3))
 
     def _bind(self, v: Tri, vertices) -> None:
-        object.__setattr__(self, "tri", v)
-        object.__setattr__(self, "_vertices", vertices)
+        _set_tri(self, v)
+        _set_vertices(self, vertices)
         if v.thin():
             raise DegenerateTriangle(f"area {v.area:.3e} below tolerance")
 
@@ -536,7 +544,7 @@ class Triangle:
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         if self._vertices is None:
-            object.__setattr__(self, "_vertices", tuple(map(Point.from_complex, self.tri.vertices)))
+            _set_vertices(self, tuple(map(Point.from_complex, self.tri.vertices)))
         return self._vertices
 
     p1 = property(lambda self: self.vertices[0])
@@ -579,6 +587,9 @@ class Triangle:
         return max(self.sidelengths())
 
 
+_set_tri, _set_vertices = Triangle.tri.__set__, Triangle._vertices.__set__
+
+
 def conic_form(q: Conic, x, y):
     """Value of A x^2 + 2B xy + C y^2 + 2D x + 2E y + F at the point (x, y); numbers or arrays."""
     A, B, C, D, E, F = q.coeffs
@@ -614,7 +625,7 @@ def circumconic_of(v: Tri, perspector) -> Conic:
     q2, q3 = v.p2 - v.p1, v.p3 - v.p1
     a1, b1, c1 = q2.imag - q3.imag, q3.real - q2.real, cross(q2, q3)
     a2, b2, a3, b3 = q3.imag, -q3.real, -q2.imag, q2.real
-    c2, c3 = cross(q3, 0j), cross(0j, q2)
+    c2, c3 = q3.real * 0.0 - q3.imag * 0.0, 0.0 * q2.imag - 0.0 * q2.real  # cross(q3, 0), cross(0, q2)
     return Conic(
         u1 * (2 * (a2 * a3)) + u2 * (2 * (a3 * a1)) + u3 * (2 * (a1 * a2)),
         u1 * (a2 * b3 + a3 * b2) + u2 * (a3 * b1 + a1 * b3) + u3 * (a1 * b2 + a2 * b1),
@@ -648,9 +659,8 @@ def determinants(q: Conic):
 
     Ellipses have det > band, hyperbolae det < -band.
     """
-    A, B, C = q.A, q.B, q.C
-    det = A * C - B * B
-    return det, 1e-12 * (B * B + abs(A * C))
+    ac, bb = q.A * q.C, q.B * q.B
+    return ac - bb, 1e-12 * (bb + abs(ac))
 
 
 def det3_of(q: Conic, det):
@@ -664,9 +674,12 @@ def classify_conic(conic: Conic) -> ConicClass:
 
     The coefficients are first divided by the power of two that brings
     the largest below 1: exact, so the class is that of the conic as
-    given, and neither the cube of the scale nor det3 overflows.
+    given, and neither the cube of the scale nor det3 overflows.  A nan
+    or infinite coefficient is refused (ValueError).
     """
     A, B, C, D, E, F = conic.coeffs
+    if any(map(nonfinite, conic.coeffs)):
+        raise ValueError(f"non-finite conic coefficients {conic.coeffs}")
     scale, exponent = math.frexp(max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)))
     scaled = Conic(*(math.ldexp(x, -exponent) for x in conic.coeffs))
     det, band = determinants(scaled)
@@ -684,7 +697,7 @@ def _center_and_level(q: Conic, det):
 
     About its center the conic reads ``A u^2 + 2B uv + C v^2 = K``.
     """
-    A, B, C, D, E, F = q.coeffs
+    A, B, C, D, E, F = q.A, q.B, q.C, q.D, q.E, q.F
     cx, cy = (B * E - C * D) / det, (B * D - A * E) / det
     return cx, cy, -(F + D * cx + E * cy)
 
@@ -714,8 +727,9 @@ def ellipse_axes(q: Conic, guard):
     angle = (0.5 * f.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
     angle = angle * ((2.0 * r >= 1e-12 * big) & (math.pi - angle >= 1e-12))
     center = q.anchor + (cx + 1j * cy)
-    # semi_major is semi_minor times a factor >= 1, so it is non-finite when either is
-    guard.check(nonfinite(center.real) | nonfinite(center.imag) | nonfinite(semi_major), ValueError,
+    # x * 0.0 is 0 for a finite x, nan for nan and +-inf; semi_major is semi_minor times a
+    # factor >= 1, so it is non-finite when either is
+    guard.check(nonfinite(center.real * 0.0 + center.imag * 0.0 + semi_major * 0.0), ValueError,
                 "non-finite ellipse center or semi-axes")
     return center, semi_major, semi_minor, angle
 
@@ -723,7 +737,7 @@ def ellipse_axes(q: Conic, guard):
 def conic_to_ellipse_params(conic: Conic) -> EllipseParams:
     """Canonical center / semi-axes / axis direction of an elliptical conic."""
     center, major, minor, angle = ellipse_axes(conic, RAISE)
-    return EllipseParams(Point.from_complex(center), float(major), float(minor), float(angle))
+    return EllipseParams(Point(center.real, center.imag), float(major), float(minor), float(angle))
 
 
 def conic_center(conic: Conic) -> Point:
@@ -767,11 +781,12 @@ def unresolved(q: Conic):
     A, B, C, D, E, F = q.coeffs
     det = determinants(q)[0]
     det3 = det3_of(q, det)
-    cofactors = (abs(C * F - E * E) + abs(A * F - D * D) + abs(det)
+    mA, mB, mC, mdet = abs(A), abs(B), abs(C), abs(det)
+    cofactors = (abs(C * F - E * E) + abs(A * F - D * D) + mdet
                  + 2 * (abs(D * E - B * F) + abs(B * E - C * D) + abs(B * D - A * E)))
-    ulp = EPS * largest(*(abs(x) for x in q.coeffs))
+    ulp = EPS * largest(mA, mB, mC, abs(D), abs(E), abs(F))
     # ulp (cofactors / |det3| + 2 (|A| + |C| + 2|B|) / |det|) / 2 > 1e-9, multiplied out
-    return (0.5 * ulp * (cofactors * abs(det) + 2 * (abs(A) + abs(C) + 2 * abs(B)) * abs(det3))
+    return (0.5 * ulp * (cofactors * mdet + 2 * (mA + mC + 2 * mB) * abs(det3))
             >= 1e-9 * abs(det3 * det))
 
 
@@ -807,6 +822,8 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
     rows.append([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     rows.append([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     M = np.array(rows, dtype=float)
+    if nonfinite(abs(M).max()):  # the w * w terms overflow for coordinates past about 1e77
+        raise SingularSystem("dual inconic system is not finite")
     _, sv, Vt = np.linalg.svd(M)
     if sv[0] == 0.0 or sv[3] < sv[0] / CONDITION_LIMIT:
         raise SingularSystem("dual inconic system is rank deficient")

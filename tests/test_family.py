@@ -127,6 +127,33 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
                     assert abs(focal[i] - want) <= 1e-12 * tri.scale()
 
 
+# the values of failed samples are inf or nan, with numpy's warnings
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.floats(0.05, 0.49),
+    thetas=st.lists(st.floats(0.0, TAU), min_size=1, max_size=5),
+    log_scale=st.floats(-1.0, 1.0),
+)
+def test_batched_poristic_circumbilliard_matches_scalar_api(rho, thetas, log_scale):
+    R = 10.0**log_scale
+    ps = PoristicShape(rho * R, R)
+    skips = Skips(len(thetas))
+    v = ps.family(np.array(thetas), skips)
+    cb_center, cb_major, cb_minor, cb_angle = ellipse_axes(circumbilliard_of(v), skips)
+    x9 = center_of(v, 9, skips)
+    tol = 1e-12 * R
+    for i, theta in enumerate(thetas):
+        want, reason = _outcome(lambda: circumbilliard(poristic_triangle(ps, theta)))
+        assert skips.reason(i) == reason
+        if not reason:
+            assert abs(cb_major[i] - want.params.semi_major) <= tol
+            assert abs(cb_minor[i] - want.params.semi_minor) <= tol
+            assert abs(cb_center[i] - want.params.center.z) <= tol
+            assert angle_dist_mod_pi(cb_angle[i], want.params.axis_angle) <= 1e-12
+            assert abs(x9[i] - want.mittenpunkt.z) <= tol
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shape", [BilliardShape(1.5, 1.0), PoristicShape(0.3625, 1.0)],
                          ids=["billiard", "poristic"])

@@ -349,6 +349,14 @@ def test_inconic_center_on_midline_raises():
         solve_inconic(tri, Point(2.0, 1.8))
 
 
+@pytest.mark.parametrize("s", [1e80, 1e150])
+def test_inconic_refuses_a_dual_system_past_the_float_range(s):
+    # the dual system's w * w terms overflow; numpy's SVD would raise LinAlgError on them
+    tri = Triangle(Point(0.0, 0.0), Point(4.0 * s, 0.0), Point(s, 3.0 * s))
+    with pytest.raises(SingularSystem, match="not finite"):
+        solve_inconic(tri, center(tri, 2))
+
+
 def test_inconic_random_triangles_tangency(rng):
     for _ in range(100):
         tri = random_triangle(rng)

@@ -120,6 +120,10 @@ def test_scalar_results_are_plain_floats():
      oc.NotAnEllipse),
     ("ellipse as hyperbola", lambda: oc.focal_length(oc.Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)),
      oc.DegenerateConic),
+    ("classify inf conic", lambda: oc.classify_conic(oc.Conic(INF, 0.0, 1.0, 0.0, 0.0, -1.0)),
+     ValueError),
+    ("classify nan conic", lambda: oc.classify_conic(oc.Conic(NAN, 0.0, 1.0, 0.0, 0.0, -1.0)),
+     ValueError),
 ])
 def test_bad_inputs_raise_their_exception_types(label, call, exc):
     with pytest.raises(exc):
