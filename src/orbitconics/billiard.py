@@ -262,6 +262,6 @@ def orthic_center_transition(shape: BilliardShape) -> Point:
 
 
 def inradius_to_circumradius(shape: BilliardShape) -> float:
-    """The family-invariant ratio r/R, as a closed form in (a, b)."""
+    """The family-invariant ratio r/R, 2(d - b^2)(a^2 - d)/c^4, written without cancellation."""
     a2, b2, d = shape.a**2, shape.b**2, shape.delta
-    return 2.0 * (d - b2) * (a2 - d) / shape.c2**2
+    return 2.0 * a2 * b2 / ((d + b2) * (a2 + d))

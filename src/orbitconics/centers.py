@@ -188,10 +188,11 @@ def orthic_cb_center_of(v: Tri, guard):
     vertex by H.  An acute or right (within the dead band) triangle is
     its own acute member; for a right one X6 is the midpoint of the
     altitude from the right-angle vertex, the common limit of both sides.
+    For an obtuse angle at A, area(HBC) >= area(ABC) (cos B cos C >=
+    sin B sin C) and HBC is no thinner, so ``v``'s own check covers it.
     """
     h = center_of(v, 4, guard)
     aux = Tri(*(where(c < -RIGHT_DEADBAND, h, p) for c, p in zip(v.cosines(), v.vertices)))
-    guard.check(aux.thin(), DegenerateTriangle, "auxiliary triangle area below tolerance")
     return center_of(aux, 6, guard)
 
 

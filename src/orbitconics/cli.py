@@ -113,10 +113,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orbitconics")
     sub = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--a", type=float, required=True)
+    shape.add_argument("--b", type=float, required=True)
 
-    fam = sub.add_parser("family", help="orbit samples over the family")
-    fam.add_argument("--a", type=float, required=True)
-    fam.add_argument("--b", type=float, required=True)
+    fam = sub.add_parser("family", parents=[shape], help="orbit samples over the family")
     fam.add_argument("--n", type=sample_count, default=72)
     fam.add_argument("--format", choices=("csv", "json"), default="csv")
     fam.add_argument("--out")
@@ -125,18 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--vertices", required=True, help="x1,y1,x2,y2,x3,y3")
     cb.add_argument("--out")
 
-    loc = sub.add_parser("locus", help="sweep a center and optionally fit")
-    loc.add_argument("--a", type=float, required=True)
-    loc.add_argument("--b", type=float, required=True)
+    loc = sub.add_parser("locus", parents=[shape], help="sweep a center and optionally fit")
     loc.add_argument("--center", required=True)
     loc.add_argument("--derived", choices=("excentral", "act", "medial", "orthic"))
     loc.add_argument("--n", type=sample_count, default=720)
     loc.add_argument("--fit", action="store_true")
     loc.add_argument("--out")
 
-    inv = sub.add_parser("invariants", help="family invariance report")
-    inv.add_argument("--a", type=float, required=True)
-    inv.add_argument("--b", type=float, required=True)
+    inv = sub.add_parser("invariants", parents=[shape], help="family invariance report")
     inv.add_argument("--n", type=sample_count, default=720)
     inv.add_argument("--out")
 
@@ -146,9 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     por.add_argument("--n", type=sample_count, default=360)
     por.add_argument("--out")
 
-    hyp = sub.add_parser("hyperbolae", help="focal length profile and ratio")
-    hyp.add_argument("--a", type=float, required=True)
-    hyp.add_argument("--b", type=float, required=True)
+    hyp = sub.add_parser("hyperbolae", parents=[shape], help="focal length profile and ratio")
     hyp.add_argument("--n", type=sample_count, default=720)
     hyp.add_argument("--out")
 

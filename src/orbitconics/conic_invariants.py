@@ -118,7 +118,8 @@ def _xy_hyperbola(v: Tri, guard) -> Conic:
     coefficient vector is the null vector, taken as the largest cross
     product of two rows (the first, on ties).  Near the isosceles orbits
     the conic nears its asymptotes and its focal length cancels; it is
-    refused once that is not resolved to 1e-9 (``kernel.unresolved``).
+    refused once that is not resolved to 1e-9 (``kernel.unresolved``),
+    which also refuses c3 -> 0 (vertices in line with the origin, det -B^2).
     Elementwise arithmetic only, so one triangle runs on numbers and a
     stack row by row.
     """
@@ -135,9 +136,6 @@ def _xy_hyperbola(v: Tri, guard) -> Conic:
     guard.check(residual > 1e-9 * scale, DegenerateConic,
                 "no axis-parallel circumhyperbola through the origin; "
                 "is the Mittenpunkt at the origin?")
-    L = largest(v.s1, v.s2, v.s3)
-    norm = abs(c[0]) + abs(c[1]) + abs(c[2]) * L
-    guard.check(abs(c[2]) * L <= 1e-12 * norm, DegenerateConic, "hyperbola center at infinity")
     hyp = Conic(0.0, 0.5 * c[2], 0.0, 0.5 * c[0], 0.5 * c[1], 0.0)
     guard.check(unresolved(hyp), DegenerateConic,
                 "hyperbola too close to its asymptotes: focal length not resolved to 1e-9")

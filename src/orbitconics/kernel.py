@@ -555,18 +555,6 @@ class Triangle:
         """(s1, s2, s3) with s1 = |p2 p3| opposite p1, etc."""
         return (self.tri.s1, self.tri.s2, self.tri.s3)
 
-    @property
-    def s1(self) -> float:
-        return self.tri.s1
-
-    @property
-    def s2(self) -> float:
-        return self.tri.s2
-
-    @property
-    def s3(self) -> float:
-        return self.tri.s3
-
     def area(self) -> float:
         return self.tri.area
 

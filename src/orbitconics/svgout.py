@@ -10,21 +10,17 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _ellipse_path(a: float, b: float, n: int = 256) -> str:
+def _ellipse_path(a: float, b: float) -> str:
     pts = [
-        (a * math.cos(2 * math.pi * k / n), -b * math.sin(2 * math.pi * k / n))
-        for k in range(n)
+        (a * math.cos(2 * math.pi * k / 256), -b * math.sin(2 * math.pi * k / 256))
+        for k in range(256)
     ]
     body = " L".join(f"{fmt(x)} {fmt(y)}" for x, y in pts)
     return f"M{body} Z"
 
 
-def render_svg(
-    points,
-    overlays: list[tuple[float, float]] | None = None,
-    width: int = 720,
-) -> str:
-    """SVG document with the points as a polyline, y axis upward, 1:1 aspect.
+def render_svg(points, overlays: list[tuple[float, float]] | None = None) -> str:
+    """SVG document, 720 wide, with the points as a polyline, y axis upward, 1:1 aspect.
 
     ``overlays`` is a list of (semi_axis_x, semi_axis_y) ellipses drawn
     dashed and centered on the origin.  The view box fits the data and
@@ -43,11 +39,11 @@ def render_svg(
     xmin, xmax = xmin - margin, xmax + margin
     ymin, ymax = ymin - margin, ymax + margin
     w, h = xmax - xmin, ymax - ymin
-    height = int(round(width * h / w))
+    height = int(round(720 * h / w))
     stroke = 0.004 * max(w, h)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width}" height="{height}" '
+        f'width="720" height="{height}" '
         f'viewBox="{fmt(xmin)} {fmt(-ymax)} {fmt(w)} {fmt(h)}">',
     ]
     for (oa, ob) in overlays or []:

@@ -165,6 +165,19 @@ def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
         return tuple(float(v) for v in axes)
 
 
+def inradius_to_circumradius_decimal(a: float, b: float, digits: int = 60) -> float:
+    """The family's r/R = 2(d - b^2)(a^2 - d)/(a^2 - b^2)^2, d = sqrt(a^4 - a^2 b^2 + b^4).
+
+    The cancelling textbook form, evaluated in ``digits``-digit decimals
+    from a and b taken exactly, then rounded to a float.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a2, b2 = Decimal(a) ** 2, Decimal(b) ** 2
+        d = (a2 * a2 - a2 * b2 + b2 * b2).sqrt()
+        return float(2 * (d - b2) * (a2 - d) / (a2 - b2) ** 2)
+
+
 def _circumcenter_decimal(p1, p2, p3):
     """Circumcenter of three points in Decimal coordinates, from the perpendicular bisectors."""
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3

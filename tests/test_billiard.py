@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ellipse_to_conic, isosceles_dimensions, reflection_map_orbit
+from oracles import (ellipse_to_conic, inradius_to_circumradius_decimal, isosceles_dimensions,
+                     reflection_map_orbit)
 from orbitconics import (
     BilliardShape,
     InvalidShape,
@@ -234,3 +235,11 @@ def test_rho_constant_and_closed_form():
         values.append(tri.inradius() / tri.circumradius())
     assert (max(values) - min(values)) / np.mean(values) <= 1e-9
     assert abs(np.mean(values) - rho_form) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1 + 1e-9, 1 + 1e-5, 1.5, 10.0, 100.0, 1e3, 1e4])
+def test_rho_closed_form_matches_a_decimal_oracle(alpha):
+    # a^2 - d cancels for thin billiards, so 2(d - b^2)(a^2 - d)/c^4 in floats is off by 7.5e-9
+    # at 1e4; the oracle evaluates that form in 60 digits
+    want = inradius_to_circumradius_decimal(alpha, 1.0)
+    assert abs(inradius_to_circumradius(BilliardShape(alpha, 1.0)) - want) <= 1e-15 * want

@@ -1,15 +1,18 @@
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_triangle
 from oracles import (centers_decimal, circumcircle, cosines_decimal, euler_centers_decimal,
-                     incircle, trilinear_to_cartesian)
+                     incircle, stack_tris, trilinear_to_cartesian)
 from orbitconics import (
+    ORTHIC_CB_CENTER,
     BilliardShape,
+    DegenerateTriangle,
     Point,
     PointAtInfinity,
     RightTriangle,
@@ -28,7 +31,8 @@ from orbitconics import (
     orthic_center_transition,
     right_angle_vertex,
 )
-from orbitconics.centers import SUPPORTED_CENTERS
+from orbitconics.centers import SUPPORTED_CENTERS, center_of
+from orbitconics.kernel import Skips
 
 EQUILATERAL = Triangle(
     Point(1.0, 0.0),
@@ -379,3 +383,36 @@ def test_orthic_cb_center_is_continuous_across_the_right_orbit(alpha, delta):
     t_perp = math.atan2(p.y / shape.b, p.x / shape.a)
     point = orthic_cb_center(orbit(shape, t_perp + delta).triangle)
     assert point.dist(orthic_center_transition(shape)) <= 10.0 * abs(delta) * shape.a
+
+
+def _placed_triangle(apex_x, log_height, log_scale, angle, offset):
+    # base (0, 0)-(1, 0) and apex (apex_x, 10^log_height), turned, scaled and moved
+    w = complex(math.cos(angle), math.sin(angle)) * 10.0**log_scale
+    shift = complex(*offset) * 10.0**log_scale
+    z = [w * p + shift for p in (0.0, 1.0, complex(apex_x, 10.0**log_height))]
+    return Triangle(*(Point(p.real, p.imag) for p in z))
+
+
+# scales stop at 1e80: from about 1e95 the weighted sum of X6 of a thin obtuse triangle's
+# acute member overflows (the scalar path raises ValueError, the stack keeps an inf center)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-11.0, 0.0), st.floats(-80.0, 80.0),
+                          st.floats(0.0, 2 * math.pi), st.tuples(st.floats(-10.0, 10.0),
+                                                                 st.floats(-10.0, 10.0))),
+                min_size=1, max_size=6))
+def test_orthic_cb_center_refuses_no_valid_triangle(params):
+    # obtuse at A, the acute member HBC is no thinner than ABC, so X6* adds no refusal of its own
+    triangles = []
+    for p in params:
+        try:
+            triangles.append(_placed_triangle(*p))
+        except DegenerateTriangle:
+            pass
+    assume(triangles)
+    skips = Skips(len(triangles))
+    with np.errstate(under="ignore"):
+        z = center_of(stack_tris(triangles), ORTHIC_CB_CENTER, skips)
+    assert skips.valid.all()
+    for t, got in zip(triangles, z):
+        want = center(t, ORTHIC_CB_CENTER)
+        assert (got.real, got.imag) == (want.x, want.y)

@@ -16,6 +16,7 @@ from orbitconics import (
     PointAtInfinity,
     PoristicShape,
     Skips,
+    Tri,
     Triangle,
     billiard_intersections,
     center,
@@ -177,6 +178,16 @@ def test_hyperbola_degenerates_at_isosceles():
     tri_up = orbit(SHAPE, math.pi / 2.0).triangle
     with pytest.raises(DegenerateConic):
         feuerbach_hyperbola(tri_up)
+
+
+def test_hyperbola_of_vertices_in_line_with_the_origin_is_refused():
+    # c3 = 0 leaves Conic(0, 0, 0, D, E, 0), whose det -B^2 = 0 makes its axes unresolved
+    tri = Tri(1 + 1j, 2 + 2j, 3 + 3j)
+    with pytest.raises(DegenerateConic):
+        feuerbach_hyperbola(tri)
+    skips = Skips(2)
+    feuerbach_hyperbola(Tri(*(np.array([p, p]) for p in tri.vertices)), skips)
+    assert not skips.valid.any() and skips.failures[0][0] is DegenerateConic
 
 
 def test_focal_length_refused_near_isosceles():

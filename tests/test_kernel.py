@@ -14,6 +14,7 @@ from orbitconics import (
     BilliardShape,
     Conic,
     ConicClass,
+    DegenerateConic,
     DegenerateTriangle,
     EllipseParams,
     NoRealConic,
@@ -355,6 +356,43 @@ def test_inconic_refuses_a_dual_system_past_the_float_range(s):
     tri = Triangle(Point(0.0, 0.0), Point(4.0 * s, 0.0), Point(s, 3.0 * s))
     with pytest.raises(SingularSystem, match="not finite"):
         solve_inconic(tri, center(tri, 2))
+
+
+def _thin_orbit(alpha, k):
+    return orbit(BilliardShape(alpha, 1.0), 2 * math.pi * (k + 0.5) / 96).triangle
+
+
+# each refusal below is at least 10x past its threshold and every check before it that raises
+# another type is at least 2x short of its own, so the type does not hang on how a LAPACK
+# build rounds the SVD
+def test_inconic_refuses_a_rank_deficient_dual_system():
+    # sv[0] / sv[3] is 1.3e15, against CONDITION_LIMIT 1e12
+    exc = excentral(_thin_orbit(300.0, 93))
+    with pytest.raises(SingularSystem):
+        solve_inconic(exc, center(exc, 5))
+
+
+def test_inconic_refuses_axes_it_cannot_resolve():
+    # the x3 inconic: unresolved's bound is 133x its 1e-9; the SVD is 18x inside its limit,
+    # det3 6x above the degenerate band and the center 40x inside TANGENCY_TOL
+    tri = _thin_orbit(100.0, 1)
+    with pytest.raises(DegenerateConic):
+        solve_inconic(excentral(tri), center(tri, 40))
+
+
+@pytest.mark.parametrize("vertices, ctr", [
+    # moved x3 inconics of thin orbits (a/b = 200 and 100) whose rounded solution misses
+    # (the degenerate, tangency and center checks all raise NoRealConic):
+    # its center by 11x TANGENCY_TOL, the SVD 2.4x inside its limit
+    (((-9717.395504159926, -9849.893227362007), (-0.2706763788235503, 0.07568421829480057),
+      (-61.57457846262972, 60.40038729630406)), (-4883.234108854321, -4900.83684335589)),
+    # a sideline by 66x TANGENCY_TOL, the SVD 7.8x inside its limit
+    (((76.0484696586957, -456.81732420218646), (246.87319623688532, 208.54528262716065),
+      (-600.2995311014316, 426.00133612196913)), (-262.10281249883053, -15.390589079773036)),
+])
+def test_inconic_refuses_a_solution_that_misses_its_conditions(vertices, ctr):
+    with pytest.raises(NoRealConic):
+        solve_inconic(Triangle.from_coords(vertices), Point(*ctr))
 
 
 def test_inconic_random_triangles_tangency(rng):

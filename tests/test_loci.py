@@ -42,6 +42,16 @@ def test_fit_exact_ellipse():
     assert report.fitted_axes == pytest.approx((1.5, 1.0), abs=1e-12)
 
 
+def test_fit_of_a_hyperbola_is_non_elliptic_without_axes():
+    # 16 points of x^2 - y^2 = 1: the fitted B is negative, so there are no axes to report
+    pts = [Point(sign * math.cosh(u), math.sinh(u))
+           for u in np.linspace(-1.5, 1.5, 8) for sign in (1.0, -1.0)]
+    report = fit_locus(pts)
+    assert report.fit_B == pytest.approx(-1.0, abs=1e-12)
+    assert report.verdict is Verdict.NON_ELLIPTIC
+    assert report.fitted_axes is None
+
+
 def test_fit_requires_enough_samples():
     with pytest.raises(ValueError):
         fit_locus([Point(1.0, 0.0)] * 5)

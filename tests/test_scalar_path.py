@@ -108,6 +108,11 @@ def test_scalar_results_are_plain_floats():
     ("collinear", lambda: oc.Triangle.from_coords([(0, 0), (1, 1), (2, 2)]), oc.DegenerateTriangle),
     ("repeated vertex", lambda: oc.Triangle.from_coords([(0, 0), (0, 0), (2, 1)]),
      oc.DegenerateTriangle),
+    # at a/b = 1e7 the isosceles orbit's area is 0.005 of AREA_TOL times its longest side squared
+    ("needle orbit", lambda: oc.orbit(oc.BilliardShape(1e7, 1.0), 0.0), oc.DegenerateTriangle),
+    # r/R = 1.8e-15, a few ulps of d: the third side misses the incircle by 3.6e6x the bound
+    ("poristic closure", lambda: oc.poristic_triangle(oc.PoristicShape(1.774741418233566e-15, 1.0),
+                                                      0.0), oc.ClosureFailure),
     ("nan orbit parameter", lambda: oc.orbit(SHAPE, NAN), ValueError),
     ("inf orbit parameter", lambda: oc.orbit(SHAPE, INF), ValueError),
     ("nan poristic angle", lambda: oc.poristic_triangle(PORISTIC, NAN), ValueError),
@@ -116,6 +121,14 @@ def test_scalar_results_are_plain_floats():
      ValueError),
     ("inf conic", lambda: oc.conic_to_ellipse_params(oc.Conic(INF, 0.0, 1.0, 0.0, 0.0, -1.0)),
      oc.NotAnEllipse),
+    ("parabola center", lambda: oc.conic_center(oc.Conic(1.0, 1.0, 1.0, 0.0, 0.0, -1.0)),
+     oc.PointAtInfinity),
+    ("minor above major", lambda: oc.EllipseParams(oc.Point(0.0, 0.0), 1.0, 2.0, 0.0), ValueError),
+    ("unknown center", lambda: oc.center(oc.orbit(SHAPE, 0.4).triangle, 12), KeyError),
+    ("unknown derived triangle",
+     lambda: oc.derived_triangle(oc.orbit(SHAPE, 0.4).triangle, "pedal"), KeyError),
+    ("unknown inconic",
+     lambda: oc.excentral_inconic_axes(oc.orbit(SHAPE, 0.4).triangle, "bogus"), KeyError),
     ("empty ellipse", lambda: oc.conic_to_ellipse_params(oc.Conic(1.0, 0.0, 1.0, 0.0, 0.0, 1.0)),
      oc.NotAnEllipse),
     ("ellipse as hyperbola", lambda: oc.focal_length(oc.Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)),
