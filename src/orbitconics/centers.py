@@ -129,6 +129,8 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
     p1, p2, p3 = v.vertices
     degenerate = DegenerateTriangle
     if which == "excentral":
+        # a thin reference may have b + c - a = 0 exactly: refuse before dividing by it
+        guard.check(v.thin(), DegenerateTriangle, "excentral of a triangle with area below tolerance")
         s1, s2, s3 = v.s1, v.s2, v.s3
         q1, q2, q3 = s1 * p1, s2 * p2, s3 * p3  # -s1 * p1 is (-s1) * p1, kept as written
         out = Tri(

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -317,6 +318,42 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("t,x1,y1")
+
+
+def test_process_entry_exits_2_with_the_json_error_object():
+    result = subprocess.run([sys.executable, "-m", "orbitconics.cli", "cb", "--vertices=0,0,1,0,2,0"],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "DegenerateTriangle"
+
+
+def test_process_entry_prints_the_bytes_of_in_process_main(capsysbinary):
+    argv = ["invariants", "--a", "1.5", "--b", "1", "--n", "16"]
+    result = subprocess.run([sys.executable, "-m", "orbitconics.cli", *argv], capture_output=True)
+    assert main(argv) == result.returncode == 0
+    assert capsysbinary.readouterr().out == result.stdout
+
+
+def test_process_entry_exits_with_the_collector_off_and_its_objects_frozen():
+    # atexit handlers still run after run()'s sys.exit
+    code = ("import atexit, gc, sys; from orbitconics.cli import run; "
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['cb', '--vertices=0,0,3,0,1,2']; run()")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.endswith("}\nFalse True\n")
+    assert json.loads(result.stdout.removesuffix("False True\n"))["command"] == "cb"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the process entry, run(), turns the collector off and freezes objects
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["family", "--a", "1.5", "--b", "1", "--n", "16"],
+                 ["cb", "--vertices", "0,0,1,1,2,2"], ["family", "--a", "1"]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    capsys.readouterr()
 
 
 def assert_exits_1_with_one_error_line(argv):

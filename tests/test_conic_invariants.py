@@ -9,6 +9,7 @@ from orbitconics import (
     BilliardShape,
     ConicClass,
     DegenerateConic,
+    DegenerateTriangle,
     FocalSample,
     IllConditioned,
     InvalidShape,
@@ -44,6 +45,8 @@ from orbitconics import (
     sweep_locus,
     x3_inconic_ratio,
 )
+from orbitconics.centers import center_of, derived_of
+from orbitconics.kernel import RAISE
 from orbitconics.loci import poristic_report, sample_grid
 
 SHAPE = BilliardShape(1.5, 1.0)
@@ -188,6 +191,24 @@ def test_hyperbola_of_vertices_in_line_with_the_origin_is_refused():
     skips = Skips(2)
     feuerbach_hyperbola(Tri(*(np.array([p, p]) for p in tri.vertices)), skips)
     assert not skips.valid.any() and skips.failures[0][0] is DegenerateConic
+
+
+def test_excentral_of_a_collinear_triangle_is_refused_before_its_division():
+    # the float sides add exactly (c + a - b = 0), so an unchecked excenter divides by zero
+    tri = Tri(1 + 1j, 2 + 2j, 3 + 3j)
+    assert tri.s3 + tri.s1 - tri.s2 == 0.0
+    for construct in (lambda: derived_of(tri, "excentral", RAISE),
+                      lambda: center_of(tri, 168, RAISE), lambda: jerabek_excentral(tri)):
+        with pytest.raises(DegenerateTriangle):
+            construct()
+    good = orbit(SHAPE, 0.3).triangle.tri
+    skips = Skips(2)
+    with np.errstate(all="ignore"):  # the refused row still divides by zero
+        hyp = jerabek_excentral(Tri(*(np.array([p, q]) for p, q in zip(tri.vertices, good.vertices))),
+                                skips)
+    assert skips.valid.tolist() == [False, True]
+    assert skips.failures[skips.code[0]][0] is DegenerateTriangle
+    assert [np.broadcast_to(c, 2)[1] for c in hyp.coeffs] == list(jerabek_excentral(good).coeffs)
 
 
 def test_focal_length_refused_near_isosceles():
