@@ -26,6 +26,7 @@ from .kernel import (
     cross,
     dot,
     largest,
+    nonfinite,
     perp_foot,
     where,
 )
@@ -71,7 +72,13 @@ def _point_of(v: Tri, weights, guard):
         PointAtInfinity,
         "barycentrics lie on the line at infinity",
     )
-    return (w1 * v.p1 + w2 * v.p2 + w3 * v.p3) * (1.0 / den)
+    return _finite((w1 * v.p1 + w2 * v.p2 + w3 * v.p3) * (1.0 / den), guard)
+
+
+def _finite(z, guard):
+    # inf - inf is nan, so one float add finds a non-finite part; Point refuses those too
+    guard.check(nonfinite(z.real + z.imag), ValueError, "non-finite triangle center")
+    return z
 
 
 def center_of(v: Tri, center_id, guard):
@@ -95,7 +102,7 @@ def center_of(v: Tri, center_id, guard):
     if index == 3:
         b, c = v.p2 - v.p1, v.p3 - v.p1
         u, k = dot(c, c) * b - dot(b, b) * c, 0.5 / cross(b, c)
-        return v.p1 + complex_of(-u.imag * k, u.real * k)
+        return _finite(v.p1 + complex_of(-u.imag * k, u.real * k), guard)
     if index == 4:
         return v.p1 + v.p2 + v.p3 - 2.0 * center_of(v, 3, guard)
     if index == 5:
@@ -124,20 +131,20 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
 
     The orthic triangle is refused (RightTriangle) when an angle is right
     within the dead band, since two feet then coincide with the
-    right-angle vertex.
+    right-angle vertex; the excentral one (DegenerateTriangle) when some
+    b + c - a rounds to 0 or below, and any one beyond the float range (ValueError).
     """
     p1, p2, p3 = v.vertices
     degenerate = DegenerateTriangle
     if which == "excentral":
-        # a thin reference may have b + c - a = 0 exactly: refuse before dividing by it
-        guard.check(v.thin(), DegenerateTriangle, "excentral of a triangle with area below tolerance")
         s1, s2, s3 = v.s1, v.s2, v.s3
+        d1, d2, d3 = s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3
+        # a thin reference, or one whose b + c - a rounds to 0 or below: refuse before dividing
+        guard.check(v.thin() | (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0), DegenerateTriangle,
+                    "excentral of a triangle with area below tolerance or b + c - a <= 0")
         q1, q2, q3 = s1 * p1, s2 * p2, s3 * p3  # -s1 * p1 is (-s1) * p1, kept as written
-        out = Tri(
-            (-s1 * p1 + q2 + q3) * (1.0 / (s2 + s3 - s1)),
-            (q1 - q2 + q3) * (1.0 / (s3 + s1 - s2)),
-            (q1 + q2 - q3) * (1.0 / (s1 + s2 - s3)),
-        )
+        out = Tri((-s1 * p1 + q2 + q3) * (1.0 / d1), (q1 - q2 + q3) * (1.0 / d2),
+                  (q1 + q2 - q3) * (1.0 / d3))
     elif which == "act":
         out = Tri(p2 + p3 - p1, p3 + p1 - p2, p1 + p2 - p3)
     elif which == "medial":
@@ -154,6 +161,7 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
     else:
         raise KeyError(f"unknown derived triangle {which!r}")
     guard.check(out.thin(), degenerate, "derived triangle area below tolerance")
+    guard.check(out.nonfinite(), ValueError, "non-finite derived triangle")
     return out
 
 

@@ -34,6 +34,7 @@ from .kernel import (
     cross,
     focal_length,
     largest,
+    nonfinite,
     ufuncs,
     unresolved,
     where,
@@ -136,6 +137,7 @@ def _xy_hyperbola(v: Tri, guard) -> Conic:
     guard.check(residual > 1e-9 * scale, DegenerateConic,
                 "no axis-parallel circumhyperbola through the origin; "
                 "is the Mittenpunkt at the origin?")
+    guard.check(nonfinite(c[0] + c[1] + c[2]), ValueError, "non-finite hyperbola coefficients")
     hyp = Conic(0.0, 0.5 * c[2], 0.0, 0.5 * c[0], 0.5 * c[1], 0.0)
     guard.check(unresolved(hyp), DegenerateConic,
                 "hyperbola too close to its asymptotes: focal length not resolved to 1e-9")

@@ -396,13 +396,11 @@ class Tri:
         return self.s1 * self.s2 * self.s3 / (4 * self.area)
 
     def thin(self):
-        """Area below AREA_TOL times the square of the longest side."""
-        s1, s2, s3 = self.s1, self.s2, self.s3
-        return (
-            (self.area < AREA_TOL * s1 * s1)
-            | (self.area < AREA_TOL * s2 * s2)
-            | (self.area < AREA_TOL * s3 * s3)
-        )
+        """Area below AREA_TOL times the square of the longest side, or 0, or two vertices equal."""
+        s1, s2, s3, area = self.s1, self.s2, self.s3, self.area
+        # the last two catch squares that underflow to 0 and an area of nan (inf - inf) at 1e300
+        return ((area < AREA_TOL * s1 * s1) | (area < AREA_TOL * s2 * s2) | (area < AREA_TOL * s3 * s3)
+                | (area <= 0.0) | (s1 == 0.0) | (s2 == 0.0) | (s3 == 0.0))
 
     def sidelines(self, g):
         """Sidelines opposite p1, p2, p3 as (a, b, c): a x + b y + c = 0, (x, y) relative to g.
@@ -745,7 +743,8 @@ def focal_length(q: Conic, guard=RAISE):
     for s the sign of K.  Where s m < 0 that cancels, and |l| is taken as
     -det over the other eigenvalue's magnitude r + |m|.  For the
     rectangular xy-hyperbolae of ``conic_invariants`` (m = 0) this is
-    ``2 sqrt(2 |k|)`` for the recentred form x y = k.
+    ``2 sqrt(2 |k|)`` for the recentred form x y = k.  A length beyond the
+    float range, or one whose center overflows on the way, is refused (ValueError).
     """
     A, B, C = q.A, q.B, q.C
     det, band = determinants(q)
@@ -754,7 +753,9 @@ def focal_length(q: Conic, guard=RAISE):
     f = ufuncs(K)
     m = 0.5 * (A + C)
     big = f.sqrt(0.25 * ((A - C) * (A - C)) + B * B) + abs(m)
-    return 2.0 * f.sqrt(abs(K) / where(m * f.sign(K) >= 0.0, big, -det / big))
+    length = 2.0 * f.sqrt(abs(K) / where(m * f.sign(K) >= 0.0, big, -det / big))
+    guard.check(nonfinite(length), ValueError, "non-finite focal length")
+    return length
 
 
 def unresolved(q: Conic):
@@ -815,9 +816,9 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
     _, sv, Vt = np.linalg.svd(M)
     if sv[0] == 0.0 or sv[3] < sv[0] / CONDITION_LIMIT:
         raise SingularSystem("dual inconic system is rank deficient")
-    d = Vt[-1]
-    D = np.array([[d[0], d[1], d[2]], [d[1], d[3], d[4]], [d[2], d[4], d[5]]])
-    (a, b, dd), (_, c, e), (_, _, f) = _adjugate(D).tolist()
+    # the conic is the dual's adjugate, whose row i is the cross product of rows i + 1 and i + 2
+    rows = Vt[-1][[[1, 3, 4], [2, 4, 5], [0, 1, 2]]]  # rows 1, 2, 0 of the symmetric dual
+    (a, b, dd), (_, c, e), (_, _, f) = np.cross(rows, rows[[1, 2, 0]]).tolist()
     conic = Conic(a, b, c, dd, e, f, center.z)
     # a center on a parabolic boundary (a midline of t) makes the solution
     # collapse to a double line, which passes tangency checks trivially
@@ -835,15 +836,3 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
         raise DegenerateConic("inconic axes not resolved to 1e-9")
     return conic
 
-
-def _adjugate(m):
-    import numpy as np
-
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
-            out[i, j] = ((-1) ** (i + j)) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    return out

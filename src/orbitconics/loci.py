@@ -191,9 +191,6 @@ class QuantityStats:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -210,16 +207,11 @@ class InvariantReport:
         return all(e.passed for e in self.entries)
 
     def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "n": self.n,
-            "n_skipped": self.n_skipped,
-            "rho_closed_form": self.rho_closed_form,
-            "rho_mean": self.rho_mean,
-            "all_passed": self.all_passed,
-            "checks": [e.as_dict() for e in self.entries],
-        }
+        out = asdict(self)
+        checks = out.pop("entries")
+        out["all_passed"] = self.all_passed
+        out["checks"] = checks
+        return out
 
 
 def _bounded(name: str, lo: float, hi: float, spread: float, tol: float) -> QuantityStats:

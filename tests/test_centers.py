@@ -393,10 +393,10 @@ def _placed_triangle(apex_x, log_height, log_scale, angle, offset):
     return Triangle(*(Point(p.real, p.imag) for p in z))
 
 
-# scales stop at 1e80: from about 1e95 the weighted sum of X6 of a thin obtuse triangle's
-# acute member overflows (the scalar path raises ValueError, the stack keeps an inf center)
+# from about 1e95 the weighted sum of X6 of a thin obtuse triangle's acute member overflows:
+# that row is refused as its one-number call is (ValueError), and no row otherwise
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-11.0, 0.0), st.floats(-80.0, 80.0),
+@given(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-11.0, 0.0), st.floats(-100.0, 100.0),
                           st.floats(0.0, 2 * math.pi), st.tuples(st.floats(-10.0, 10.0),
                                                                  st.floats(-10.0, 10.0))),
                 min_size=1, max_size=6))
@@ -410,9 +410,13 @@ def test_orthic_cb_center_refuses_no_valid_triangle(params):
             pass
     assume(triangles)
     skips = Skips(len(triangles))
-    with np.errstate(under="ignore"):
+    with np.errstate(all="ignore"):
         z = center_of(stack_tris(triangles), ORTHIC_CB_CENTER, skips)
-    assert skips.valid.all()
-    for t, got in zip(triangles, z):
-        want = center(t, ORTHIC_CB_CENTER)
-        assert (got.real, got.imag) == (want.x, want.y)
+    for i, t in enumerate(triangles):
+        try:
+            want = center(t, ORTHIC_CB_CENTER)
+        except ValueError:
+            assert skips.reason(i) == "ValueError"
+            continue
+        assert skips.reason(i) == ""
+        assert (z[i].real, z[i].imag) == (want.x, want.y)

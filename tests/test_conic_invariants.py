@@ -211,6 +211,23 @@ def test_excentral_of_a_collinear_triangle_is_refused_before_its_division():
     assert [np.broadcast_to(c, 2)[1] for c in hyp.coeffs] == list(jerabek_excentral(good).coeffs)
 
 
+
+@pytest.mark.parametrize("apex_x", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("height", [1e-9, 3e-9, 1e-11])
+def test_excentral_of_a_triangle_whose_divisor_rounds_to_zero_is_refused(apex_x, height):
+    # the area passes its check, but b + c - a of the longest side rounds to 0
+    tri = Triangle.from_coords([(0.0, 0.0), (1.0, 0.0), (apex_x, height)])
+    s1, s2, s3 = tri.sidelengths()
+    assert s1 + s2 - s3 == 0.0
+    for construct in (excentral, lambda t: center(t, 168), jerabek_excentral):
+        with pytest.raises(DegenerateTriangle):
+            construct(tri)
+    skips = Skips(2)
+    with np.errstate(all="ignore"):  # the refused rows still divide by zero
+        derived_of(Tri(*(np.array([p, p]) for p in tri.tri.vertices)), "excentral", skips)
+    assert not skips.valid.any() and skips.failures[0][0] is DegenerateTriangle
+
+
 def test_focal_length_refused_near_isosceles():
     # at t = 1e-12 the smallest xy-coefficient of either hyperbola has
     # cancelled to ~1e-11 of the largest; at t = 1e-6 it is still resolved

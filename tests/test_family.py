@@ -32,7 +32,7 @@ from orbitconics import (
 from orbitconics.billiard import SHAPE_CLASSES
 from orbitconics.centers import center_of, derived_of
 from orbitconics.circumbilliard import DERIVED_TRIANGLES, circumbilliard_of, derived_triangle
-from orbitconics.kernel import ellipse_axes
+from orbitconics.kernel import RAISE, Tri, ellipse_axes
 
 CENTER_IDS = sorted(SUPPORTED_CENTERS) + [ORTHIC_CB_CENTER]
 TAU = 2.0 * math.pi
@@ -261,3 +261,87 @@ def test_skips_check_without_a_failing_sample_changes_nothing():
         skips.check(failed, DegenerateTriangle, "second")
     assert skips.code is code and skips.failures is failures
     assert (code.tolist(), failures) == before == ([-1, 0, -1], [(RightTriangle, "first")])
+
+
+def _center_parts(center_id):
+    def parts(v, guard):
+        z = center_of(v, center_id, guard)
+        return (z.real, z.imag)
+
+    return parts
+
+
+def _derived_parts(which):
+    return lambda v, guard: tuple(x for p in derived_of(v, which, guard).vertices
+                                  for x in (p.real, p.imag))
+
+
+def _circumbilliard_parts(v, guard):
+    # not the axis angle: numpy's arctan2 and libm's atan2 may differ in the last bit
+    center_z, major, minor, _ = ellipse_axes(circumbilliard_of(v), guard)
+    return (center_z.real, center_z.imag, major, minor)
+
+
+#: Every construction on ``Tri`` as a tuple of floats (numbers or arrays), by name.
+PARITY = {
+    **{f"X{i}" if isinstance(i, int) else i: _center_parts(i) for i in CENTER_IDS},
+    **{which: _derived_parts(which) for which in DERIVED_TRIANGLES},
+    "circumbilliard": _circumbilliard_parts,
+    "feuerbach": lambda v, guard: (focal_length(feuerbach_hyperbola(v, guard), guard),),
+    "jerabek": lambda v, guard: (focal_length(jerabek_excentral(v, guard), guard),),
+}
+
+_UNIT = st.floats(-1.0, 1.0)
+_POINT = st.builds(complex, _UNIT, _UNIT)
+
+
+@st.composite
+def _probe_triangle(draw):
+    """Vertices (complex) of a random, thin, collinear, repeated, 1e300 or non-finite triangle."""
+    kind = draw(st.sampled_from(["random", "thin", "collinear", "repeated", "huge", "nonfinite"]))
+    p, q, r = draw(_POINT), draw(_POINT), draw(_POINT)
+    scale = 10.0 ** draw(st.floats(-120.0, 120.0))
+    if kind == "thin":
+        # base (0, 0)-(1, 0) and apex (x, h), turned, scaled by up to 1e+-100 and moved
+        apex = complex(draw(st.floats(-3.0, 4.0)), 10.0 ** draw(st.floats(-16.0, -6.0)))
+        turn = complex(math.cos(4.0 * p.real), math.sin(4.0 * p.real))
+        scale = 10.0 ** draw(st.floats(-100.0, 100.0))
+        return tuple(scale * (turn * z + 10.0 * q) for z in (0.0, 1.0, apex))
+    if kind == "collinear":
+        r = p + draw(st.floats(-2.0, 2.0)) * (q - p)
+    elif kind == "repeated":
+        p, q, r = draw(st.sampled_from([(p, p, q), (p, q, q), (q, p, q), (p, p, p)]))
+    elif kind == "huge":
+        scale = 1e300
+    elif kind == "nonfinite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        r = complex(bad, r.imag) if draw(st.booleans()) else complex(r.real, bad)
+    return (scale * p, scale * q, scale * r)
+
+
+def _checked_parts(name, v, guard):
+    """``PARITY[name]`` after the vertex and area checks every family and ``from_tri`` make."""
+    guard.check(v.nonfinite(), ValueError, "non-finite vertex")
+    guard.check(v.thin(), DegenerateTriangle, "area below tolerance")
+    return PARITY[name](v, guard)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangles=st.lists(_probe_triangle(), min_size=1, max_size=8))
+def test_a_stacked_row_refuses_or_answers_as_its_one_number_call(triangles):
+    # a row refuses with the type the one-number call raises, or both give the same finite bits;
+    # any other exception (ZeroDivisionError, OverflowError) fails the test
+    with np.errstate(all="ignore"):  # the refused rows overflow or divide by zero
+        stack = Tri(*map(np.array, zip(*triangles)))
+        for name in PARITY:
+            skips = Skips(len(triangles))
+            many = _checked_parts(name, stack, skips)
+            for i, vertices in enumerate(triangles):
+                try:
+                    one = _checked_parts(name, Tri(*vertices), RAISE)
+                except (OrbitConicsError, ValueError) as exc:
+                    assert skips.reason(i) == type(exc).__name__, name
+                    continue
+                assert skips.reason(i) == "", name
+                assert all(map(math.isfinite, one)), name
+                assert tuple(float(x[i]) for x in many) == tuple(one), name

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, five_coefficients, random_triangle, residual_scale
-from oracles import axis_endpoints, circumconic_generic, ellipse_to_conic, extremal_radii, incircle
+from oracles import (axis_endpoints, circumconic_generic, ellipse_to_conic, extremal_radii,
+                     incircle, inconic_by_minors)
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -19,6 +20,7 @@ from orbitconics import (
     EllipseParams,
     NoRealConic,
     NotAnEllipse,
+    OrbitConicsError,
     Point,
     SingularSystem,
     Tri,
@@ -406,6 +408,28 @@ def test_inconic_random_triangles_tangency(rng):
                 conic, verts[(i + 1) % 3], verts[(i + 2) % 3]
             )
             assert res <= 1e-9
+
+
+def test_inconic_read_off_matches_the_adjugate_by_minors(rng):
+    cases = []
+    for alpha, n in ((1.5, 24), (10.0, 12), (100.0, 12)):
+        shape = BilliardShape(alpha, 1.0)
+        for k in range(n):  # at a/b = 1.5, criterion 8's samples
+            tri = orbit(shape, (k + 0.5) * 2 * math.pi / n).triangle
+            exc = excentral(tri)
+            cases += [(exc, center(tri, 40)), (exc, center(exc, 5)), (tri, Point(0.0, 0.0))]
+    for _ in range(100):
+        tri = random_triangle(rng)
+        cases.append((tri, Point(*incircle([p.as_tuple() for p in tri.vertices])[0])))
+    answered = 0
+    for tri, ctr in cases:
+        try:
+            got = solve_inconic(tri, ctr).coeffs
+        except OrbitConicsError:
+            continue
+        assert repr(got) == repr(inconic_by_minors(tri, ctr))  # signed zeros too
+        answered += 1
+    assert answered >= 150  # 196 of the 244
 
 
 @settings(max_examples=60, deadline=None)
