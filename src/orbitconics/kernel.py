@@ -804,22 +804,19 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
     """
     import numpy as np
 
-    rows = []
-    for u, v, w in t.tri.sidelines(center.z):
-        rows.append([u * u, 2 * u * v, 2 * u * w, v * v, 2 * v * w, w * w])
-    # (d13, d23, d33) proportional to the center, (0, 0, 1) about itself
-    rows.append([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    rows.append([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    M = np.array(rows, dtype=float)
+    # (d13, d23, d33) proportional to the center, (0, 0, 1) about itself: the last two rows
+    M = np.array([[u * u, 2 * u * v, 2 * u * w, v * v, 2 * v * w, w * w]
+                  for u, v, w in t.tri.sidelines(center.z)]
+                 + [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]], dtype=float)
     if nonfinite(abs(M).max()):  # the w * w terms overflow for coordinates past about 1e77
         raise SingularSystem("dual inconic system is not finite")
     _, sv, Vt = np.linalg.svd(M)
     if sv[0] == 0.0 or sv[3] < sv[0] / CONDITION_LIMIT:
         raise SingularSystem("dual inconic system is rank deficient")
-    # the conic is the dual's adjugate, whose row i is the cross product of rows i + 1 and i + 2
-    rows = Vt[-1][[[1, 3, 4], [2, 4, 5], [0, 1, 2]]]  # rows 1, 2, 0 of the symmetric dual
-    (a, b, dd), (_, c, e), (_, _, f) = np.cross(rows, rows[[1, 2, 0]]).tolist()
-    conic = Conic(a, b, c, dd, e, f, center.z)
+    # the conic is the adjugate of the dual [[d0, d1, d2], [d1, d3, d4], [d2, d4, d5]]
+    d0, d1, d2, d3, d4, d5 = Vt[-1].tolist()
+    conic = Conic(d3 * d5 - d4 * d4, d2 * d4 - d1 * d5, d0 * d5 - d2 * d2,
+                  d1 * d4 - d2 * d3, d1 * d2 - d0 * d4, d0 * d3 - d1 * d1, center.z)
     # a center on a parabolic boundary (a midline of t) makes the solution
     # collapse to a double line, which passes tangency checks trivially
     if classify_conic(conic) is ConicClass.DEGENERATE:
