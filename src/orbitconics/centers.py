@@ -84,34 +84,34 @@ def _finite(z, guard):
 def center_of(v: Tri, center_id, guard):
     """Complex position of a supported center of ``v``.
 
-    ``guard`` is RAISE for one triangle or a Skips for a stack.
+    ``guard`` is RAISE for one triangle or a Skips for a stack.  An id is
+    looked up as given, so 9.0 is X9 but 3.7 and "7" are unknown (KeyError).
     """
     if center_id == ORTHIC_CB_CENTER:
         return orthic_cb_center_of(v, guard)
-    index = int(center_id)
-    w = _BARYCENTRICS.get(index)
+    w = _BARYCENTRICS.get(center_id)
     if w is not None:
         s1, s2, s3 = v.s1, v.s2, v.s3
-        if index in _UNDEFINED_AT_EQUILATERAL:  # refuse sides equal within rounding
+        if center_id in _UNDEFINED_AT_EQUILATERAL:  # refuse sides equal within rounding
             spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
             guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
-                        f"X{index} is undefined for a triangle equilateral within rounding")
+                        f"X{center_id} is undefined for a triangle equilateral within rounding")
         return _point_of(v, (w(s1, s2, s3), w(s2, s3, s1), w(s3, s1, s2)), guard)
-    if index not in SUPPORTED_CENTERS:
-        raise KeyError(f"center X{index} not supported")
-    if index == 3:
+    if center_id not in SUPPORTED_CENTERS:
+        raise KeyError(f"center {center_id!r} not supported")
+    if center_id == 3:
         b, c = v.p2 - v.p1, v.p3 - v.p1
         u, k = dot(c, c) * b - dot(b, b) * c, 0.5 / cross(b, c)
         return _finite(v.p1 + complex_of(-u.imag * k, u.real * k), guard)
-    if index == 4:
+    if center_id == 4:
         return v.p1 + v.p2 + v.p3 - 2.0 * center_of(v, 3, guard)
-    if index == 5:
+    if center_id == 5:
         return 0.5 * (v.p1 + v.p2 + v.p3 - center_of(v, 3, guard))
-    if index == 40:
+    if center_id == 40:
         return 2.0 * center_of(v, 3, guard) - center_of(v, 1, guard)
-    if index == 142:
+    if center_id == 142:
         return 0.5 * (center_of(v, 9, guard) + center_of(v, 7, guard))
-    if index == 144:
+    if center_id == 144:
         return 3.0 * center_of(v, 2, guard) - 2.0 * center_of(v, 7, guard)
     return center_of(derived_of(v, "excentral", guard), 9, guard)  # X168
 
@@ -131,20 +131,24 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
 
     The orthic triangle is refused (RightTriangle) when an angle is right
     within the dead band, since two feet then coincide with the
-    right-angle vertex; the excentral one (DegenerateTriangle) when some
-    b + c - a rounds to 0 or below, and any one beyond the float range (ValueError).
+    right-angle vertex; the excentral one (DegenerateTriangle) when the
+    reference is thin, and any one beyond the float range (ValueError).
     """
     p1, p2, p3 = v.vertices
     degenerate = DegenerateTriangle
     if which == "excentral":
+        # a thin reference is refused before dividing; past it, every b + c - a is positive
+        guard.check(v.thin(), DegenerateTriangle, "excentral of a triangle with area below tolerance")
         s1, s2, s3 = v.s1, v.s2, v.s3
-        d1, d2, d3 = s2 + s3 - s1, s3 + s1 - s2, s1 + s2 - s3
-        # a thin reference, or one whose b + c - a rounds to 0 or below: refuse before dividing
-        guard.check(v.thin() | (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0), DegenerateTriangle,
-                    "excentral of a triangle with area below tolerance or b + c - a <= 0")
-        q1, q2, q3 = s1 * p1, s2 * p2, s3 * p3  # -s1 * p1 is (-s1) * p1, kept as written
-        out = Tri((-s1 * p1 + q2 + q3) * (1.0 / d1), (q1 - q2 + q3) * (1.0 / d2),
-                  (q1 + q2 - q3) * (1.0 / d3))
+        s, k, excenters = 0.5 * (s1 + s2 + s3), 2.0 * v.area, []
+        # p + (b e + c f) / (b + c - a), e = q - p, f = r - p, c = |e|, b = |f|; for t = b c + |e.f|,
+        # b + c - a is t / s where e.f >= 0, else (k/s)(k/t), k = 2 area (half-angle identity)
+        for p, q, r, b, c in ((p1, p2, p3, s2, s3), (p2, p3, p1, s3, s1), (p3, p1, p2, s1, s2)):
+            e, f = q - p, r - p
+            ef = dot(e, f)
+            t = b * c + abs(ef)
+            excenters.append(p + (b * e + c * f) * (1.0 / where(ef >= 0.0, t / s, (k / s) * (k / t))))
+        out = Tri(*excenters)
     elif which == "act":
         out = Tri(p2 + p3 - p1, p3 + p1 - p2, p1 + p2 - p3)
     elif which == "medial":

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .centers import center, derived_triangle
+from .errors import DegenerateConic
 from .kernel import Conic, EllipseParams, Point, Tri, Triangle, circumconic_of, conic_to_ellipse_params
 
 DERIVED_TRIANGLES = ("excentral", "act", "medial", "orthic")
@@ -57,14 +58,18 @@ def reflection_residual(conic: Conic, t: Triangle) -> float:
     """Largest angle between a conic normal and the vertex-angle bisector.
 
     Zero (to rounding) exactly when ``t`` is a billiard orbit of the
-    conic; radians.
+    conic; radians.  A conic whose gradient vanishes at a vertex has no
+    normal there (DegenerateConic).
     """
     worst = 0.0
     verts = t.vertices
     for i in range(3):
         p, q, r = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
         g = conic.gradient(p)
-        g = g / g.norm()
+        norm = g.norm()
+        if norm == 0.0:
+            raise DegenerateConic("conic has no normal at a vertex: its gradient vanishes")
+        g = g / norm
         u = (q - p) / q.dist(p)
         v = (r - p) / r.dist(p)
         bis = u + v

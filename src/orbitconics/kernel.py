@@ -780,13 +780,21 @@ def unresolved(q: Conic):
 
 
 def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
-    """Scaled discriminant of the conic restricted to line pq (0 = tangent)."""
+    """Scaled discriminant of the conic restricted to line pq (0 = tangent).
+
+    p == q spans no line (ValueError); a line that lies in the conic, where
+    the restriction vanishes, has no discriminant (DegenerateConic).
+    """
     A, B, C, D, E, _ = conic.coeffs
     dx, dy = q.x - p.x, q.y - p.y
+    if dx == dy == 0.0:
+        raise ValueError("tangency residual of a line through two equal points")
     x, y = p.x - conic.anchor.real, p.y - conic.anchor.imag
     qa = A * dx * dx + 2 * B * dx * dy + C * dy * dy
     qb = 2 * (A * x * dx + B * (x * dy + y * dx) + C * y * dy + D * dx + E * dy)
     qc = conic_eval(conic, p)
+    if qa == qb == qc == 0.0:
+        raise DegenerateConic("the line lies in the conic")
     disc = qb * qb - 4.0 * qa * qc
     return abs(disc) / (abs(qa) + abs(qb) + abs(qc)) ** 2
 

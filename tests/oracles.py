@@ -7,7 +7,7 @@ ellipse axes by brute force along rays, and the excentral inconic axes
 are computed in high-precision decimals.  Then come references of
 another kind: the generic circumconic form, the point-by-point
 intersection loop and the inconic read off by 2x2 minors, which the
-library's written-out, array and cross-product versions must equal bit
+library's written-out, array and cofactor versions must equal bit
 for bit.  The helpers at the end build test inputs and
 check classical facts through the library (trilinears to Cartesians,
 canonical ellipse parameters to a conic, the upright isosceles orbit,
@@ -245,11 +245,7 @@ def centers_decimal(vertices, index: int, digits: int = 60) -> complex:
         ctx.prec = digits
         p = [(Decimal(x), Decimal(y)) for x, y in vertices]
         if index in (40, 168):
-            a, b, c = _sides_decimal(p)
-            p = [
-                tuple((wa * p[0][k] + wb * p[1][k] + wc * p[2][k]) / (wa + wb + wc) for k in (0, 1))
-                for wa, wb, wc in ((-a, b, c), (a, -b, c), (a, b, -c))
-            ]
+            p = _excenters_decimal(p)
             index = 3 if index == 40 else 9
         if index == 3:
             x, y = _circumcenter_decimal(*p)
@@ -259,6 +255,27 @@ def centers_decimal(vertices, index: int, digits: int = 60) -> complex:
             w = (a * t(a, b, c), b * t(b, c, a), c * t(c, a, b))
             x, y = (sum(wi * pi[k] for wi, pi in zip(w, p)) / sum(w) for k in (0, 1))
         return complex(float(x), float(y))
+
+
+def excenters_decimal(vertices, digits: int = 60) -> list[complex]:
+    """The three excenters in ``digits``-digit decimals, rounded to complex floats.
+
+    From the float vertices taken exactly, as (-a p1 + b p2 + c p3) / (b + c - a)
+    and its cyclic shifts, the cancelling textbook form.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return [complex(float(x), float(y))
+                for x, y in _excenters_decimal([(Decimal(x), Decimal(y)) for x, y in vertices])]
+
+
+def _excenters_decimal(p):
+    """Excenters of three Decimal points, opposite each in turn."""
+    a, b, c = _sides_decimal(p)
+    return [
+        tuple((wa * p[0][k] + wb * p[1][k] + wc * p[2][k]) / (wa + wb + wc) for k in (0, 1))
+        for wa, wb, wc in ((-a, b, c), (a, -b, c), (a, b, -c))
+    ]
 
 
 def _sides_decimal(p):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_triangle
 from oracles import (centers_decimal, circumcircle, cosines_decimal, euler_centers_decimal,
-                     incircle, stack_tris, trilinear_to_cartesian)
+                     excenters_decimal, incircle, stack_tris, trilinear_to_cartesian)
 from orbitconics import (
     ORTHIC_CB_CENTER,
     BilliardShape,
@@ -186,6 +186,30 @@ def test_excentral_equilateral():
     _, rr = circumcircle([p.as_tuple() for p in exc.vertices])
     assert rr == pytest.approx(2.0, abs=1e-12)
     assert exc.p1.dist(Point(-2.0, 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("log_height", [-11, -10, -9, -8, -6, -4, -3])
+def test_excenters_of_thin_triangles_match_a_decimal_oracle(rng, log_height):
+    # no b + c - a cancels, so the error over the excentral triangle's longest side stays
+    # within 1e-15 / h for apex heights h down to 1e-11 of the base, the apex over or beyond it
+    for _ in range(40):
+        t = _placed_triangle(rng.uniform(-0.5, 1.5), log_height, rng.uniform(-2.0, 2.0),
+                             rng.uniform(0.0, 2 * math.pi), rng.uniform(-3.0, 3.0, size=2))
+        want = excenters_decimal([p.as_tuple() for p in t.vertices])
+        longest = max(abs(want[1] - want[2]), abs(want[2] - want[0]), abs(want[0] - want[1]))
+        for got, w in zip(excentral(t).vertices, want):
+            assert abs(got.z - w) <= 1e-15 / 10.0**log_height * longest
+
+
+@pytest.mark.parametrize("alpha", [10.0, 100.0, 300.0, 1000.0])
+def test_x168_matches_a_decimal_oracle_up_to_a_b_1000(rng, alpha):
+    # X9 of the excentral triangle, whose vertex beyond the orbit's longest side is formed
+    # without cancellation: within 1e-10 of the orbit's longest side
+    shape = BilliardShape(alpha, 1.0)
+    for k in range(48):
+        moved = _moved(rng, orbit(shape, (k + 0.5) * 2 * math.pi / 48).triangle, alpha)
+        want = centers_decimal([p.as_tuple() for p in moved.vertices], 168)
+        assert abs(center(moved, 168).z - want) <= 1e-10 * max(moved.sidelengths())
 
 
 def test_excenters_on_closed_form_ellipse():

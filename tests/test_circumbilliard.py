@@ -7,7 +7,9 @@ from conftest import angle_dist_mod_pi, random_triangle
 from oracles import intouch_points, intouch_superposition_check
 from orbitconics import (
     BilliardShape,
+    Conic,
     ConicClass,
+    DegenerateConic,
     Point,
     Triangle,
     center,
@@ -32,6 +34,13 @@ EQUILATERAL = Triangle(
 
 def grid(n):
     return [(k + 0.5) * 2 * math.pi / n for k in range(n)]
+
+
+def test_reflection_residual_refuses_a_vertex_where_the_gradient_vanishes():
+    # the cone x y = 0 is singular at the origin, which has no normal to compare with a bisector
+    tri = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))
+    with pytest.raises(DegenerateConic):
+        reflection_residual(Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0), tri)
 
 
 def test_fixed_point_recovery():

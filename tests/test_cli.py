@@ -287,6 +287,16 @@ def test_render_overlay_needs_shape(capsys, tmp_path):
     assert code == 1
 
 
+def test_render_header_only_csv_draws_an_empty_square(capsys, tmp_path):
+    # no points: the view box falls back to [-1, 1] in both axes, and no polyline is drawn
+    empty, svg_path = tmp_path / "empty.csv", tmp_path / "o.svg"
+    empty.write_text("x,y\n")
+    code, _, _ = run_cli(capsys, ["render", "--input", str(empty), "--out", str(svg_path)])
+    assert code == 0
+    svg = svg_path.read_text()
+    assert 'width="720" height="720"' in svg and "<polyline" not in svg
+
+
 def test_render_missing_columns_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,v\n0,0\n")

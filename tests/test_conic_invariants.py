@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import angle_dist_mod_pi, xy_coefficients
-from oracles import billiard_intersections_pointwise, excentral_inconic_axes_decimal
+from oracles import (billiard_intersections_pointwise, centers_decimal, excenters_decimal,
+                     excentral_inconic_axes_decimal)
 from orbitconics import (
     BilliardShape,
+    Conic,
     ConicClass,
     DegenerateConic,
     DegenerateTriangle,
@@ -215,17 +217,25 @@ def test_excentral_of_a_collinear_triangle_is_refused_before_its_division():
 @pytest.mark.parametrize("apex_x", [0.1, 0.3, 0.5])
 @pytest.mark.parametrize("height", [1e-9, 3e-9, 1e-11])
 def test_excentral_of_a_triangle_whose_divisor_rounds_to_zero_is_refused(apex_x, height):
-    # the area passes its check, but b + c - a of the longest side rounds to 0
+    # b + c - a of the longest side rounds to 0 when formed from the float sides; the excenters
+    # take it without cancellation, so the excentral triangle and X168 answer within the decimal
+    # oracle's 1e-15 / h bound, one stacked row to the bit, and only the Jerabek hyperbola,
+    # whose focal length such a thin triangle leaves unresolved, is refused
     tri = Triangle.from_coords([(0.0, 0.0), (1.0, 0.0), (apex_x, height)])
     s1, s2, s3 = tri.sidelengths()
     assert s1 + s2 - s3 == 0.0
-    for construct in (excentral, lambda t: center(t, 168), jerabek_excentral):
-        with pytest.raises(DegenerateTriangle):
-            construct(tri)
+    vertices = [p.as_tuple() for p in tri.vertices]
+    want = excenters_decimal(vertices)
+    tol = 1e-15 / height * max(abs(want[1] - want[2]), abs(want[2] - want[0]), abs(want[0] - want[1]))
+    got = excentral(tri)
+    assert all(abs(p.z - w) <= tol for p, w in zip(got.vertices, want))
+    assert abs(center(tri, 168).z - centers_decimal(vertices, 168)) <= tol
     skips = Skips(2)
-    with np.errstate(all="ignore"):  # the refused rows still divide by zero
-        derived_of(Tri(*(np.array([p, p]) for p in tri.tri.vertices)), "excentral", skips)
-    assert not skips.valid.any() and skips.failures[0][0] is DegenerateTriangle
+    stacked = derived_of(Tri(*(np.array([p, p]) for p in tri.tri.vertices)), "excentral", skips)
+    assert skips.valid.all()
+    assert [complex(z[1]) for z in stacked.vertices] == [p.z for p in got.vertices]
+    with pytest.raises(DegenerateConic):
+        jerabek_excentral(tri)
 
 
 def test_focal_length_refused_near_isosceles():
@@ -355,6 +365,10 @@ def test_billiard_intersections_equal_the_pointwise_loop():
         for hyp in (jerabek_excentral(tri), feuerbach_hyperbola(tri)):
             points = billiard_intersections(SHAPE, hyp)
             assert points and points == billiard_intersections_pointwise(SHAPE, hyp)
+    # the cone x y = 0 meets the boundary at the four axis ends, the first a grid point on it
+    points = billiard_intersections(SHAPE, Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0))
+    assert len(points) == 4 and points[0] == Point(1.5, 0.0)
+    assert points == billiard_intersections_pointwise(SHAPE, Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_translated_hyperbolas_are_xy_equals_k():

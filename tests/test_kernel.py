@@ -432,6 +432,22 @@ def test_inconic_read_off_matches_the_adjugate_by_minors(rng):
     assert answered >= 150  # 196 of the 244
 
 
+#: The cone x y = 0, the union of the two axes.
+AXES = Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("conic, p, q, exc", [
+    # the x-axis lies in the cone: its restriction vanishes and has no discriminant
+    (AXES, Point(1.0, 0.0), Point(2.0, 0.0), DegenerateConic),
+    # two equal points span no line, on the conic or off it (where 0.0, "tangent", was returned)
+    (AXES, Point(1.0, 0.0), Point(1.0, 0.0), ValueError),
+    (Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0), Point(3.0, 1.0), Point(3.0, 1.0), ValueError),
+], ids=["line in the conic", "equal points on the conic", "equal points off the conic"])
+def test_tangency_residual_of_a_line_it_cannot_measure_is_refused(conic, p, q, exc):
+    with pytest.raises(exc):
+        line_conic_tangency_residual(conic, p, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     x=st.floats(-2, 2),

@@ -125,6 +125,9 @@ def test_scalar_results_are_plain_floats():
      oc.PointAtInfinity),
     ("minor above major", lambda: oc.EllipseParams(oc.Point(0.0, 0.0), 1.0, 2.0, 0.0), ValueError),
     ("unknown center", lambda: oc.center(oc.orbit(SHAPE, 0.4).triangle, 12), KeyError),
+    # an id is looked up as given, never truncated to X3 or parsed to X7
+    ("fractional center id", lambda: oc.center(oc.orbit(SHAPE, 0.4).triangle, 3.7), KeyError),
+    ("string center id", lambda: oc.center(oc.orbit(SHAPE, 0.4).triangle, "7"), KeyError),
     ("unknown derived triangle",
      lambda: oc.derived_triangle(oc.orbit(SHAPE, 0.4).triangle, "pedal"), KeyError),
     ("unknown inconic",
@@ -141,6 +144,11 @@ def test_scalar_results_are_plain_floats():
 def test_bad_inputs_raise_their_exception_types(label, call, exc):
     with pytest.raises(exc):
         call()
+
+
+def test_an_integral_center_id_of_any_number_type_answers():
+    tri = oc.orbit(SHAPE, 0.4).triangle
+    assert oc.center(tri, 9.0) == oc.center(tri, np.int64(9)) == oc.center(tri, 9)
 
 
 def test_focal_length_of_a_thin_hyperbola_does_not_cancel():
