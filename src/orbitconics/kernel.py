@@ -21,10 +21,10 @@ Every conic is a ``Conic``: the six coefficients of
 in coordinates relative to an anchor point; ``conic_form`` evaluates it
 at numbers or arrays of coordinates.  Circumconics are closed
 forms: a symmetric barycentric matrix mapped through the sidelines
-(``circumconic_of``).  An inconic with a prescribed center is obtained
-in the dual plane and mapped back through the adjugate.  Center,
-semi-axes, axis angle and hyperbola focal length are read off the six
-coefficients (``ellipse_axes``, ``focal_length``).
+(``circumconic_of``).  An inconic with a prescribed center is solved
+in closed form in the dual plane and mapped back through the adjugate.
+Center, semi-axes, axis angle and hyperbola focal length are read off
+the six coefficients (``ellipse_axes``, ``focal_length``).
 """
 
 from __future__ import annotations
@@ -350,7 +350,8 @@ class Tri:
     bits for a number as for an array element: they add, subtract and
     scale complex values by reals, but never multiply two complex values
     or divide a complex value by a real, which numpy rounds differently
-    from Python.
+    from Python.  One exception is known: an ellipse's axis angle, where
+    ``math.atan2`` and ``np.arctan2`` can differ in the last bit.
     """
 
     __slots__ = ("p1", "p2", "p3", "s1", "s2", "s3", "area")
@@ -762,7 +763,7 @@ def unresolved(q: Conic):
     """Whether rounding may move the semi-axes (or focal length) of q by over 1e-9 relative.
 
     First-order bound for coefficients each off by one unit in the last
-    place of the largest, as a null-vector solve leaves them: the
+    place of the largest, as a conic's solve leaves them: the
     |cofactors| of ``[[A, B, D], [B, C, E], [D, E, F]]`` bound the change
     of its determinant det3 = -det K, |A| + |C| + 2|B| that of det, and
     the semi-axes go with sqrt(K / eigenvalue).  Numbers or arrays.
@@ -783,7 +784,9 @@ def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
     """Scaled discriminant of the conic restricted to line pq (0 = tangent).
 
     p == q spans no line (ValueError); a line that lies in the conic, where
-    the restriction vanishes, has no discriminant (DegenerateConic).
+    the restriction vanishes, has no discriminant (DegenerateConic).  The
+    residual is of degree 0 in the coefficients: where its squares could
+    under- or overflow, they are first brought below 1 by a power of two.
     """
     A, B, C, D, E, _ = conic.coeffs
     dx, dy = q.x - p.x, q.y - p.y
@@ -793,40 +796,40 @@ def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
     qa = A * dx * dx + 2 * B * dx * dy + C * dy * dy
     qb = 2 * (A * x * dx + B * (x * dy + y * dx) + C * y * dy + D * dx + E * dy)
     qc = conic_eval(conic, p)
+    size = abs(qa) + abs(qb) + abs(qc)
+    if not 1e-150 < size < 1e150 and (e := math.frexp(max(map(abs, conic.coeffs)))[1]):
+        scaled = Conic(*[math.ldexp(c, -e) for c in conic.coeffs], conic.anchor)
+        return line_conic_tangency_residual(scaled, p, q)  # where e is 0
     if qa == qb == qc == 0.0:
         raise DegenerateConic("the line lies in the conic")
     disc = qb * qb - 4.0 * qa * qc
-    return abs(disc) / (abs(qa) + abs(qb) + abs(qc)) ** 2
+    return abs(disc) / size ** 2
 
 
 def solve_inconic(t: Triangle, center: Point) -> Conic:
-    """Conic tangent to the three sidelines with the prescribed center.
+    """Conic tangent to the three sidelines with the prescribed center, in closed form.
 
-    Works in the dual plane: the dual conic matrix must be incident with
-    each sideline (three linear conditions) and must map the line at
-    infinity to the homogeneous center (two conditions).  The resulting
-    homogeneous 5x6 system is solved by SVD; the conic is the adjugate
-    of the dual.  It is anchored at the prescribed center, which keeps
-    its coefficients and checks independent of where the triangle sits.
-    Tangency of all three sidelines is verified before returning.
+    About the center the dual is ``[[P, 0], [0, -1]]``: each sideline
+    ``u x + v y + w = 0`` gives ``u^2 p11 + 2uv p12 + v^2 p22 = w^2``, the
+    three are solved by Cramer's rule, and the conic is the adjugate
+    ``Conic(p22, -p12, p11, 0, 0, -det P)`` anchored at the center, which
+    D = E = 0 makes its center exactly.  Sideline tangency is verified.
     """
-    import numpy as np
-
-    # (d13, d23, d33) proportional to the center, (0, 0, 1) about itself: the last two rows
-    M = np.array([[u * u, 2 * u * v, 2 * u * w, v * v, 2 * v * w, w * w]
-                  for u, v, w in t.tri.sidelines(center.z)]
-                 + [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]], dtype=float)
-    if nonfinite(abs(M).max()):  # the w * w terms overflow for coordinates past about 1e77
+    (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = t.tri.sidelines(center.z)
+    # rows j, k of (u^2, 2uv, v^2) have 2x2 minors with the factor x_i = u_j v_k - u_k v_j and the
+    # determinant is -2 x1 x2 x3, so each term divides by the rest as e_i = w_i^2 / (x_j x_k)
+    x1, x2, x3 = u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1
+    if 0.0 in (x1, x2, x3):  # about a far center the edges round to parallel, or an x underflows
         raise SingularSystem("dual inconic system is not finite")
-    _, sv, Vt = np.linalg.svd(M)
-    if sv[0] == 0.0 or sv[3] < sv[0] / CONDITION_LIMIT:
-        raise SingularSystem("dual inconic system is rank deficient")
-    # the conic is the adjugate of the dual [[d0, d1, d2], [d1, d3, d4], [d2, d4, d5]]
-    d0, d1, d2, d3, d4, d5 = Vt[-1].tolist()
-    conic = Conic(d3 * d5 - d4 * d4, d2 * d4 - d1 * d5, d0 * d5 - d2 * d2,
-                  d1 * d4 - d2 * d3, d1 * d2 - d0 * d4, d0 * d3 - d1 * d1, center.z)
-    # a center on a parabolic boundary (a midline of t) makes the solution
-    # collapse to a double line, which passes tangency checks trivially
+    e1, e2, e3 = (w1 / x2) * (w1 / x3), (w2 / x3) * (w2 / x1), (w3 / x1) * (w3 / x2)
+    p11 = -(e1 * (v2 * v3) + e2 * (v3 * v1) + e3 * (v1 * v2))
+    p12 = 0.5 * (e1 * (u2 * v3 + u3 * v2) + e2 * (u3 * v1 + u1 * v3) + e3 * (u1 * v2 + u2 * v1))
+    p22 = -(e1 * (u2 * u3) + e2 * (u3 * u1) + e3 * (u1 * u2))
+    conic = Conic(p22, -p12, p11, 0.0, 0.0, -(p11 * p22 - p12 * p12), center.z)
+    # F is nan or infinite when any p is, or when det P overflows (coordinates past about 1e77)
+    if nonfinite(conic.F):
+        raise SingularSystem("dual inconic system is not finite")
+    # on a midline of t (a parabolic boundary) the solution is a double line, which passes tangency
     if classify_conic(conic) is ConicClass.DEGENERATE:
         raise NoRealConic("inconic degenerates for this center")
     verts = t.vertices
@@ -834,10 +837,6 @@ def solve_inconic(t: Triangle, center: Point) -> Conic:
         res = line_conic_tangency_residual(conic, verts[(i + 1) % 3], verts[(i + 2) % 3])
         if res > TANGENCY_TOL:
             raise NoRealConic(f"sideline tangency residual {res:.3e}")
-    grad = conic.gradient(center)
-    if grad.norm() > TANGENCY_TOL * conic.coeff_norm():
-        raise NoRealConic("constructed conic is not centered at the requested point")
     if unresolved(conic):
         raise DegenerateConic("inconic axes not resolved to 1e-9")
     return conic
-

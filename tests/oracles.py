@@ -5,10 +5,9 @@ paths: the orbit oracle iterates the raw reflection map and solves the
 closure condition by bisection, the extremal-radius search measures
 ellipse axes by brute force along rays, and the excentral inconic axes
 are computed in high-precision decimals.  Then come references of
-another kind: the generic circumconic form, the point-by-point
-intersection loop and the inconic read off by 2x2 minors, which the
-library's written-out, array and cofactor versions must equal bit
-for bit.  The helpers at the end build test inputs and
+another kind: the generic circumconic form and the point-by-point
+intersection loop, which the library's written-out and array versions
+must equal bit for bit.  The helpers at the end build test inputs and
 check classical facts through the library (trilinears to Cartesians,
 canonical ellipse parameters to a conic, the upright isosceles orbit,
 intouch points and their superposition facts, stacked triangles); only
@@ -348,27 +347,6 @@ def billiard_intersections_pointwise(shape, hyp, grid: int = 4096):
                     lo, flo = mid, fm
             points.append(shape.boundary_point(0.5 * (lo + hi)))
     return points
-
-
-def inconic_by_minors(t: Triangle, center: Point) -> tuple[float, ...]:
-    """(A, B, C, D, E, F) of t's inconic centered at ``center``, read off cofactor by cofactor.
-
-    The same 5x6 dual system and SVD null vector as ``solve_inconic``,
-    without its checks; the conic is the adjugate of the 3x3 dual, each
-    entry a signed 2x2 minor.  ``solve_inconic`` must equal it bit for bit.
-    """
-    rows = [[u * u, 2 * u * v, 2 * u * w, v * v, 2 * v * w, w * w]
-            for u, v, w in t.tri.sidelines(center.z)]
-    rows += [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]
-    d = np.linalg.svd(np.array(rows, dtype=float))[2][-1]
-    dual = np.array([[d[0], d[1], d[2]], [d[1], d[3], d[4]], [d[2], d[4], d[5]]])
-    adj = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(dual, j, axis=0), i, axis=1)
-            adj[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    (a, b, dd), (_, c, e), (_, _, f) = adj.tolist()
-    return (a, b, c, dd, e, f)
 
 
 def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, five_coefficients, random_triangle, residual_scale
-from oracles import (axis_endpoints, circumconic_generic, ellipse_to_conic, extremal_radii,
-                     incircle, inconic_by_minors)
+from oracles import (axis_endpoints, circumconic_generic, ellipse_to_conic,
+                     excentral_inconic_axes_decimal, extremal_radii, incircle)
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -354,46 +354,63 @@ def test_inconic_center_on_midline_raises():
 
 @pytest.mark.parametrize("s", [1e80, 1e150])
 def test_inconic_refuses_a_dual_system_past_the_float_range(s):
-    # the dual system's w * w terms overflow; numpy's SVD would raise LinAlgError on them
+    # w^2 for the sidelines' constant terms w overflows, and with it det P
     tri = Triangle(Point(0.0, 0.0), Point(4.0 * s, 0.0), Point(s, 3.0 * s))
     with pytest.raises(SingularSystem, match="not finite"):
         solve_inconic(tri, center(tri, 2))
+
+
+def test_inconic_refuses_a_center_whose_sidelines_round_to_parallel():
+    # about a center 1e17 away, the triangle's vertices round onto one another
+    tri = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
+    with pytest.raises(SingularSystem, match="not finite"):
+        solve_inconic(tri, Point(1e17, 1e17))
 
 
 def _thin_orbit(alpha, k):
     return orbit(BilliardShape(alpha, 1.0), 2 * math.pi * (k + 0.5) / 96).triangle
 
 
-# each refusal below is at least 10x past its threshold and every check before it that raises
-# another type is at least 2x short of its own, so the type does not hang on how a LAPACK
-# build rounds the SVD
-def test_inconic_refuses_a_rank_deficient_dual_system():
-    # sv[0] / sv[3] is 1.3e15, against CONDITION_LIMIT 1e12
+# each refusal below is at least 7x past its threshold and every check before it that raises
+# another type is short of its own; the solve is plain float arithmetic, so the check an input
+# reaches is the same on every platform
+def test_inconic_refuses_thin_inconics_it_cannot_resolve():
+    # the MacBeath inconic of a thin orbit's excentral (a/b = 300), which the SVD refused as rank
+    # deficient: unresolved's bound is 19x its 1e-9, det3 16x above the degenerate band; the
+    # axes it refuses are within 2e-13 of the decimal reference
     exc = excentral(_thin_orbit(300.0, 93))
-    with pytest.raises(SingularSystem):
+    with pytest.raises(DegenerateConic):
         solve_inconic(exc, center(exc, 5))
+    # a moved x3 inconic of a thin orbit (a/b = 200), which missed its center under the SVD:
+    # unresolved's bound is 2,181x its 1e-9, det3 1.17x above the degenerate band and the
+    # sidelines 107x inside TANGENCY_TOL; the axes are within 3e-12 of a decimal solve
+    tri = Triangle.from_coords([(-9717.395504159926, -9849.893227362007),
+                                (-0.2706763788235503, 0.07568421829480057),
+                                (-61.57457846262972, 60.40038729630406)])
+    with pytest.raises(DegenerateConic):
+        solve_inconic(tri, Point(-4883.234108854321, -4900.83684335589))
 
 
 def test_inconic_refuses_axes_it_cannot_resolve():
-    # the x3 inconic: unresolved's bound is 133x its 1e-9; the SVD is 18x inside its limit,
-    # det3 6x above the degenerate band and the center 40x inside TANGENCY_TOL
+    # the x3 inconic: unresolved's bound is 133x its 1e-9; det3 6x above the degenerate band
     tri = _thin_orbit(100.0, 1)
     with pytest.raises(DegenerateConic):
         solve_inconic(excentral(tri), center(tri, 40))
 
 
 @pytest.mark.parametrize("vertices, ctr", [
-    # moved x3 inconics of thin orbits (a/b = 200 and 100) whose rounded solution misses
-    # (the degenerate, tangency and center checks all raise NoRealConic):
-    # its center by 11x TANGENCY_TOL, the SVD 2.4x inside its limit
-    (((-9717.395504159926, -9849.893227362007), (-0.2706763788235503, 0.07568421829480057),
-      (-61.57457846262972, 60.40038729630406)), (-4883.234108854321, -4900.83684335589)),
-    # a sideline by 66x TANGENCY_TOL, the SVD 7.8x inside its limit
+    # rounded solutions that miss a sideline (the degenerate and tangency checks raise
+    # NoRealConic): a hyperbola of a thin triangle by 403x TANGENCY_TOL, det3 6,277x above the
+    # degenerate band
+    (((-142.5571322958998, 1805.1709374455716), (-693.8142730920224, 1887.4590271947545),
+      (49.92807076572629, 1776.4350693716463)), (-271.6491267921621, 1824.44054620239)),
+    # a moved x3 inconic of a thin orbit (a/b = 100) by 7.6x TANGENCY_TOL, det3 2.1x above the
+    # degenerate band; its axes are within 3e-13 of a decimal solve
     (((76.0484696586957, -456.81732420218646), (246.87319623688532, 208.54528262716065),
       (-600.2995311014316, 426.00133612196913)), (-262.10281249883053, -15.390589079773036)),
 ])
 def test_inconic_refuses_a_solution_that_misses_its_conditions(vertices, ctr):
-    with pytest.raises(NoRealConic):
+    with pytest.raises(NoRealConic, match="tangency residual"):
         solve_inconic(Triangle.from_coords(vertices), Point(*ctr))
 
 
@@ -410,26 +427,33 @@ def test_inconic_random_triangles_tangency(rng):
             assert res <= 1e-9
 
 
-def test_inconic_read_off_matches_the_adjugate_by_minors(rng):
+def test_inconic_axes_match_decimal_references(rng):
+    # excentral x3 and MacBeath inconics against their decimal axes, the orbit's inconic at the
+    # origin against the caustic, random incircles against the oracle's radius
     cases = []
     for alpha, n in ((1.5, 24), (10.0, 12), (100.0, 12)):
         shape = BilliardShape(alpha, 1.0)
         for k in range(n):  # at a/b = 1.5, criterion 8's samples
             tri = orbit(shape, (k + 0.5) * 2 * math.pi / n).triangle
-            exc = excentral(tri)
-            cases += [(exc, center(tri, 40)), (exc, center(exc, 5)), (tri, Point(0.0, 0.0))]
+            exc, v = excentral(tri), [p.as_tuple() for p in tri.vertices]
+            caus = caustic(shape)
+            cases += [(exc, center(tri, 40), excentral_inconic_axes_decimal(v, "x3")),
+                      (exc, center(exc, 5), excentral_inconic_axes_decimal(v, "macbeath")),
+                      (tri, Point(0.0, 0.0), (caus.semi_major, caus.semi_minor))]
     for _ in range(100):
         tri = random_triangle(rng)
-        cases.append((tri, Point(*incircle([p.as_tuple() for p in tri.vertices])[0])))
+        inc, r = incircle([p.as_tuple() for p in tri.vertices])
+        cases.append((tri, Point(inc[0], inc[1]), (r, r)))
     answered = 0
-    for tri, ctr in cases:
+    for tri, ctr, (major, minor) in cases:
         try:
-            got = solve_inconic(tri, ctr).coeffs
+            got = conic_to_ellipse_params(solve_inconic(tri, ctr))
         except OrbitConicsError:
             continue
-        assert repr(got) == repr(inconic_by_minors(tri, ctr))  # signed zeros too
+        assert abs(got.semi_major - major) <= 1e-9 * major
+        assert abs(got.semi_minor - minor) <= 1e-9 * major
         answered += 1
-    assert answered >= 150  # 196 of the 244
+    assert answered >= 150  # 200 of the 244
 
 
 #: The cone x y = 0, the union of the two axes.
@@ -446,6 +470,14 @@ AXES = Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
 def test_tangency_residual_of_a_line_it_cannot_measure_is_refused(conic, p, q, exc):
     with pytest.raises(exc):
         line_conic_tangency_residual(conic, p, q)
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1.0, 1e160, 1e170])
+def test_tangency_residual_does_not_depend_on_the_coefficients_scale(s):
+    # the y = 0 secant of the unit circle: (2s)^2 / (2s)^2, where 1e-170 underflowed the
+    # denominator (ZeroDivisionError) and 1e160 overflowed its square (OverflowError)
+    circle = Conic(s, 0.0, s, 0.0, 0.0, -s)
+    assert line_conic_tangency_residual(circle, Point(0.0, 0.0), Point(1.0, 0.0)) == 1.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,6 +47,11 @@ def _scalar_calls():
         yield f"feuerbach {name}", lambda tri=tri: oc.focal_length(oc.feuerbach_hyperbola(tri))
         yield f"jerabek {name}", lambda tri=tri: oc.focal_length(oc.jerabek_excentral(tri))
         yield f"x3 axes {name}", lambda tri=tri: oc.excentral_inconic_axes(tri, "x3")
+        exc = oc.excentral(tri)
+        yield f"x3 inconic {name}", lambda tri=tri, exc=exc: oc.conic_to_ellipse_params(
+            oc.solve_inconic(exc, oc.center(tri, 40)))
+        yield f"MacBeath inconic {name}", lambda exc=exc: oc.conic_to_ellipse_params(
+            oc.solve_inconic(exc, oc.center(exc, 5)))
 
 
 def test_scalar_path_runs_no_numpy_function(monkeypatch):
