@@ -21,8 +21,8 @@ Every conic is a ``Conic``: the six coefficients of
 in coordinates relative to an anchor point; ``conic_form`` evaluates it
 at numbers or arrays of coordinates.  Circumconics are closed
 forms: a symmetric barycentric matrix mapped through the sidelines
-(``circumconic_of``).  An inconic with a prescribed center is solved
-in closed form in the dual plane and mapped back through the adjugate.
+(``circumconic_of``).  An inconic with a prescribed center is solved on
+``Tri`` in closed form in the dual plane, through the adjugate (``inconic_of``).
 Center, semi-axes, axis angle and hyperbola focal length are read off
 the six coefficients (``ellipse_axes``, ``focal_length``).
 """
@@ -241,6 +241,7 @@ class _Scalars:
     """``math`` and builtins under numpy's names, nan-propagating like numpy."""
 
     sqrt, cos, sin, copysign, arctan2 = math.sqrt, math.cos, math.sin, math.copysign, math.atan2
+    frexp, ldexp = math.frexp, math.ldexp
 
     def maximum(self, a, b):
         return a if a >= b or a != a else b
@@ -656,21 +657,27 @@ def det3_of(q: Conic, det):
     return D * (B * E - C * D) + E * (B * D - A * E) + F * det
 
 
-def classify_conic(conic: Conic) -> ConicClass:
-    """Ellipse / hyperbola / parabola via the sign of A C - B^2.
+def _unit(q: Conic):
+    """q divided, exactly, by the power of two that brings its largest coefficient into [0.5, 1).
 
-    The coefficients are first divided by the power of two that brings
-    the largest below 1: exact, so the class is that of the conic as
-    given, and neither the cube of the scale nor det3 overflows.  A nan
-    or infinite coefficient is refused (ValueError).
+    Returns it with its det and dead band (``determinants``) and whether it
+    is degenerate: |det3| at most 1e-12 times the cube of that coefficient,
+    where neither the cube nor det3 overflows.  Numbers or arrays.
     """
-    A, B, C, D, E, F = conic.coeffs
+    big = largest(*map(abs, (q.A, 2 * q.B, q.C, 2 * q.D, 2 * q.E, q.F)))
+    f = ufuncs(big)
+    scale, exponent = f.frexp(big)
+    u = Conic(*[f.ldexp(x, -exponent) for x in q.coeffs], q.anchor)
+    det, band = determinants(u)
+    return u, det, band, abs(det3_of(u, det)) <= 1e-12 * scale**3
+
+
+def classify_conic(conic: Conic) -> ConicClass:
+    """Ellipse / hyperbola / parabola of the ``_unit`` conic; a non-finite coefficient: ValueError."""
     if any(map(nonfinite, conic.coeffs)):
         raise ValueError(f"non-finite conic coefficients {conic.coeffs}")
-    scale, exponent = math.frexp(max(abs(A), abs(2 * B), abs(C), abs(2 * D), abs(2 * E), abs(F)))
-    scaled = Conic(*(math.ldexp(x, -exponent) for x in conic.coeffs))
-    det, band = determinants(scaled)
-    if abs(det3_of(scaled, det)) <= 1e-12 * scale**3:
+    _, det, band, degenerate = _unit(conic)
+    if degenerate:
         return ConicClass.DEGENERATE
     if det > band:
         return ConicClass.ELLIPSE
@@ -780,63 +787,63 @@ def unresolved(q: Conic):
             >= 1e-9 * abs(det3 * det))
 
 
-def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
-    """Scaled discriminant of the conic restricted to line pq (0 = tangent).
+def tangency_of(u: Conic, p, q, guard):
+    """Scaled discriminant of the ``_unit`` conic u restricted to line pq (0 = tangent).
 
-    p == q spans no line (ValueError); a line that lies in the conic, where
-    the restriction vanishes, has no discriminant (DegenerateConic).  The
-    residual is of degree 0 in the coefficients: where its squares could
-    under- or overflow, they are first brought below 1 by a power of two.
+    p, q complex numbers or arrays; a line in the conic has no discriminant (DegenerateConic).
     """
-    A, B, C, D, E, _ = conic.coeffs
-    dx, dy = q.x - p.x, q.y - p.y
-    if dx == dy == 0.0:
-        raise ValueError("tangency residual of a line through two equal points")
-    x, y = p.x - conic.anchor.real, p.y - conic.anchor.imag
+    A, B, C, D, E, _ = u.coeffs
+    d, w = q - p, p - u.anchor
+    dx, dy, x, y = d.real, d.imag, w.real, w.imag
     qa = A * dx * dx + 2 * B * dx * dy + C * dy * dy
     qb = 2 * (A * x * dx + B * (x * dy + y * dx) + C * y * dy + D * dx + E * dy)
-    qc = conic_eval(conic, p)
-    size = abs(qa) + abs(qb) + abs(qc)
-    if not 1e-150 < size < 1e150 and (e := math.frexp(max(map(abs, conic.coeffs)))[1]):
-        scaled = Conic(*[math.ldexp(c, -e) for c in conic.coeffs], conic.anchor)
-        return line_conic_tangency_residual(scaled, p, q)  # where e is 0
-    if qa == qb == qc == 0.0:
-        raise DegenerateConic("the line lies in the conic")
-    disc = qb * qb - 4.0 * qa * qc
-    return abs(disc) / size ** 2
+    qc = conic_form(u, p.real, p.imag)
+    guard.check((qa == 0.0) & (qb == 0.0) & (qc == 0.0), DegenerateConic, "the line lies in the conic")
+    return abs(qb * qb - 4.0 * qa * qc) / (abs(qa) + abs(qb) + abs(qc)) ** 2
 
 
-def solve_inconic(t: Triangle, center: Point) -> Conic:
-    """Conic tangent to the three sidelines with the prescribed center, in closed form.
+def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
+    """``tangency_of`` the unit conic for two Points; p == q spans no line (ValueError)."""
+    if p == q:
+        raise ValueError("tangency residual of a line through two equal points")
+    return tangency_of(_unit(conic)[0], p.z, q.z, RAISE)
+
+
+def inconic_of(v: Tri, center, guard) -> Conic:
+    """Conic tangent to the three sidelines with the prescribed (complex) center, in closed form.
 
     About the center the dual is ``[[P, 0], [0, -1]]``: each sideline
     ``u x + v y + w = 0`` gives ``u^2 p11 + 2uv p12 + v^2 p22 = w^2``, the
     three are solved by Cramer's rule, and the conic is the adjugate
     ``Conic(p22, -p12, p11, 0, 0, -det P)`` anchored at the center, which
-    D = E = 0 makes its center exactly.  Sideline tangency is verified.
+    D = E = 0 makes its center exactly.  Sideline tangency is verified on
+    the unit conic.  Numbers or arrays; ``guard`` is RAISE or a Skips.
     """
-    (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = t.tri.sidelines(center.z)
+    (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = v.sidelines(center)
     # rows j, k of (u^2, 2uv, v^2) have 2x2 minors with the factor x_i = u_j v_k - u_k v_j and the
-    # determinant is -2 x1 x2 x3, so each term divides by the rest as e_i = w_i^2 / (x_j x_k)
+    # determinant is -2 x1 x2 x3, so each term divides by the rest as e_i = w_i^2 / (x_j x_k); an x
+    # is 0 where it underflows or the edges round to parallel about a far center
     x1, x2, x3 = u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1
-    if 0.0 in (x1, x2, x3):  # about a far center the edges round to parallel, or an x underflows
-        raise SingularSystem("dual inconic system is not finite")
+    guard.check((x1 == 0.0) | (x2 == 0.0) | (x3 == 0.0), SingularSystem,
+                "dual inconic system is not finite")
     e1, e2, e3 = (w1 / x2) * (w1 / x3), (w2 / x3) * (w2 / x1), (w3 / x1) * (w3 / x2)
     p11 = -(e1 * (v2 * v3) + e2 * (v3 * v1) + e3 * (v1 * v2))
     p12 = 0.5 * (e1 * (u2 * v3 + u3 * v2) + e2 * (u3 * v1 + u1 * v3) + e3 * (u1 * v2 + u2 * v1))
     p22 = -(e1 * (u2 * u3) + e2 * (u3 * u1) + e3 * (u1 * u2))
-    conic = Conic(p22, -p12, p11, 0.0, 0.0, -(p11 * p22 - p12 * p12), center.z)
+    conic = Conic(p22, -p12, p11, 0.0, 0.0, -(p11 * p22 - p12 * p12), center)
     # F is nan or infinite when any p is, or when det P overflows (coordinates past about 1e77)
-    if nonfinite(conic.F):
-        raise SingularSystem("dual inconic system is not finite")
-    # on a midline of t (a parabolic boundary) the solution is a double line, which passes tangency
-    if classify_conic(conic) is ConicClass.DEGENERATE:
-        raise NoRealConic("inconic degenerates for this center")
-    verts = t.vertices
+    guard.check(nonfinite(conic.F), SingularSystem, "dual inconic system is not finite")
+    # on a midline of v (a parabolic boundary) the solution is a double line, which passes tangency
+    unit, _, _, degenerate = _unit(conic)
+    guard.check(degenerate, NoRealConic, "inconic degenerates for this center")
+    p = v.vertices
     for i in range(3):
-        res = line_conic_tangency_residual(conic, verts[(i + 1) % 3], verts[(i + 2) % 3])
-        if res > TANGENCY_TOL:
-            raise NoRealConic(f"sideline tangency residual {res:.3e}")
-    if unresolved(conic):
-        raise DegenerateConic("inconic axes not resolved to 1e-9")
+        guard.check(tangency_of(unit, p[i - 2], p[i - 1], guard) > TANGENCY_TOL, NoRealConic,
+                    "sideline tangency residual above 1e-09")
+    guard.check(unresolved(conic), DegenerateConic, "inconic axes not resolved to 1e-9")
     return conic
+
+
+def solve_inconic(t: Triangle, center: Point) -> Conic:
+    """The one-triangle ``inconic_of``: the conic tangent to t's sidelines centered at ``center``."""
+    return inconic_of(t.tri, center.z, RAISE)

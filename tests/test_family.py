@@ -21,6 +21,8 @@ from orbitconics import (
     Triangle,
     center,
     circumbilliard,
+    conic_to_ellipse_params,
+    excentral,
     feuerbach_hyperbola,
     focal_length,
     jerabek_excentral,
@@ -28,11 +30,12 @@ from orbitconics import (
     orbit,
     poristic_triangle,
     right_angle_vertex,
+    solve_inconic,
 )
 from orbitconics.billiard import SHAPE_CLASSES
 from orbitconics.centers import center_of, derived_of
 from orbitconics.circumbilliard import DERIVED_TRIANGLES, circumbilliard_of, derived_triangle
-from orbitconics.kernel import RAISE, Tri, ellipse_axes
+from orbitconics.kernel import RAISE, Tri, ellipse_axes, inconic_of
 
 CENTER_IDS = sorted(SUPPORTED_CENTERS) + [ORTHIC_CB_CENTER]
 TAU = 2.0 * math.pi
@@ -60,6 +63,13 @@ def _check_points(batch, skips, triangles, scalar, tol):
         assert skips.reason(i) == reason
         if not reason:
             assert abs(batch[i] - want.z) <= tol[i]
+
+
+def _excentral_inconic(v, guard, which):
+    """The x3 (center X40 of v) or MacBeath (center X5 of the excentral) inconic of v's excentral."""
+    exc = derived_of(v, "excentral", guard)
+    ctr = center_of(v, 40, guard) if which == "x3" else center_of(exc, 5, guard)
+    return inconic_of(exc, ctr, guard)
 
 
 # the values of failed samples are inf or nan, with numpy's warnings
@@ -112,6 +122,18 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
             assert abs(cb_minor[i] - want.semi_minor) <= tol[i]
             assert abs(cb_center[i] - want.center.z) <= tol[i]
             assert angle_dist_mod_pi(cb_angle[i], want.axis_angle) <= 1e-12
+
+    for which, scalar in (("x3", lambda t: solve_inconic(excentral(t), center(t, 40))),
+                          ("macbeath", lambda t: solve_inconic(excentral(t), center(excentral(t), 5)))):
+        skips = Skips(len(moved))
+        in_center, in_major, in_minor, _ = ellipse_axes(_excentral_inconic(v, skips, which), skips)
+        for i, tri in enumerate(moved):
+            want, reason = _outcome(lambda: conic_to_ellipse_params(scalar(tri)))
+            assert skips.reason(i) == reason
+            if not reason:
+                assert abs(in_major[i] - want.semi_major) <= tol[i]
+                assert abs(in_minor[i] - want.semi_minor) <= tol[i]
+                assert abs(in_center[i] - want.center.z) <= tol[i]
 
     # the xy-hyperbolae exist for orbits held upright and centred; moved
     # copies must fail with the same reason in both paths
@@ -282,11 +304,22 @@ def _circumbilliard_parts(v, guard):
     return (center_z.real, center_z.imag, major, minor)
 
 
+def _inconic_parts(which):
+    def parts(v, guard):
+        conic = _excentral_inconic(v, guard, which)
+        _, major, minor, _ = ellipse_axes(conic, guard)
+        return (conic.A, conic.B, conic.C, conic.F, major, minor)
+
+    return parts
+
+
 #: Every construction on ``Tri`` as a tuple of floats (numbers or arrays), by name.
 PARITY = {
     **{f"X{i}" if isinstance(i, int) else i: _center_parts(i) for i in CENTER_IDS},
     **{which: _derived_parts(which) for which in DERIVED_TRIANGLES},
     "circumbilliard": _circumbilliard_parts,
+    "x3 inconic": _inconic_parts("x3"),
+    "macbeath inconic": _inconic_parts("macbeath"),
     "feuerbach": lambda v, guard: (focal_length(feuerbach_hyperbola(v, guard), guard),),
     "jerabek": lambda v, guard: (focal_length(jerabek_excentral(v, guard), guard),),
 }

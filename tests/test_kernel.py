@@ -37,7 +37,8 @@ from orbitconics import (
     solve_inconic,
 )
 from orbitconics.circumbilliard import circumbilliard_of
-from orbitconics.kernel import RAISE, Skips, circumconic_of, complex_of, ellipse_axes
+from orbitconics.kernel import (RAISE, Skips, _unit, circumconic_of, complex_of, ellipse_axes,
+                                tangency_of)
 
 UNIT_CIRCLE = Conic(-1.0, 0.0, -1.0, 0.0, 0.0, 1.0)
 
@@ -460,24 +461,45 @@ def test_inconic_axes_match_decimal_references(rng):
 AXES = Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
 
 
+def _stacked_tangency(conic, p, q):
+    """``tangency_of`` the unit conic on a stack (p, q complex arrays), and each row's failure."""
+    skips = Skips(len(p))
+    with np.errstate(invalid="ignore"):  # a refused row divides 0 by 0
+        residual = tangency_of(_unit(conic)[0], p, q, skips)
+    return residual.tolist(), [skips.reason(i) for i in range(len(p))]
+
+
 @pytest.mark.parametrize("conic, p, q, exc", [
     # the x-axis lies in the cone: its restriction vanishes and has no discriminant
     (AXES, Point(1.0, 0.0), Point(2.0, 0.0), DegenerateConic),
+    # the same on a stack of two, whose Skips refuses both rows
+    (Conic(*np.multiply.outer(AXES.coeffs, np.ones(2))), np.full(2, 1 + 0j), np.full(2, 2 + 0j),
+     DegenerateConic),
     # two equal points span no line, on the conic or off it (where 0.0, "tangent", was returned)
     (AXES, Point(1.0, 0.0), Point(1.0, 0.0), ValueError),
     (Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0), Point(3.0, 1.0), Point(3.0, 1.0), ValueError),
-], ids=["line in the conic", "equal points on the conic", "equal points off the conic"])
+], ids=["line in the conic", "line in the conic, stacked", "equal points on the conic",
+        "equal points off the conic"])
 def test_tangency_residual_of_a_line_it_cannot_measure_is_refused(conic, p, q, exc):
-    with pytest.raises(exc):
-        line_conic_tangency_residual(conic, p, q)
+    if isinstance(p, Point):
+        with pytest.raises(exc):
+            line_conic_tangency_residual(conic, p, q)
+    else:
+        assert _stacked_tangency(conic, p, q)[1] == [exc.__name__] * len(p)
 
 
-@pytest.mark.parametrize("s", [1e-170, 1e-160, 1.0, 1e160, 1e170])
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1.0, 1e160, 1e170, pytest.param(
+    np.array([1e-170, 1e-160, 1.0, 1e160, 1e170]), id="stacked")])
 def test_tangency_residual_does_not_depend_on_the_coefficients_scale(s):
-    # the y = 0 secant of the unit circle: (2s)^2 / (2s)^2, where 1e-170 underflowed the
-    # denominator (ZeroDivisionError) and 1e160 overflowed its square (OverflowError)
+    # the y = 0 secant of the unit circle: (2s)^2 / (2s)^2, whose denominator underflows at
+    # 1e-170 and overflows at 1e160 unless taken on the unit conic; a stack takes the same path
     circle = Conic(s, 0.0, s, 0.0, 0.0, -s)
-    assert line_conic_tangency_residual(circle, Point(0.0, 0.0), Point(1.0, 0.0)) == 1.0
+    if isinstance(s, float):
+        assert line_conic_tangency_residual(circle, Point(0.0, 0.0), Point(1.0, 0.0)) == 1.0
+    else:
+        n = len(s)
+        got = _stacked_tangency(circle, np.zeros(n, complex), np.ones(n, complex))
+        assert got == ([1.0] * n, [""] * n)
 
 
 @settings(max_examples=60, deadline=None)
