@@ -14,7 +14,7 @@ class NotAnEllipse(OrbitConicsError):
 
 
 class NoRealConic(OrbitConicsError):
-    """A constructed conic failed its tangency or reality verification."""
+    """No proper real conic meets the conditions, or rounding cannot tell which kind does."""
 
 
 class DegenerateTriangle(OrbitConicsError):

@@ -22,7 +22,7 @@ in coordinates relative to an anchor point; ``conic_form`` evaluates it
 at numbers or arrays of coordinates.  Circumconics are closed
 forms: a symmetric barycentric matrix mapped through the sidelines
 (``circumconic_of``).  An inconic with a prescribed center is solved on
-``Tri`` in closed form in the dual plane, through the adjugate (``inconic_of``).
+``Tri`` in closed form in the dual plane, behind one rounding bound (``inconic_of``).
 Center, semi-axes, axis angle and hyperbola focal length are read off
 the six coefficients (``ellipse_axes``, ``focal_length``).
 """
@@ -51,8 +51,6 @@ CONDITION_LIMIT = 1e12
 EPS = sys.float_info.epsilon
 # Triangle degeneracy: area >= AREA_TOL * (longest side)^2.
 AREA_TOL = 1e-12
-# Tangency verification for inconics (scaled discriminant).
-TANGENCY_TOL = 1e-9
 # Cosine dead band separating acute / right / obtuse.
 RIGHT_DEADBAND = 1e-12
 
@@ -241,7 +239,6 @@ class _Scalars:
     """``math`` and builtins under numpy's names, nan-propagating like numpy."""
 
     sqrt, cos, sin, copysign, arctan2 = math.sqrt, math.cos, math.sin, math.copysign, math.atan2
-    frexp, ldexp = math.frexp, math.ldexp
 
     def maximum(self, a, b):
         return a if a >= b or a != a else b
@@ -660,24 +657,21 @@ def det3_of(q: Conic, det):
 def _unit(q: Conic):
     """q divided, exactly, by the power of two that brings its largest coefficient into [0.5, 1).
 
-    Returns it with its det and dead band (``determinants``) and whether it
-    is degenerate: |det3| at most 1e-12 times the cube of that coefficient,
-    where neither the cube nor det3 overflows.  Numbers or arrays.
+    Returns it with that coefficient as scaled; one conic of numbers.
     """
-    big = largest(*map(abs, (q.A, 2 * q.B, q.C, 2 * q.D, 2 * q.E, q.F)))
-    f = ufuncs(big)
-    scale, exponent = f.frexp(big)
-    u = Conic(*[f.ldexp(x, -exponent) for x in q.coeffs], q.anchor)
-    det, band = determinants(u)
-    return u, det, band, abs(det3_of(u, det)) <= 1e-12 * scale**3
+    big = max(map(abs, (q.A, 2 * q.B, q.C, 2 * q.D, 2 * q.E, q.F)))
+    scale, exponent = math.frexp(big)
+    return Conic(*[math.ldexp(x, -exponent) for x in q.coeffs], q.anchor), scale
 
 
 def classify_conic(conic: Conic) -> ConicClass:
     """Ellipse / hyperbola / parabola of the ``_unit`` conic; a non-finite coefficient: ValueError."""
     if any(map(nonfinite, conic.coeffs)):
         raise ValueError(f"non-finite conic coefficients {conic.coeffs}")
-    _, det, band, degenerate = _unit(conic)
-    if degenerate:
+    unit, scale = _unit(conic)
+    det, band = determinants(unit)
+    # a line pair where |det3| is at most 1e-12 times the unit conic's largest coefficient cubed
+    if abs(det3_of(unit, det)) <= 1e-12 * scale**3:
         return ConicClass.DEGENERATE
     if det > band:
         return ConicClass.ELLIPSE
@@ -767,13 +761,13 @@ def focal_length(q: Conic, guard=RAISE):
 
 
 def unresolved(q: Conic):
-    """Whether rounding may move the semi-axes (or focal length) of q by over 1e-9 relative.
+    """Whether rounding may move the focal length of an xy-hyperbola q by over 1e-9 relative.
 
     First-order bound for coefficients each off by one unit in the last
-    place of the largest, as a conic's solve leaves them: the
+    place of the largest, as the null-vector solve leaves them: the
     |cofactors| of ``[[A, B, D], [B, C, E], [D, E, F]]`` bound the change
     of its determinant det3 = -det K, |A| + |C| + 2|B| that of det, and
-    the semi-axes go with sqrt(K / eigenvalue).  Numbers or arrays.
+    the length goes with sqrt(K / eigenvalue).  Numbers or arrays.
     """
     A, B, C, D, E, F = q.coeffs
     det = determinants(q)[0]
@@ -787,26 +781,24 @@ def unresolved(q: Conic):
             >= 1e-9 * abs(det3 * det))
 
 
-def tangency_of(u: Conic, p, q, guard):
-    """Scaled discriminant of the ``_unit`` conic u restricted to line pq (0 = tangent).
-
-    p, q complex numbers or arrays; a line in the conic has no discriminant (DegenerateConic).
-    """
-    A, B, C, D, E, _ = u.coeffs
-    d, w = q - p, p - u.anchor
-    dx, dy, x, y = d.real, d.imag, w.real, w.imag
-    qa = A * dx * dx + 2 * B * dx * dy + C * dy * dy
-    qb = 2 * (A * x * dx + B * (x * dy + y * dx) + C * y * dy + D * dx + E * dy)
-    qc = conic_form(u, p.real, p.imag)
-    guard.check((qa == 0.0) & (qb == 0.0) & (qc == 0.0), DegenerateConic, "the line lies in the conic")
-    return abs(qb * qb - 4.0 * qa * qc) / (abs(qa) + abs(qb) + abs(qc)) ** 2
-
-
 def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
-    """``tangency_of`` the unit conic for two Points; p == q spans no line (ValueError)."""
+    """Scaled discriminant of the ``_unit`` conic restricted to the line pq (0 = tangent).
+
+    A line in the conic has no discriminant (DegenerateConic); equal points span no line, and a
+    residual whose terms leave the float range cannot be measured (ValueError).
+    """
     if p == q:
         raise ValueError("tangency residual of a line through two equal points")
-    return tangency_of(_unit(conic)[0], p.z, q.z, RAISE)
+    u, d = _unit(conic)[0], q - p
+    qa = u.A * d.x * d.x + 2 * u.B * d.x * d.y + u.C * d.y * d.y
+    qb, qc = u.gradient(p).dot(d), conic_eval(u, p)
+    if qa == qb == qc == 0.0:
+        raise DegenerateConic("the line lies in the conic")
+    size = abs(qa) + abs(qb) + abs(qc)
+    discriminant, squared = abs(qb * qb - 4.0 * qa * qc), size * size
+    if nonfinite(discriminant + squared):
+        raise ValueError("tangency residual beyond the float range")
+    return discriminant / squared
 
 
 def inconic_of(v: Tri, center, guard) -> Conic:
@@ -816,8 +808,10 @@ def inconic_of(v: Tri, center, guard) -> Conic:
     ``u x + v y + w = 0`` gives ``u^2 p11 + 2uv p12 + v^2 p22 = w^2``, the
     three are solved by Cramer's rule, and the conic is the adjugate
     ``Conic(p22, -p12, p11, 0, 0, -det P)`` anchored at the center, which
-    D = E = 0 makes its center exactly.  Sideline tangency is verified on
-    the unit conic.  Numbers or arrays; ``guard`` is RAISE or a Skips.
+    D = E = 0 makes its center exactly.  A det P within its rounding bound
+    (a center on or near a midline) is refused, and so is an ellipse whose
+    minor semi-axis that bound leaves unresolved to 1e-9 of the major.
+    Numbers or arrays; ``guard`` is RAISE or a Skips.
     """
     (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = v.sidelines(center)
     # rows j, k of (u^2, 2uv, v^2) have 2x2 minors with the factor x_i = u_j v_k - u_k v_j and the
@@ -833,14 +827,30 @@ def inconic_of(v: Tri, center, guard) -> Conic:
     conic = Conic(p22, -p12, p11, 0.0, 0.0, -(p11 * p22 - p12 * p12), center)
     # F is nan or infinite when any p is, or when det P overflows (coordinates past about 1e77)
     guard.check(nonfinite(conic.F), SingularSystem, "dual inconic system is not finite")
-    # on a midline of v (a parabolic boundary) the solution is a double line, which passes tangency
-    unit, _, _, degenerate = _unit(conic)
-    guard.check(degenerate, NoRealConic, "inconic degenerates for this center")
-    p = v.vertices
+    # First-order rounding of det P (Higham, ch. 3), in units of u = EPS / 2.  Per coordinate, q_k =
+    # p_k - center carries u |q_k|, the edge (v_i, -u_i) = q_k - q_j u g_i for g_i = |q_j| + |q_k| +
+    # |(v_i, u_i)|, x_i 4u G_i and w_i 4u (|qx_j qy_k| + |qy_j qx_k|).  So e_i carries twice w_i's
+    # relative error, x_j's, x_k's and 3u, which det P = x^2 (2 sum e_i e_j - sum e_i^2) / 4 takes
+    # times x^2 |e_j + e_k - e_i| / 2.  The edges' errors and the sums move each term of P by 7u of
+    # its g bound, which det P takes times |p22|, |p11| or |p12|; det P itself rounds by 2u.
+    qx = [abs(p.real - center.real) for p in v.vertices]
+    qy = [abs(p.imag - center.imag) for p in v.vertices]
+    gx = [qx[i - 2] + qx[i - 1] + abs(vi) for i, vi in enumerate((v1, v2, v3))]
+    gy = [qy[i - 2] + qy[i - 1] + abs(ui) for i, ui in enumerate((u1, u2, u3))]
+    G = [gx[i - 2] * gy[i - 1] + gx[i - 1] * gy[i - 2] for i in range(3)]  # >= |u_j v_k| + |u_k v_j|
+    x, e, w, a, b, c = (x1, x2, x3), (e1, e2, e3), (w1, w2, w3), abs(p22), abs(p12), abs(p11)
+    bound = 2 * (a * c + b * b)
     for i in range(3):
-        guard.check(tangency_of(unit, p[i - 2], p[i - 1], guard) > TANGENCY_TOL, NoRealConic,
-                    "sideline tangency residual above 1e-09")
-    guard.check(unresolved(conic), DegenerateConic, "inconic axes not resolved to 1e-9")
+        j, k = i - 2, i - 1
+        rel = (8 * (qx[j] * qy[k] + qy[j] * qx[k])  # |w_i| times e_i's relative error, over u
+               + abs(w[i]) * (4 * (G[j] / abs(x[j]) + G[k] / abs(x[k])) + 3))
+        bound = (bound + 0.5 * abs(w[i]) * rel * abs(e[i] - e[j] - e[k])
+                 + 7 * abs(e[i]) * (a * gx[j] * gx[k] + c * gy[j] * gy[k] + b * G[i]))
+    delta, det = 0.5 * EPS * bound, -conic.F
+    guard.check(abs(det) <= delta, NoRealConic, "inconic degenerates for this center")
+    # the minor semi-axis sqrt(det P / lmax), lmax >= p11 and p22, moves by under delta / sqrt(lmax det P)
+    guard.check((det > 0.0) & (delta > 1e-9 * largest(p11, p22) * ufuncs(det).sqrt(abs(det))),
+                DegenerateConic, "inconic axes not resolved to 1e-9")
     return conic
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from orbitconics import (
     BilliardShape,
     Conic,
+    ConicClass,
     EllipseParams,
     Point,
     Tri,
@@ -163,6 +164,45 @@ def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
         else:
             raise KeyError(which)
         return tuple(float(v) for v in axes)
+
+
+def inconic_decimal(vertices, center, digits: int = 80):
+    """Type and semi-axes of the conic tangent to the sidelines with the given center, in decimals.
+
+    From the float vertices and center taken exactly, in ``digits``-digit
+    decimals: about the center a conic's tangential equation is
+    u^2 p11 + 2uv p12 + v^2 p22 = w^2, one row for each sideline
+    u x + v y + w = 0, and the 3x3 system is solved by Cramer's rule on its
+    full determinants.  The type is ELLIPSE where det P > 0 with a positive
+    trace, HYPERBOLA where det P < 0, DEGENERATE otherwise; the semi-axes
+    are sqrt|l| for P's eigenvalues l, the larger first, rounded to floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        cx, cy = Decimal(center[0]), Decimal(center[1])
+        q = [(Decimal(x) - cx, Decimal(y) - cy) for x, y in vertices]
+        rows = []
+        for (xj, yj), (xk, yk) in ((q[1], q[2]), (q[2], q[0]), (q[0], q[1])):
+            u, v, w = yj - yk, xk - xj, xj * yk - yj * xk
+            rows.append((u * u, 2 * u * v, v * v, w * w))
+
+        def det3(m):
+            return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+        full = det3([r[:3] for r in rows])
+        p11, p12, p22 = (det3([r[:k] + (r[3],) + r[k + 1:3] for r in rows]) / full for k in range(3))
+        det, half_trace = p11 * p22 - p12 * p12, (p11 + p22) / 2
+        radius = ((p11 - p22) * (p11 - p22) / 4 + p12 * p12).sqrt()
+        if det > 0 and half_trace > 0:
+            kind = ConicClass.ELLIPSE
+        elif det < 0:
+            kind = ConicClass.HYPERBOLA
+        else:
+            kind = ConicClass.DEGENERATE
+        small, large = sorted((abs(half_trace - radius), abs(half_trace + radius)))
+        return kind, (float(large.sqrt()), float(small.sqrt()))
 
 
 def inradius_to_circumradius_decimal(a: float, b: float, digits: int = 60) -> float:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, five_coefficients, random_triangle, residual_scale
 from oracles import (axis_endpoints, circumconic_generic, ellipse_to_conic,
-                     excentral_inconic_axes_decimal, extremal_radii, incircle)
+                     excentral_inconic_axes_decimal, extremal_radii, incircle, inconic_decimal)
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -37,8 +37,7 @@ from orbitconics import (
     solve_inconic,
 )
 from orbitconics.circumbilliard import circumbilliard_of
-from orbitconics.kernel import (RAISE, Skips, _unit, circumconic_of, complex_of, ellipse_axes,
-                                tangency_of)
+from orbitconics.kernel import RAISE, Skips, circumconic_of, complex_of, ellipse_axes
 
 UNIT_CIRCLE = Conic(-1.0, 0.0, -1.0, 0.0, 0.0, 1.0)
 
@@ -372,47 +371,121 @@ def _thin_orbit(alpha, k):
     return orbit(BilliardShape(alpha, 1.0), 2 * math.pi * (k + 0.5) / 96).triangle
 
 
-# each refusal below is at least 7x past its threshold and every check before it that raises
-# another type is short of its own; the solve is plain float arithmetic, so the check an input
-# reaches is the same on every platform
+def _quadratic_part_axes(conic):
+    """sqrt|l| for the eigenvalues l of [[A, B], [B, C]], the larger first.
+
+    For an inconic anchored at its center, F = -(A C - B^2), so these are
+    its semi-axes (for a hyperbola, the transverse and conjugate ones).
+    """
+    m, r = 0.5 * (conic.A + conic.C), math.hypot(0.5 * (conic.A - conic.C), conic.B)
+    return math.sqrt(abs(m) + r), math.sqrt(abs(conic.A * conic.C - conic.B ** 2) / (abs(m) + r))
+
+
+_EXCENTRAL_300, _ORBIT_100 = excentral(_thin_orbit(300.0, 93)), _thin_orbit(100.0, 1)
+
+
+# inconics that the degeneracy, tangency and null-vector checks once refused, though an 80-digit
+# solve finds each well-defined; the margins are |det P| over its rounding bound, then that bound
+# over the largest it may be for the minor semi-axis to hold to 1e-9 of the major (below 1 answers).
+# The solve is plain float arithmetic, so every platform gets the same margins
+@pytest.mark.parametrize("tri, ctr", [
+    # the MacBeath inconic of a thin orbit's excentral (a/b = 300): 3.8e11, 1.2e-5
+    pytest.param(_EXCENTRAL_300, center(_EXCENTRAL_300, 5), id="thin MacBeath"),
+    # a moved x3 inconic of a thin orbit (a/b = 200), aspect 8e4: 3.7e4, 0.67
+    pytest.param(Triangle.from_coords([(-9717.395504159926, -9849.893227362007),
+                                       (-0.2706763788235503, 0.07568421829480057),
+                                       (-61.57457846262972, 60.40038729630406)]),
+                 Point(-4883.234108854321, -4900.83684335589), id="moved thin x3"),
+    # the x3 inconic of a thin orbit (a/b = 100): 5.8e9, 8.6e-6
+    pytest.param(excentral(_ORBIT_100), center(_ORBIT_100, 40), id="x3"),
+    # a hyperbola of a thin triangle: 2.2e7 (no minor-axis check)
+    pytest.param(Triangle.from_coords([(-142.5571322958998, 1805.1709374455716),
+                                       (-693.8142730920224, 1887.4590271947545),
+                                       (49.92807076572629, 1776.4350693716463)]),
+                 Point(-271.6491267921621, 1824.44054620239), id="thin hyperbola"),
+    # a moved x3 inconic of a thin orbit (a/b = 100), aspect 2e4: 5.2e5, 0.15
+    pytest.param(Triangle.from_coords([(76.0484696586957, -456.81732420218646),
+                                       (246.87319623688532, 208.54528262716065),
+                                       (-600.2995311014316, 426.00133612196913)]),
+                 Point(-262.10281249883053, -15.390589079773036), id="moved x3"),
+])
+def test_inconic_answers_what_its_old_guards_refused(tri, ctr):
+    kind, (major, minor) = inconic_decimal([p.as_tuple() for p in tri.vertices], ctr.as_tuple())
+    conic = solve_inconic(tri, ctr)
+    if kind is ConicClass.ELLIPSE:
+        got = conic_to_ellipse_params(conic)
+        got = (got.semi_major, got.semi_minor)
+    else:
+        assert kind is classify_conic(conic) is ConicClass.HYPERBOLA
+        got = _quadratic_part_axes(conic)
+    assert abs(got[0] - major) <= 1e-9 * major
+    assert abs(got[1] - minor) <= 1e-9 * major
+
+
+# the refusals below were found by probing random triangles against an 80-digit solve; the bound is
+# plain float arithmetic, so every platform reaches the same margins
 def test_inconic_refuses_thin_inconics_it_cannot_resolve():
-    # the MacBeath inconic of a thin orbit's excentral (a/b = 300), which the SVD refused as rank
-    # deficient: unresolved's bound is 19x its 1e-9, det3 16x above the degenerate band; the
-    # axes it refuses are within 2e-13 of the decimal reference
-    exc = excentral(_thin_orbit(300.0, 93))
-    with pytest.raises(DegenerateConic):
-        solve_inconic(exc, center(exc, 5))
-    # a moved x3 inconic of a thin orbit (a/b = 200), which missed its center under the SVD:
-    # unresolved's bound is 2,181x its 1e-9, det3 1.17x above the degenerate band and the
-    # sidelines 107x inside TANGENCY_TOL; the axes are within 3e-12 of a decimal solve
-    tri = Triangle.from_coords([(-9717.395504159926, -9849.893227362007),
-                                (-0.2706763788235503, 0.07568421829480057),
-                                (-61.57457846262972, 60.40038729630406)])
-    with pytest.raises(DegenerateConic):
-        solve_inconic(tri, Point(-4883.234108854321, -4900.83684335589))
+    # a small inconic of aspect 2e4 near the obtuse vertex of a thin triangle (area 8.4e-7 of its
+    # longest side squared): det P is 2.5e3 times its bound, which is 21 times the largest that
+    # holds the minor semi-axis to 1e-9 of the major; unguarded, the major semi-axis is 4.7e-9 off,
+    # an error of P's entries that leaves det P unchanged
+    tri = Triangle.from_coords([(72.89692636572747, -169.65820910626164),
+                                (86.75045949950506, -82.43276792983129),
+                                (62.411834606596344, -235.6721493749555)])
+    with pytest.raises(DegenerateConic, match="not resolved"):
+        solve_inconic(tri, Point(72.75886857838861, -170.52660930516896))
 
 
 def test_inconic_refuses_axes_it_cannot_resolve():
-    # the x3 inconic: unresolved's bound is 133x its 1e-9; det3 6x above the degenerate band
-    tri = _thin_orbit(100.0, 1)
-    with pytest.raises(DegenerateConic):
-        solve_inconic(excentral(tri), center(tri, 40))
+    # a small inconic near the middle vertex of a thin triangle (area 1.7e-4 of its longest side
+    # squared): det P is 8.5e3 times its bound, which is 5.9e4 times the largest that holds the
+    # minor semi-axis to 1e-9 of the major; unguarded, the minor semi-axis is 4.9e-7 off
+    tri = Triangle.from_coords([(0.055408802554829065, -0.29948218322371045),
+                                (-0.12468845279761935, -0.08353667786720417),
+                                (-0.23278227499718196, 0.045695499794638716)])
+    with pytest.raises(DegenerateConic, match="not resolved"):
+        solve_inconic(tri, Point(-0.12473241010171544, -0.08360203103800229))
 
 
-@pytest.mark.parametrize("vertices, ctr", [
-    # rounded solutions that miss a sideline (the degenerate and tangency checks raise
-    # NoRealConic): a hyperbola of a thin triangle by 403x TANGENCY_TOL, det3 6,277x above the
-    # degenerate band
-    (((-142.5571322958998, 1805.1709374455716), (-693.8142730920224, 1887.4590271947545),
-      (49.92807076572629, 1776.4350693716463)), (-271.6491267921621, 1824.44054620239)),
-    # a moved x3 inconic of a thin orbit (a/b = 100) by 7.6x TANGENCY_TOL, det3 2.1x above the
-    # degenerate band; its axes are within 3e-13 of a decimal solve
-    (((76.0484696586957, -456.81732420218646), (246.87319623688532, 208.54528262716065),
-      (-600.2995311014316, 426.00133612196913)), (-262.10281249883053, -15.390589079773036)),
-])
-def test_inconic_refuses_a_solution_that_misses_its_conditions(vertices, ctr):
-    with pytest.raises(NoRealConic, match="tangency residual"):
-        solve_inconic(Triangle.from_coords(vertices), Point(*ctr))
+@settings(max_examples=200, deadline=None)
+@given(
+    log_height=st.floats(-6.0, 0.0),
+    apex=st.floats(-1.0, 2.0),
+    rotation=st.floats(0.0, 2 * math.pi),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    weights=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    midline=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.sampled_from([-1.0, 1.0]),
+                                           st.floats(-15.0, -3.0))),
+)
+def test_inconic_answers_hold_to_a_decimal_solve_or_are_refused(log_height, apex, rotation,
+                                                                log_scale, offset, weights, midline):
+    # a triangle of height 1e-6 to 1 of its base, moved, rotated and scaled by 1e+-3; a center
+    # random in barycentrics (inside the medial triangle, where the inconic is an ellipse, for about
+    # half of them) or, with midline = (i, sign, log gap), at barycentric 1/2 + gap opposite vertex
+    # i, off the midline that turns the inconic from ellipse to hyperbola
+    c, s, scale = math.cos(rotation), math.sin(rotation), 10.0 ** log_scale
+    tri = Triangle.from_coords([(scale * (c * x - s * y + offset[0]), scale * (s * x + c * y + offset[1]))
+                                for x, y in ((0.0, 0.0), (1.0, 0.0), (apex, 10.0 ** log_height))])
+    bary = [1.0 - weights[0] - weights[1], *weights]
+    if midline is not None:
+        i, sign, log_gap = midline
+        bary[i] = 0.5 + sign * 10.0 ** log_gap
+        bary[i - 1] = 1.0 - bary[i] - bary[i - 2]
+    ctr = Point(sum(b * p.x for b, p in zip(bary, tri.vertices)),
+                sum(b * p.y for b, p in zip(bary, tri.vertices)))
+    kind, (major, minor) = inconic_decimal([p.as_tuple() for p in tri.vertices], ctr.as_tuple())
+    try:
+        conic = solve_inconic(tri, ctr)
+        det = conic.A * conic.C - conic.B * conic.B  # det P
+        assert kind is (ConicClass.ELLIPSE if det > 0.0 and conic.A + conic.C > 0.0
+                        else ConicClass.HYPERBOLA if det < 0.0 else None)
+        if kind is ConicClass.ELLIPSE:
+            got = conic_to_ellipse_params(conic)
+            assert abs(got.semi_major - major) <= 1e-9 * major
+            assert abs(got.semi_minor - minor) <= 1e-9 * major
+    except OrbitConicsError:
+        pass
 
 
 def test_inconic_random_triangles_tangency(rng):
@@ -428,9 +501,13 @@ def test_inconic_random_triangles_tangency(rng):
             assert res <= 1e-9
 
 
-def test_inconic_axes_match_decimal_references(rng):
-    # excentral x3 and MacBeath inconics against their decimal axes, the orbit's inconic at the
-    # origin against the caustic, random incircles against the oracle's radius
+def _inconic_reference_cases(rng):
+    """(triangle, center, (major, minor)) with reference semi-axes not read off the dual solve.
+
+    Excentral x3 and MacBeath inconics against their decimal axes, the
+    orbit's inconic at the origin against the caustic, random incircles
+    against the oracle's radius.
+    """
     cases = []
     for alpha, n in ((1.5, 24), (10.0, 12), (100.0, 12)):
         shape = BilliardShape(alpha, 1.0)
@@ -445,8 +522,21 @@ def test_inconic_axes_match_decimal_references(rng):
         tri = random_triangle(rng)
         inc, r = incircle([p.as_tuple() for p in tri.vertices])
         cases.append((tri, Point(inc[0], inc[1]), (r, r)))
+    return cases
+
+
+def test_decimal_inconic_oracle_meets_the_references(rng):
+    for tri, ctr, (major, minor) in _inconic_reference_cases(rng):
+        kind, (got_major, got_minor) = inconic_decimal([p.as_tuple() for p in tri.vertices],
+                                                       ctr.as_tuple())
+        assert kind is ConicClass.ELLIPSE
+        assert abs(got_major - major) <= 1e-12 * major
+        assert abs(got_minor - minor) <= 1e-12 * major
+
+
+def test_inconic_axes_match_decimal_references(rng):
     answered = 0
-    for tri, ctr, (major, minor) in cases:
+    for tri, ctr, (major, minor) in _inconic_reference_cases(rng):
         try:
             got = conic_to_ellipse_params(solve_inconic(tri, ctr))
         except OrbitConicsError:
@@ -454,52 +544,35 @@ def test_inconic_axes_match_decimal_references(rng):
         assert abs(got.semi_major - major) <= 1e-9 * major
         assert abs(got.semi_minor - minor) <= 1e-9 * major
         answered += 1
-    assert answered >= 150  # 200 of the 244
+    assert answered == 244
 
 
 #: The cone x y = 0, the union of the two axes.
 AXES = Conic(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
 
 
-def _stacked_tangency(conic, p, q):
-    """``tangency_of`` the unit conic on a stack (p, q complex arrays), and each row's failure."""
-    skips = Skips(len(p))
-    with np.errstate(invalid="ignore"):  # a refused row divides 0 by 0
-        residual = tangency_of(_unit(conic)[0], p, q, skips)
-    return residual.tolist(), [skips.reason(i) for i in range(len(p))]
-
-
 @pytest.mark.parametrize("conic, p, q, exc", [
     # the x-axis lies in the cone: its restriction vanishes and has no discriminant
     (AXES, Point(1.0, 0.0), Point(2.0, 0.0), DegenerateConic),
-    # the same on a stack of two, whose Skips refuses both rows
-    (Conic(*np.multiply.outer(AXES.coeffs, np.ones(2))), np.full(2, 1 + 0j), np.full(2, 2 + 0j),
-     DegenerateConic),
     # two equal points span no line, on the conic or off it (where 0.0, "tangent", was returned)
     (AXES, Point(1.0, 0.0), Point(1.0, 0.0), ValueError),
     (Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0), Point(3.0, 1.0), Point(3.0, 1.0), ValueError),
-], ids=["line in the conic", "line in the conic, stacked", "equal points on the conic",
-        "equal points off the conic"])
+    # a secant of the unit circle so long that the restriction's size squared overflows (read as
+    # 0.0, "tangent", if divided through) or its terms do (nan)
+    *[(UNIT_CIRCLE, Point(0.0, 0.0), Point(s, 0.0), ValueError) for s in (1e150, 1e155, 1e160, 1e200)],
+], ids=["line in the conic", "equal points on the conic", "equal points off the conic",
+        "far point 1e150", "far point 1e155", "far point 1e160", "far point 1e200"])
 def test_tangency_residual_of_a_line_it_cannot_measure_is_refused(conic, p, q, exc):
-    if isinstance(p, Point):
-        with pytest.raises(exc):
-            line_conic_tangency_residual(conic, p, q)
-    else:
-        assert _stacked_tangency(conic, p, q)[1] == [exc.__name__] * len(p)
+    with pytest.raises(exc):
+        line_conic_tangency_residual(conic, p, q)
 
 
-@pytest.mark.parametrize("s", [1e-170, 1e-160, 1.0, 1e160, 1e170, pytest.param(
-    np.array([1e-170, 1e-160, 1.0, 1e160, 1e170]), id="stacked")])
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1.0, 1e160, 1e170])
 def test_tangency_residual_does_not_depend_on_the_coefficients_scale(s):
     # the y = 0 secant of the unit circle: (2s)^2 / (2s)^2, whose denominator underflows at
-    # 1e-170 and overflows at 1e160 unless taken on the unit conic; a stack takes the same path
+    # 1e-170 and overflows at 1e160 unless taken on the unit conic
     circle = Conic(s, 0.0, s, 0.0, 0.0, -s)
-    if isinstance(s, float):
-        assert line_conic_tangency_residual(circle, Point(0.0, 0.0), Point(1.0, 0.0)) == 1.0
-    else:
-        n = len(s)
-        got = _stacked_tangency(circle, np.zeros(n, complex), np.ones(n, complex))
-        assert got == ([1.0] * n, [""] * n)
+    assert line_conic_tangency_residual(circle, Point(0.0, 0.0), Point(1.0, 0.0)) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
