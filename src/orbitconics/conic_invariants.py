@@ -36,7 +36,6 @@ from .kernel import (
     largest,
     nonfinite,
     ufuncs,
-    unresolved,
     where,
 )
 
@@ -116,13 +115,15 @@ def _xy_hyperbola(v: Tri, guard) -> Conic:
     Exists only when the 3x3 coefficient matrix is singular, which for
     orbit triangles (and their excentrals) holds because the conic also
     passes through the stationary Mittenpunkt at the origin.  The
-    coefficient vector is the null vector, taken as the largest cross
-    product of two rows (the first, on ties).  Near the isosceles orbits
-    the conic nears its asymptotes and its focal length cancels; it is
-    refused once that is not resolved to 1e-9 (``kernel.unresolved``),
-    which also refuses c3 -> 0 (vertices in line with the origin, det -B^2).
-    Elementwise arithmetic only, so one triangle runs on numbers and a
-    stack row by row.
+    coefficient vector is the null vector, the cross product of the two
+    rows whose cross product is largest (the first pair, on ties).  A
+    vertex within 1e-9 of the largest coordinate from the origin has a
+    zero row, which no null vector can test, and is refused.  Near the
+    isosceles orbits the conic nears its asymptotes and its focal length
+    2 sqrt(2 |c1 c2|) / |c3| cancels; it is refused once a first-order
+    rounding bound on it passes 1e-9 relative, which also refuses any
+    c_i = 0 (c3 = 0: vertices in line with the origin).  Elementwise
+    arithmetic only, so one triangle runs on numbers and a stack row by row.
     """
     rows = [(p.real, p.imag, p.real * p.imag) for p in v.vertices]
     candidates = (_row_cross(rows[1], rows[2]), _row_cross(rows[2], rows[0]),
@@ -130,18 +131,35 @@ def _xy_hyperbola(v: Tri, guard) -> Conic:
     f = ufuncs(v.p1)
     n0, n1, n2 = (f.sqrt(_row_dot(c, c)) for c in candidates)
     first, second = (n0 >= n1) & (n0 >= n2), n1 >= n2
-    c = tuple(where(first, x0, where(second, x1, x2)) for x0, x1, x2 in zip(*candidates))
-    biggest = largest(*(abs(x) for row in rows for x in row))
-    scale = biggest * where(first, n0, where(second, n1, n2))
+    pj = where(first, v.p2, where(second, v.p3, v.p1))
+    pk = where(first, v.p3, where(second, v.p1, v.p2))
+    c = _row_cross((pj.real, pj.imag, pj.real * pj.imag), (pk.real, pk.imag, pk.real * pk.imag))
+    mags = [[abs(x) for x in row] for row in rows]
+    scale = largest(*(x for row in mags for x in row)) * where(first, n0, where(second, n1, n2))
     residual = largest(*(abs(_row_dot(row, c)) for row in rows))
-    guard.check(residual > 1e-9 * scale, DegenerateConic,
-                "no axis-parallel circumhyperbola through the origin; "
+    r0, r1, r2 = (largest(ax, ay) for ax, ay, _ in mags)  # each vertex's largest coordinate
+    M = largest(r0, r1, r2)
+    # a non-finite vertex makes M non-finite, also where c does not read that vertex
+    guard.check(nonfinite(c[0] + c[1] + c[2] + M), ValueError, "non-finite hyperbola coefficients")
+    guard.check((residual > 1e-9 * scale) | (f.minimum(f.minimum(r0, r1), r2) <= 1e-9 * M),
+                DegenerateConic, "no axis-parallel circumhyperbola through the origin; "
                 "is the Mittenpunkt at the origin?")
-    guard.check(nonfinite(c[0] + c[1] + c[2]), ValueError, "non-finite hyperbola coefficients")
-    hyp = Conic(0.0, 0.5 * c[2], 0.0, 0.5 * c[0], 0.5 * c[1], 0.0)
-    guard.check(unresolved(hyp), DegenerateConic,
+    # First-order rounding (Higham, ch. 3) in units of u = EPS / 2: each coordinate carries M u (the
+    # orbit's own rounding), each xy entry u (M (|x| + |y|) + |xy|), and each product and
+    # difference rounds once.  For a = |x|, b = |y| of the two vertices j, k, A = aj + ak,
+    # B = bj + bk, that moves c1 by u (M (A B + 2 bj bk) + 3 A bj bk), c2 by
+    # u (M (A B + 2 aj ak) + 3 B aj ak) and c3 by u (M (A + B) + 2 (aj bk + bj ak)).  The length
+    # takes half of c1's and c2's relative errors plus c3's; over 1e-9, multiplied out by
+    # 2 |c1 c2 c3|, so any c_i = 0 is refused.
+    aj, bj, ak, bk = abs(pj.real), abs(pj.imag), abs(pk.real), abs(pk.imag)
+    A, B, P, Q = aj + ak, bj + bk, aj * ak, bj * bk
+    e1, e2 = M * (A * B + 2 * Q) + 3 * A * Q, M * (A * B + 2 * P) + 3 * B * P
+    e3 = M * (A + B) + 2 * (aj * bk + bj * ak)
+    a1, a2, a3 = abs(c[0]), abs(c[1]), abs(c[2])
+    guard.check(EPS * (a3 * (e1 * a2 + e2 * a1) + 2 * e3 * (a1 * a2)) >= 4e-9 * (a1 * a2 * a3),
+                DegenerateConic,
                 "hyperbola too close to its asymptotes: focal length not resolved to 1e-9")
-    return hyp
+    return Conic(0.0, 0.5 * c[2], 0.0, 0.5 * c[0], 0.5 * c[1], 0.0)
 
 
 def _as_tri(t) -> Tri:
@@ -200,9 +218,11 @@ class FocalProfile(ArrayView):
 def focal_profile(shape: BilliardShape, n: int = 720) -> FocalProfile:
     """FocalSamples over the quarter of the family grid in t in (0, pi/2).
 
-    Parameters within 1e-3 rad of the isosceles endpoints are excluded
-    (the hyperbolas degenerate there).  Refused samples are skipped and
-    reported, as by ``loci.sweep_locus``.
+    Parameters within 1e-3 rad of the isosceles endpoints are excluded:
+    the hyperbolas degenerate there, and at a/b = 100 the n = 2000 sample
+    next to pi/2 passes each focal length's bound with a ratio 2.0e-9 off
+    sqrt(2 / rho).  Refused samples are skipped and reported, as by
+    ``loci.sweep_locus``.
     """
     t = sample_grid(n) / 4
     t = t[(t >= 1e-3) & (0.5 * math.pi - t >= 1e-3)]

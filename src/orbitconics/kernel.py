@@ -648,12 +648,6 @@ def determinants(q: Conic):
     return ac - bb, 1e-12 * (bb + abs(ac))
 
 
-def det3_of(q: Conic, det):
-    """The 3x3 determinant of q, given its det = A C - B^2; line pairs have det3 = 0."""
-    A, B, C, D, E, F = q.coeffs
-    return D * (B * E - C * D) + E * (B * D - A * E) + F * det
-
-
 def _unit(q: Conic):
     """q divided, exactly, by the power of two that brings its largest coefficient into [0.5, 1).
 
@@ -669,9 +663,11 @@ def classify_conic(conic: Conic) -> ConicClass:
     if any(map(nonfinite, conic.coeffs)):
         raise ValueError(f"non-finite conic coefficients {conic.coeffs}")
     unit, scale = _unit(conic)
+    A, B, C, D, E, F = unit.coeffs
     det, band = determinants(unit)
+    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
     # a line pair where |det3| is at most 1e-12 times the unit conic's largest coefficient cubed
-    if abs(det3_of(unit, det)) <= 1e-12 * scale**3:
+    if abs(det3) <= 1e-12 * scale**3:
         return ConicClass.DEGENERATE
     if det > band:
         return ConicClass.ELLIPSE
@@ -758,27 +754,6 @@ def focal_length(q: Conic, guard=RAISE):
     length = 2.0 * f.sqrt(abs(K) / where(m * f.sign(K) >= 0.0, big, -det / big))
     guard.check(nonfinite(length), ValueError, "non-finite focal length")
     return length
-
-
-def unresolved(q: Conic):
-    """Whether rounding may move the focal length of an xy-hyperbola q by over 1e-9 relative.
-
-    First-order bound for coefficients each off by one unit in the last
-    place of the largest, as the null-vector solve leaves them: the
-    |cofactors| of ``[[A, B, D], [B, C, E], [D, E, F]]`` bound the change
-    of its determinant det3 = -det K, |A| + |C| + 2|B| that of det, and
-    the length goes with sqrt(K / eigenvalue).  Numbers or arrays.
-    """
-    A, B, C, D, E, F = q.coeffs
-    det = determinants(q)[0]
-    det3 = det3_of(q, det)
-    mA, mB, mC, mdet = abs(A), abs(B), abs(C), abs(det)
-    cofactors = (abs(C * F - E * E) + abs(A * F - D * D) + mdet
-                 + 2 * (abs(D * E - B * F) + abs(B * E - C * D) + abs(B * D - A * E)))
-    ulp = EPS * largest(mA, mB, mC, abs(D), abs(E), abs(F))
-    # ulp (cofactors / |det3| + 2 (|A| + |C| + 2|B|) / |det|) / 2 > 1e-9, multiplied out
-    return (0.5 * ulp * (cofactors * mdet + 2 * (mA + mC + 2 * mB) * abs(det3))
-            >= 1e-9 * abs(det3 * det))
 
 
 def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:

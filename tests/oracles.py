@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own construction
 paths: the orbit oracle iterates the raw reflection map and solves the
 closure condition by bisection, the extremal-radius search measures
-ellipse axes by brute force along rays, and the excentral inconic axes
-are computed in high-precision decimals.  Then come references of
+ellipse axes by brute force along rays, and the excentral inconic axes,
+the inconic solve and the xy-hyperbola focal length are computed in
+high-precision decimals.  Then come references of
 another kind: the generic circumconic form and the point-by-point
 intersection loop, which the library's written-out and array versions
 must equal bit for bit.  The helpers at the end build test inputs and
@@ -203,6 +204,23 @@ def inconic_decimal(vertices, center, digits: int = 80):
             kind = ConicClass.DEGENERATE
         small, large = sorted((abs(half_trace - radius), abs(half_trace + radius)))
         return kind, (float(large.sqrt()), float(small.sqrt()))
+
+
+def xy_focal_decimal(vertices, digits: int = 80) -> float:
+    """Focal length 2 sqrt(2 |c1 c2|) / |c3| of c1 x + c2 y + c3 xy = 0 through the vertices and 0.
+
+    From the float vertices taken exactly, in ``digits``-digit decimals:
+    the rows (x, y, xy), and as c the largest of the three cross products
+    of two rows (the conic through those two vertices and the origin),
+    rounded to a float.  At 80 digits every product is exact.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rows = [(Decimal(x), Decimal(y), Decimal(x) * Decimal(y)) for x, y in vertices]
+        crosses = [(u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+                   for u, w in ((rows[1], rows[2]), (rows[2], rows[0]), (rows[0], rows[1]))]
+        c1, c2, c3 = max(crosses, key=lambda c: c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+        return float(2 * (2 * abs(c1 * c2)).sqrt() / abs(c3))
 
 
 def inradius_to_circumradius_decimal(a: float, b: float, digits: int = 60) -> float:

@@ -229,6 +229,26 @@ def test_hyperbolae_report(capsys):
     assert header == "t,feuerbach_focal_length,jerabek_excentral_focal_length"
 
 
+@pytest.mark.parametrize("a, b", [("1.5e-4", "1e-4"), ("1.5e8", "1e8")])
+def test_hyperbolae_of_a_rescaled_shape(capsys, a, b):
+    # exit 2 before the focal-length bound: the borrowed guard mixed coefficients of length degree
+    # 3, 3 and 2, so its verdict depended on the scale
+    code, out, _ = run_cli(capsys, ["hyperbolae", "--a", a, "--b", b])
+    assert code == 0
+    payload = json.loads(out[out.index("\n{") + 1:])
+    assert (payload["n_samples"], payload["n_skipped"]) == (720, 0)
+    assert payload["ratio_mean"] == pytest.approx(2.348363767172005, abs=1e-9)
+
+
+def test_hyperbolae_it_cannot_resolve_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["hyperbolae", "--a", "1000", "--b", "1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "DegenerateConic",
+        "message": "hyperbola too close to its asymptotes: focal length not resolved to 1e-9",
+    }
+
+
 @pytest.mark.parametrize("sizes", [[], ["--n", "16"]])
 def test_hyperbolae_output_is_that_of_its_focal_samples(capsys, sizes):
     code, out, _ = run_cli(capsys, ["hyperbolae", "--a", "1.5", "--b", "1", *sizes])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, xy_coefficients
 from oracles import (billiard_intersections_pointwise, centers_decimal, excenters_decimal,
-                     excentral_inconic_axes_decimal)
+                     excentral_inconic_axes_decimal, stack_tris, xy_focal_decimal)
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -186,13 +188,29 @@ def test_hyperbola_degenerates_at_isosceles():
 
 
 def test_hyperbola_of_vertices_in_line_with_the_origin_is_refused():
-    # c3 = 0 leaves Conic(0, 0, 0, D, E, 0), whose det -B^2 = 0 makes its axes unresolved
+    # c3 = 0 leaves Conic(0, 0, 0, D, E, 0), no hyperbola; the focal length bound refuses c_i = 0
     tri = Tri(1 + 1j, 2 + 2j, 3 + 3j)
     with pytest.raises(DegenerateConic):
         feuerbach_hyperbola(tri)
     skips = Skips(2)
     feuerbach_hyperbola(Tri(*(np.array([p, p]) for p in tri.vertices)), skips)
     assert not skips.valid.any() and skips.failures[0][0] is DegenerateConic
+
+
+@pytest.mark.parametrize("first", [(0.0, 0.0), (1e-12, -3e-13)])
+def test_hyperbola_of_a_vertex_at_the_origin_is_refused(first):
+    # a vertex on the origin has a zero row, which every null vector passes, so the Mittenpunkt
+    # check held vacuously: at (0, 0) this answered 0.5102260072873557 for a conic whose value at
+    # X1 is -6.3e-3
+    tri = Triangle.from_coords([first, (1.0, 0.2), (0.3, 0.5)])
+    with pytest.raises(DegenerateConic, match="Mittenpunkt") as refused:
+        feuerbach_hyperbola(tri)
+    good = orbit(SHAPE, 0.4).triangle
+    skips = Skips(2)
+    hyp = feuerbach_hyperbola(stack_tris([tri, good]), skips)
+    assert skips.valid.tolist() == [False, True]
+    assert skips.failures[skips.code[0]] == (DegenerateConic, str(refused.value))
+    assert [np.broadcast_to(c, 2)[1] for c in hyp.coeffs] == list(feuerbach_hyperbola(good).coeffs)
 
 
 def test_excentral_of_a_collinear_triangle_is_refused_before_its_division():
@@ -345,6 +363,53 @@ def test_focal_profile_says_what_it_skipped():
     assert reason == "DegenerateConic"
     assert 0.5 < t < 0.53 and t not in [s.t for s in profile]
     assert focal_profile(BilliardShape(1.5, 1.0), n=2000).skipped == []
+
+
+@pytest.mark.parametrize("k", [-100, -30, -14, 14, 30, 100])
+def test_focal_profile_scales_exactly(k):
+    # the focal-length bound is homogeneous in the coordinates, so 2^k times the shape gives
+    # 2^k times every focal length, with the same (no) skips
+    base = focal_profile(BilliardShape(1.5, 1.0), 720)
+    profile = focal_profile(BilliardShape(math.ldexp(1.5, k), math.ldexp(1.0, k)), 720)
+    assert profile.skipped == base.skipped == []
+    assert np.array_equal(profile.array[:, 0], base.array[:, 0])
+    assert np.array_equal(profile.array[:, 1:], np.ldexp(base.array[:, 1:], k))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 10.0])
+def test_decimal_xy_focal_oracle_meets_the_closed_form_ratio(alpha):
+    shape = BilliardShape(alpha, 1.0)
+    for t in (0.4, 1.1, 2.3):
+        tri = orbit(shape, t).triangle
+        feuerbach, jerabek = (xy_focal_decimal([p.as_tuple() for p in v.vertices])
+                              for v in (tri, excentral(tri)))
+        assert abs(jerabek / feuerbach - focal_ratio_closed_form(shape)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(-9.0, math.log10(999.0)).map(lambda k: 1.0 + 10.0**k),
+    t=st.floats(0.0, 2.0 * math.pi) | st.builds(
+        lambda quarter, offset: quarter * 0.5 * math.pi + offset,
+        st.integers(0, 3), st.floats(-2.0, 2.0).map(lambda k: math.copysign(10.0 ** (5 * abs(k) - 11), k))),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+)
+def test_xy_focal_lengths_hold_to_a_decimal_solve_or_are_refused(alpha, t, signs):
+    # t uniform, or 1e-11 to 0.1 from an isosceles orbit, where the focal lengths cancel; the bound
+    # takes each coordinate as off by EPS/2 of the largest, so an answer is within 1e-9 of the
+    # decimal focal length at the float vertices and at the vertices moved by half an ulp of the
+    # largest coordinate; anything else raises DegenerateConic
+    tri = orbit(BilliardShape(alpha, 1.0), t).triangle
+    for hyperbola, v in ((feuerbach_hyperbola, tri), (jerabek_excentral, excentral(tri))):
+        try:
+            got = focal_length(hyperbola(tri))
+        except DegenerateConic:
+            continue
+        xy = [p.as_tuple() for p in v.vertices]
+        step = 0.5 * math.ulp(max(abs(x) for p in xy for x in p))
+        for move in (0.0, step, -step):
+            moved = [(x + move * signs[2 * k], y + move * signs[2 * k + 1]) for k, (x, y) in enumerate(xy)]
+            assert abs(got - xy_focal_decimal(moved)) <= 1e-9 * got
 
 
 def test_jerabek_meets_billiard_twice():

@@ -330,8 +330,9 @@ _POINT = st.builds(complex, _UNIT, _UNIT)
 
 @st.composite
 def _probe_triangle(draw):
-    """Vertices (complex) of a random, thin, collinear, repeated, 1e300 or non-finite triangle."""
-    kind = draw(st.sampled_from(["random", "thin", "collinear", "repeated", "huge", "nonfinite"]))
+    """Vertices (complex) of a random, thin, collinear, repeated, 1e300, non-finite or origin triangle."""
+    kind = draw(st.sampled_from(["random", "thin", "collinear", "repeated", "huge", "nonfinite",
+                                 "origin"]))
     p, q, r = draw(_POINT), draw(_POINT), draw(_POINT)
     scale = 10.0 ** draw(st.floats(-120.0, 120.0))
     if kind == "thin":
@@ -346,6 +347,8 @@ def _probe_triangle(draw):
         p, q, r = draw(st.sampled_from([(p, p, q), (p, q, q), (q, p, q), (p, p, p)]))
     elif kind == "huge":
         scale = 1e300
+    elif kind == "origin":
+        p = 0j
     elif kind == "nonfinite":
         bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         r = complex(bad, r.imag) if draw(st.booleans()) else complex(r.real, bad)
