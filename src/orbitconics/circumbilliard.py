@@ -5,7 +5,10 @@ on its Mittenpunkt; the triangle is then a billiard orbit of that
 ellipse (the boundary normal at each vertex bisects the vertex angle).
 It is the circumconic with perspector X1, ``a yz + b zx + c xy = 0`` in
 barycentrics, so it has a closed form (``circumbilliard_of``) that
-needs no linear solve.
+needs no linear solve.  Its ellipse is read off in closed form too
+(``circumbilliard_axes``): the center is X9 itself, and the semi-axes
+come from the area, s, r/R and one eigenvalue half-gap, where the
+generic read-off's AC - B^2 cancels on eccentric ellipses.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 
 from .centers import center, derived_triangle
 from .errors import DegenerateConic
-from .kernel import Conic, EllipseParams, Point, Tri, Triangle, circumconic_of, conic_to_ellipse_params
+from .kernel import (RAISE, Conic, EllipseParams, Point, Tri, Triangle, circumconic_of,
+                     larger_eigenvalue_and_angle, nonfinite, ufuncs)
 
 DERIVED_TRIANGLES = ("excentral", "act", "medial", "orthic")
 
@@ -39,10 +43,40 @@ def circumbilliard_of(v: Tri) -> Conic:
     return circumconic_of(v, (v.s1, v.s2, v.s3))
 
 
+def circumbilliard_axes(v: Tri, q: Conic, guard):
+    """Semi-major, semi-minor axis and major-axis angle of ``q = circumbilliard_of(v)``.
+
+    For this conic A + C = -2abc(1 + r/R), AC - B^2 = 16 area^2 r (4R + r) and
+    its level is 2 area^2 abc / (r (4R + r)) (Yiu; Johnson).  With w = 1 + r/R
+    + g/abc for the half-gap g of [[A, B], [B, C]], the semi-axes are
+    s sqrt(2w) / (4 + r/R) and s sqrt(2 (r/R) / ((4 + r/R) w)): nothing
+    cancels, however eccentric the ellipse.  g is scaled by 1/abc before it
+    is squared, so this holds wherever abc and ``q`` are finite floats, and
+    is refused (ValueError) beyond.  Numbers or arrays; ``guard`` is RAISE
+    or a Skips.
+    """
+    s1, s2, s3, area = v.s1, v.s2, v.s3, v.area
+    s = 0.5 * (s1 + s2 + s3)
+    k = 1.0 / (s1 * s2) / s3  # 1 / abc; no factor is 0 on a triangle that Tri.thin passes
+    rho = (area / s) * (4.0 * area * k)  # r / R
+    w, angle = larger_eigenvalue_and_angle(q, -1.0, 1.0 + rho, k)
+    f = ufuncs(w)
+    semi_minor = s * f.sqrt(2.0 * rho / ((4.0 + rho) * w))
+    semi_major = f.maximum(s * f.sqrt(2.0 * w) / (4.0 + rho), semi_minor)
+    # below about 1e-103 abc leaves the normal range, k is inf and the axes nan; above, D and E
+    # (of length degree 4, where abc and A, B, C are of 3) overflow first, from about 1e77
+    guard.check(nonfinite(semi_major + q.D * 0.0 + q.E * 0.0), ValueError,
+                "non-finite ellipse center or semi-axes")
+    return semi_major, semi_minor, angle
+
+
 def circumbilliard(t: Triangle) -> CircumbilliardResult:
-    """Unique circumellipse of ``t`` centered on its Mittenpunkt."""
-    conic = circumbilliard_of(t.tri)
-    return CircumbilliardResult(conic, conic_to_ellipse_params(conic), center(t, 9))
+    """Unique circumellipse of ``t`` centered on its Mittenpunkt X9."""
+    v = t.tri
+    conic = circumbilliard_of(v)
+    semi_major, semi_minor, angle = circumbilliard_axes(v, conic, RAISE)
+    x9 = center(t, 9)
+    return CircumbilliardResult(conic, EllipseParams(x9, semi_major, semi_minor, angle), x9)
 
 
 def derived_cb(t: Triangle, which: str) -> CircumbilliardResult:
@@ -59,7 +93,11 @@ def reflection_residual(conic: Conic, t: Triangle) -> float:
 
     Zero (to rounding) exactly when ``t`` is a billiard orbit of the
     conic; radians.  A conic whose gradient vanishes at a vertex has no
-    normal there (DegenerateConic).
+    normal there (DegenerateConic).  The normal of an eccentric conic,
+    taken from its coefficients, is ill-conditioned: on the circumbilliards
+    of thin triangles this reads 3.9e-9 at heights of about 1e-4 of the
+    base and up to 1.6 rad below 1e-8, for an exact conic too, so it is no
+    oracle for thin triangles.
     """
     worst = 0.0
     verts = t.vertices

@@ -24,7 +24,10 @@ forms: a symmetric barycentric matrix mapped through the sidelines
 (``circumconic_of``).  An inconic with a prescribed center is solved on
 ``Tri`` in closed form in the dual plane, behind one rounding bound (``inconic_of``).
 Center, semi-axes, axis angle and hyperbola focal length are read off
-the six coefficients (``ellipse_axes``, ``focal_length``).
+the six coefficients (``ellipse_axes``, ``focal_length``), except for
+the circumbilliard, whose invariants are known: ``circumbilliard``
+reads it off the triangle in closed form and shares only the half-gap
+and angle lines (``larger_eigenvalue_and_angle``).
 """
 
 from __future__ import annotations
@@ -686,6 +689,24 @@ def _center_and_level(q: Conic, det):
     return cx, cy, -(F + D * cx + E * cy)
 
 
+def larger_eigenvalue_and_angle(q: Conic, sign, mid, k):
+    """k times the larger eigenvalue magnitude of an ellipse's [[A, B], [B, C]], and its axis angle.
+
+    ``sign`` is the sign of A + C and ``mid`` is k |A + C| / 2; the
+    magnitude is mid plus the half-gap k sqrt(((A - C) / 2)^2 + B^2),
+    scaled by k before it is squared.  The major axis lies along the
+    other eigenvector, at an angle in [0, pi); a circle within 1e-12
+    reports 0.  Numbers or arrays.
+    """
+    A, B, C = q.A, q.B, q.C
+    h, b = (A - C) * k, B * k
+    f = ufuncs(h)
+    gap = f.sqrt(0.25 * (h * h) + b * b)
+    big = mid + gap
+    angle = (0.5 * f.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
+    return big, angle * ((2.0 * gap >= 1e-12 * big) & (math.pi - angle >= 1e-12))
+
+
 def ellipse_axes(q: Conic, guard):
     """Center (complex, absolute), semi-axes and major-axis angle of an elliptical conic.
 
@@ -695,21 +716,17 @@ def ellipse_axes(q: Conic, guard):
     semi-axis beyond the float range is refused (ValueError).  Numbers or
     arrays; ``guard`` is RAISE or a Skips.
     """
-    A, B, C = q.A, q.B, q.C
     det, band = determinants(q)
     guard.check(det <= band, NotAnEllipse, "conic does not classify as an ellipse")
     cx, cy, K = _center_and_level(q, det)
-    m = 0.5 * (A + C)
+    m = 0.5 * (q.A + q.C)
     sign = m / abs(m)
     K = K * sign
     guard.check(K <= 0.0, NotAnEllipse, "conic has no real points")
     f = ufuncs(K)
-    r = f.sqrt(0.25 * ((A - C) * (A - C)) + B * B)
-    big = abs(m) + r
+    big, angle = larger_eigenvalue_and_angle(q, sign, abs(m), 1.0)
     semi_minor = f.sqrt(K / big)
     semi_major = semi_minor * f.sqrt(f.maximum(big * big / det, 1.0))
-    angle = (0.5 * f.arctan2(-2.0 * B * sign, (C - A) * sign)) % math.pi
-    angle = angle * ((2.0 * r >= 1e-12 * big) & (math.pi - angle >= 1e-12))
     center = q.anchor + (cx + 1j * cy)
     # x * 0.0 is 0 for a finite x, nan for nan and +-inf; semi_major is semi_minor times a
     # factor >= 1, so it is non-finite when either is

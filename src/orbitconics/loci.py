@@ -27,9 +27,9 @@ from .billiard import (
     orbit,
     sample_grid,
 )
-from .circumbilliard import circumbilliard_of
+from .circumbilliard import circumbilliard_axes, circumbilliard_of
 from .errors import IllConditioned
-from .kernel import CONDITION_LIMIT, ArrayView, Point, Points, Skips, ellipse_axes
+from .kernel import CONDITION_LIMIT, ArrayView, Point, Points, Skips
 
 ELLIPTIC_RMS = 1e-8
 NON_ELLIPTIC_RMS = 1e-4
@@ -223,6 +223,10 @@ def _rel_spread_stats(name: str, values, tol: float) -> QuantityStats:
     return _bounded(name, lo, hi, (hi - lo) / abs(float(values.sum() / values.size)), tol)
 
 
+def _cb_axes(v, skips):
+    return circumbilliard_axes(v, circumbilliard_of(v), skips)
+
+
 def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     """Family-invariance statistics over n orbit samples.
 
@@ -235,9 +239,8 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     with np.errstate(all="ignore"):
         v = orbit(shape, sample_grid(n), skips).tri
         x9n = abs(centers.center_of(v, 9, skips))
-        act = ellipse_axes(circumbilliard_of(centers.derived_of(v, "act", skips)), skips)
-        med = ellipse_axes(circumbilliard_of(centers.derived_of(v, "medial", skips)), skips)
-        rows = np.stack([v.perimeter(), v.inradius() / v.circumradius(), x9n, *act[1:], *med[1:]])
+        act, med = (_cb_axes(centers.derived_of(v, d, skips), skips) for d in ("act", "medial"))
+        rows = np.stack([v.perimeter(), v.inradius() / v.circumradius(), x9n, *act, *med])
     keep = skips.kept(MIN_SAMPLES)
     (perimeter, rho, x9n, act_major, act_minor, act_angle,
      med_major, med_minor, med_angle) = rows[:, keep]
@@ -288,7 +291,7 @@ def poristic_report(ps, n: int = 360) -> PoristicReport:
     skips = Skips(n)
     with np.errstate(all="ignore"):
         v = orbit(ps, sample_grid(n), skips).tri
-        _, semi_major, semi_minor, _ = ellipse_axes(circumbilliard_of(v), skips)
+        semi_major, semi_minor, _ = _cb_axes(v, skips)
         x9 = centers.center_of(v, 9, skips)
     keep = skips.kept(MIN_SAMPLES)
     aspects = semi_major[keep] / semi_minor[keep]

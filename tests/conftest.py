@@ -23,6 +23,14 @@ def random_triangle(rng: np.random.Generator, span: float = 2.0) -> Triangle:
             return Triangle(*p)
 
 
+def placed_triangle(apex_x, log_height, log_scale, angle, offset) -> Triangle:
+    """Base (0, 0)-(1, 0) and apex (apex_x, 10^log_height), turned by angle, scaled and moved."""
+    w = complex(math.cos(angle), math.sin(angle)) * 10.0**log_scale
+    shift = complex(*offset) * 10.0**log_scale
+    z = [w * p + shift for p in (0.0, 1.0, complex(apex_x, 10.0**log_height))]
+    return Triangle(*(Point(p.real, p.imag) for p in z))
+
+
 def origin_form(conic):
     """The conic about the origin: (F0, (c1, .., c5)) of F0 + c1 x + c2 y + c3 xy + c4 x^2 + c5 y^2."""
     gx, gy = conic.anchor.real, conic.anchor.imag

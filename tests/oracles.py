@@ -223,6 +223,44 @@ def xy_focal_decimal(vertices, digits: int = 80) -> float:
         return float(2 * (2 * abs(c1 * c2)).sqrt() / abs(c3))
 
 
+def circumbilliard_decimal(vertices, digits: int = 80):
+    """Center and semi-axes of the circumconic of perspector (a : b : c), in decimals.
+
+    From the float vertices taken exactly, in ``digits``-digit decimals:
+    each barycentric coordinate lambda_i(x, y) is an affine function (the
+    signed area of the point and the other two vertices), the conic is
+    a lambda_2 lambda_3 + b lambda_3 lambda_1 + c lambda_1 lambda_2 = 0
+    with the side lengths a, b, c, expanded to its six coefficients, and
+    its center, level and eigenvalues are read off generically, where 80
+    digits leave AC - B^2 exact enough for any aspect a float can hold.
+    Returns (center, semi_major, semi_minor): a complex number and two
+    floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = [(Decimal(x), Decimal(y)) for x, y in vertices]
+        lam = []  # lambda_i = alpha x + beta y + gamma, up to the common factor 2 area
+        for (xj, yj), (xk, yk) in ((p[1], p[2]), (p[2], p[0]), (p[0], p[1])):
+            lam.append((yj - yk, xk - xj, xj * yk - xk * yj))
+        A = B2 = C = D2 = E2 = F = Decimal(0)
+        for u, i, j in zip(_sides_decimal(p), (1, 2, 0), (2, 0, 1)):
+            (al, be, ga), (al2, be2, ga2) = lam[i], lam[j]
+            A += u * al * al2
+            B2 += u * (al * be2 + al2 * be)
+            C += u * be * be2
+            D2 += u * (al * ga2 + al2 * ga)
+            E2 += u * (be * ga2 + be2 * ga)
+            F += u * ga * ga2
+        B, D, E = B2 / 2, D2 / 2, E2 / 2
+        det = A * C - B * B
+        cx, cy = (B * E - C * D) / det, (B * D - A * E) / det
+        K = -(D * cx + E * cy + F)
+        mid, gap = (A + C) / 2, (((A - C) / 2) ** 2 + B * B).sqrt()
+        small, large = sorted((abs(mid - gap), abs(mid + gap)))
+        return (complex(float(cx), float(cy)), float((abs(K) / small).sqrt()),
+                float((abs(K) / large).sqrt()))
+
+
 def inradius_to_circumradius_decimal(a: float, b: float, digits: int = 60) -> float:
     """The family's r/R = 2(d - b^2)(a^2 - d)/(a^2 - b^2)^2, d = sqrt(a^4 - a^2 b^2 + b^4).
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_triangle
+from conftest import placed_triangle, random_triangle
 from oracles import (centers_decimal, circumcircle, cosines_decimal, euler_centers_decimal,
                      excenters_decimal, incircle, stack_tris, trilinear_to_cartesian)
 from orbitconics import (
@@ -193,8 +193,8 @@ def test_excenters_of_thin_triangles_match_a_decimal_oracle(rng, log_height):
     # no b + c - a cancels, so the error over the excentral triangle's longest side stays
     # within 1e-15 / h for apex heights h down to 1e-11 of the base, the apex over or beyond it
     for _ in range(40):
-        t = _placed_triangle(rng.uniform(-0.5, 1.5), log_height, rng.uniform(-2.0, 2.0),
-                             rng.uniform(0.0, 2 * math.pi), rng.uniform(-3.0, 3.0, size=2))
+        t = placed_triangle(rng.uniform(-0.5, 1.5), log_height, rng.uniform(-2.0, 2.0),
+                            rng.uniform(0.0, 2 * math.pi), rng.uniform(-3.0, 3.0, size=2))
         want = excenters_decimal([p.as_tuple() for p in t.vertices])
         longest = max(abs(want[1] - want[2]), abs(want[2] - want[0]), abs(want[0] - want[1]))
         for got, w in zip(excentral(t).vertices, want):
@@ -409,14 +409,6 @@ def test_orthic_cb_center_is_continuous_across_the_right_orbit(alpha, delta):
     assert point.dist(orthic_center_transition(shape)) <= 10.0 * abs(delta) * shape.a
 
 
-def _placed_triangle(apex_x, log_height, log_scale, angle, offset):
-    # base (0, 0)-(1, 0) and apex (apex_x, 10^log_height), turned, scaled and moved
-    w = complex(math.cos(angle), math.sin(angle)) * 10.0**log_scale
-    shift = complex(*offset) * 10.0**log_scale
-    z = [w * p + shift for p in (0.0, 1.0, complex(apex_x, 10.0**log_height))]
-    return Triangle(*(Point(p.real, p.imag) for p in z))
-
-
 # from about 1e95 the weighted sum of X6 of a thin obtuse triangle's acute member overflows:
 # that row is refused as its one-number call is (ValueError), and no row otherwise
 @settings(max_examples=150, deadline=None)
@@ -429,7 +421,7 @@ def test_orthic_cb_center_refuses_no_valid_triangle(params):
     triangles = []
     for p in params:
         try:
-            triangles.append(_placed_triangle(*p))
+            triangles.append(placed_triangle(*p))
         except DegenerateTriangle:
             pass
     assume(triangles)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angle_dist_mod_pi, random_triangle
-from oracles import intouch_points, intouch_superposition_check
+from conftest import angle_dist_mod_pi, placed_triangle, random_triangle
+from oracles import circumbilliard_decimal, intouch_points, intouch_superposition_check, stack_tris
 from orbitconics import (
     BilliardShape,
     Conic,
     ConicClass,
     DegenerateConic,
+    DegenerateTriangle,
     Point,
     Triangle,
     center,
@@ -18,10 +19,13 @@ from orbitconics import (
     derived_cb,
     derived_triangle,
     equilateral_orthic_threshold,
+    inradius_to_circumradius,
     orbit,
     orthic_cb_center,
     reflection_residual,
 )
+from orbitconics.circumbilliard import circumbilliard_axes, circumbilliard_of
+from orbitconics.kernel import RAISE, Skips, Tri
 
 SHAPE = BilliardShape(1.5, 1.0)
 
@@ -58,6 +62,81 @@ def test_equilateral_circumbilliard_is_circumcircle():
     assert result.aspect == pytest.approx(1.0, abs=1e-12)
     assert result.params.semi_major == pytest.approx(1.0, abs=1e-12)
     assert result.mittenpunkt.norm() <= 1e-12
+
+
+def test_circumbilliard_decimal_oracle():
+    # an orbit triangle's circumbilliard is the billiard, an equilateral one's its circumcircle
+    for t in grid(12):
+        tri = orbit(SHAPE, t).triangle
+        c, major, minor = circumbilliard_decimal([p.as_tuple() for p in tri.vertices])
+        assert abs(c) <= 1e-13
+        assert major == pytest.approx(SHAPE.a, rel=1e-13)
+        assert minor == pytest.approx(SHAPE.b, rel=1e-13)
+    c, major, minor = circumbilliard_decimal([p.as_tuple() for p in EQUILATERAL.vertices])
+    assert abs(c) <= 1e-15
+    assert major == pytest.approx(1.0, rel=1e-15) and minor == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("log_height", range(-12, 0))
+def test_thin_triangles_match_the_decimal_circumbilliard(rng, log_height):
+    # the closed-form read-off does not cancel however eccentric the ellipse: within 1e-12 of the
+    # major axis and of the longest side for apex heights down to 1e-12 of the base, turned,
+    # scaled by 10^+-2 and moved; every triangle Triangle accepts answers, one by one and stacked
+    triangles = []
+    for _ in range(30):
+        try:
+            triangles.append(placed_triangle(rng.uniform(-0.5, 1.5),
+                                             log_height + rng.uniform(0.0, 1.0),
+                                             rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * math.pi),
+                                             rng.uniform(-3.0, 3.0, size=2)))
+        except DegenerateTriangle:
+            pass
+    assert len(triangles) >= 10
+    for tri in triangles:
+        want_center, want_major, want_minor = circumbilliard_decimal(
+            [p.as_tuple() for p in tri.vertices])
+        params = circumbilliard(tri).params
+        assert abs(params.semi_major - want_major) <= 1e-12 * want_major
+        assert abs(params.semi_minor - want_minor) <= 1e-12 * want_major
+        assert abs(params.center.z - want_center) <= 1e-12 * max(tri.sidelengths())
+    v = stack_tris(triangles)
+    skips = Skips(len(triangles))
+    circumbilliard_axes(v, circumbilliard_of(v), skips)
+    assert skips.valid.all()
+
+
+def test_circumbilliard_gives_the_billiard_family_invariants(rng):
+    # a triangle is an orbit of its circumbilliard (a, b), so its r/R is the family's and its
+    # perimeter Garcia's 2 sqrt(3) (d + a^2 + b^2) / sqrt(2d + a^2 + b^2), d^2 = a^4 - a^2 b^2 + b^4
+    for _ in range(200):
+        tri = random_triangle(rng)
+        params = circumbilliard(tri).params
+        a, b = params.semi_major, params.semi_minor
+        a2, b2 = a * a, b * b
+        d = math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
+        assert tri.inradius() / tri.circumradius() == pytest.approx(
+            inradius_to_circumradius(BilliardShape(a, b)), rel=1e-12)
+        perimeter = 2.0 * math.sqrt(3.0) * (d + a2 + b2) / math.sqrt(2.0 * d + a2 + b2)
+        assert tri.perimeter() == pytest.approx(perimeter, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_circumbilliard_axes_refuse_beyond_the_float_range_alike():
+    # the conic's D and E overflow from 1e77, abc from about 1e103, and abc leaves the normal range
+    # below about 1e-103
+    vertices = (0j, 3 + 0j, 1 + 2j)
+    for scale in (1e80, 1e110, 1e-110):
+        one = Tri(*(z * scale for z in vertices))
+        with pytest.raises(ValueError, match="^non-finite ellipse center or semi-axes$"):
+            circumbilliard_axes(one, circumbilliard_of(one), RAISE)
+    stack = Tri(*(np.array([z * 1e110, z, z * 1e-110]) for z in vertices))
+    skips = Skips(3)
+    with np.errstate(all="ignore"):
+        major, minor, _ = circumbilliard_axes(stack, circumbilliard_of(stack), skips)
+    assert [skips.reason(i) for i in range(3)] == ["ValueError", "", "ValueError"]
+    assert skips.failures == [(ValueError, "non-finite ellipse center or semi-axes")]
+    unit = Tri(*vertices)
+    assert (major[1], minor[1]) == circumbilliard_axes(unit, circumbilliard_of(unit), RAISE)[:2]
 
 
 def test_random_triangles_reflection_law(rng):

@@ -87,6 +87,17 @@ def test_cb_vertex_on_origin_matches_translated_copy(capsys):
         assert at_origin[key] == pytest.approx(moved[key], rel=1e-12, abs=0.0)
 
 
+def test_cb_of_a_thin_triangle_is_centered_on_its_mittenpunkt(capsys):
+    # apex 1e-6 over a unit base, turned 30 degrees: the generic read-off put the center 9.3e-6
+    # off X9 and the semi-major axis at 0.4999907400445104 against an 80-digit 0.5000000000000001
+    code, out, _ = run_cli(capsys, ["cb", "--vertices", "2.0,1.0,2.866025403784439,1.5,"
+                                                        "2.2598071211353314,1.1500008660254037"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["center"] == payload["mittenpunkt"]
+    assert abs(payload["semi_major"] - 0.5000000000000001) <= 1e-12
+
+
 def test_cb_degenerate_triangle_exit_2(capsys):
     code, _, err = run_cli(capsys, ["cb", "--vertices", "0,0,1,1,2,2"])
     assert code == 2
@@ -397,17 +408,19 @@ def assert_exits_1_with_one_error_line(argv):
     return result.stderr
 
 
-@pytest.mark.parametrize("scale", ["e46", "e60"])
+# from 1e77 the conic's D and E overflow, from about 1e103 abc does, and below about 1e-103 abc
+# leaves the normal float range
+@pytest.mark.parametrize("scale", ["e80", "e110", "e-110"])
 def test_cb_beyond_the_float_range_exits_1_without_traceback(scale):
     vertices = ",".join(f"{c}{scale}" if c != "0" else c for c in "0,0,3,0,1,2".split(","))
     assert_exits_1_with_one_error_line(["cb", f"--vertices={vertices}"])
 
 
-@pytest.mark.parametrize("argv", [["invariants", "--a", "1.5e44", "--b", "1e44"],
-                                  ["poristic", "--r", "0.3625e44", "--R", "1e44"]],
+@pytest.mark.parametrize("argv", [["invariants", "--a", "7.5e76", "--b", "5e76"],
+                                  ["poristic", "--r", "0.725e77", "--R", "2e77"]],
                          ids=["invariants", "poristic"])
 def test_axes_beyond_the_float_range_exit_1_without_traceback(argv):
-    # every circumbilliard's axes overflow, so every sample is refused
+    # every circumbilliard's conic overflows, so every sample is refused
     assert "non-finite ellipse center or semi-axes" in assert_exits_1_with_one_error_line(argv)
 
 

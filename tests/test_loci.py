@@ -167,13 +167,27 @@ def test_invariant_report_passes():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("report, shape", [(invariant_report, BilliardShape(1.5e44, 1e44)),
-                                           (poristic_report, PoristicShape(0.3625e44, 1e44))],
+@pytest.mark.parametrize("report, shape", [(invariant_report, BilliardShape(7.5e76, 5e76)),
+                                           (poristic_report, PoristicShape(0.725e77, 2e77))],
                          ids=["invariants", "poristic"])
 def test_reports_refuse_circumbilliard_axes_beyond_the_float_range(report, shape):
-    # every sample's circumbilliard axes overflow; none is kept with inf or nan axes
+    # every sample's circumbilliard conic overflows (D and E, of length degree 4); none is kept
     with pytest.raises(ValueError, match="^non-finite ellipse center or semi-axes$"):
         report(shape, n=16)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-76, 1e44, 1e76])
+def test_reports_answer_at_every_scale_their_shapes_accept(scale):
+    # the closed-form circumbilliard axes square no coefficient and take no AC - B^2, so they are
+    # refused only where the conic itself overflows, next to the shapes' own edge at 1e77
+    report = invariant_report(BilliardShape(1.5 * scale, scale), n=16)
+    assert report.n_skipped == 0 and report.all_passed
+    unit, scaled = poristic_report(PoristicShape(0.3625, 1.0), n=16), poristic_report(
+        PoristicShape(0.3625 * scale, scale), n=16)
+    assert scaled.n_skipped == 0
+    assert scaled.aspect_mean == pytest.approx(unit.aspect_mean, rel=1e-12)
+    assert scaled.closed_form_abs_diff <= 1e-9
 
 
 def test_invariant_report_rejects_circle():
