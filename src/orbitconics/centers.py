@@ -14,6 +14,8 @@ and a whole family of triangles for the batched kernel.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
 from .kernel import (
     EPS,
@@ -141,6 +143,8 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
         guard.check(v.thin(), DegenerateTriangle, "excentral of a triangle with area below tolerance")
         s1, s2, s3 = v.s1, v.s2, v.s3
         s, k, excenters = 0.5 * (s1 + s2 + s3), 2.0 * v.area, []
+        # past the float range s is inf and every b + c - a reads 0: refused before dividing
+        guard.check(s == math.inf, ValueError, "non-finite derived triangle")
         # p + (b e + c f) / (b + c - a), e = q - p, f = r - p, c = |e|, b = |f|; for t = b c + |e.f|,
         # b + c - a is t / s where e.f >= 0, else (k/s)(k/t), k = 2 area (half-angle identity)
         for p, q, r, b, c in ((p1, p2, p3, s2, s3), (p2, p3, p1, s3, s1), (p3, p1, p2, s1, s2)):
@@ -160,7 +164,7 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
             RightTriangle,
             "orthic of a right triangle collapses to a segment",
         )
-        out = Tri(perp_foot(p1, p2, p3), perp_foot(p2, p3, p1), perp_foot(p3, p1, p2))
+        out = Tri(perp_foot(p1, p2, p3, guard), perp_foot(p2, p3, p1, guard), perp_foot(p3, p1, p2, guard))
         degenerate = RightTriangle
     else:
         raise KeyError(f"unknown derived triangle {which!r}")

@@ -273,12 +273,6 @@ def ufuncs(*xs):
     return _SCALARS
 
 
-def perp_foot(p, q, r):
-    """Foot of the perpendicular from p to the line qr (complex numbers or arrays)."""
-    d = r - q
-    return q + (dot(p - q, d) / dot(d, d)) * d
-
-
 class Raise:
     """Failure policy of the scalar API: the first failed check raises."""
 
@@ -288,6 +282,18 @@ class Raise:
 
 
 RAISE = Raise()
+
+
+def perp_foot(p, q, r, guard=RAISE):
+    """Foot of the perpendicular from p to the line qr (complex numbers or arrays).
+
+    A qr whose squared length underflows to 0, as a side of a triangle whose nan area passes
+    ``Tri.thin`` can, is refused before dividing (ValueError), as its stacked row would be.
+    """
+    d = r - q
+    dd = dot(d, d)
+    guard.check(dd == 0.0, ValueError, "non-finite derived triangle")
+    return q + (dot(p - q, d) / dd) * d
 
 
 class Skips:
@@ -400,7 +406,8 @@ class Tri:
     def thin(self):
         """Area below AREA_TOL times the square of the longest side, or 0, or two vertices equal."""
         s1, s2, s3, area = self.s1, self.s2, self.s3, self.area
-        # the last two catch squares that underflow to 0 and an area of nan (inf - inf) at 1e300
+        # area <= 0 catches a zero area whose squares underflow too (sides near 1e-170), s == 0 two
+        # equal vertices of nan area (0 times an edge that overflows); any other nan area passes
         return ((area < AREA_TOL * s1 * s1) | (area < AREA_TOL * s2 * s2) | (area < AREA_TOL * s3 * s3)
                 | (area <= 0.0) | (s1 == 0.0) | (s2 == 0.0) | (s3 == 0.0))
 
@@ -411,11 +418,9 @@ class Tri:
         signed area.
         """
         q1, q2, q3 = self.p1 - g, self.p2 - g, self.p3 - g
-        lines = []
-        for qj, qk in ((q2, q3), (q3, q1), (q1, q2)):
-            d = qk - qj
-            lines.append((-d.imag, d.real, cross(qj, qk)))
-        return lines
+        d1, d2, d3 = q3 - q2, q1 - q3, q2 - q1
+        return ((-d1.imag, d1.real, cross(q2, q3)), (-d2.imag, d2.real, cross(q3, q1)),
+                (-d3.imag, d3.real, cross(q1, q2)))
 
 
 class ConicClass(Enum):
@@ -825,23 +830,29 @@ def inconic_of(v: Tri, center, guard) -> Conic:
     # relative error, x_j's, x_k's and 3u, which det P = x^2 (2 sum e_i e_j - sum e_i^2) / 4 takes
     # times x^2 |e_j + e_k - e_i| / 2.  The edges' errors and the sums move each term of P by 7u of
     # its g bound, which det P takes times |p22|, |p11| or |p12|; det P itself rounds by 2u.
-    qx = [abs(p.real - center.real) for p in v.vertices]
-    qy = [abs(p.imag - center.imag) for p in v.vertices]
-    gx = [qx[i - 2] + qx[i - 1] + abs(vi) for i, vi in enumerate((v1, v2, v3))]
-    gy = [qy[i - 2] + qy[i - 1] + abs(ui) for i, ui in enumerate((u1, u2, u3))]
-    G = [gx[i - 2] * gy[i - 1] + gx[i - 1] * gy[i - 2] for i in range(3)]  # >= |u_j v_k| + |u_k v_j|
-    x, e, w, a, b, c = (x1, x2, x3), (e1, e2, e3), (w1, w2, w3), abs(p22), abs(p12), abs(p11)
-    bound = 2 * (a * c + b * b)
-    for i in range(3):
-        j, k = i - 2, i - 1
-        rel = (8 * (qx[j] * qy[k] + qy[j] * qx[k])  # |w_i| times e_i's relative error, over u
-               + abs(w[i]) * (4 * (G[j] / abs(x[j]) + G[k] / abs(x[k])) + 3))
-        bound = (bound + 0.5 * abs(w[i]) * rel * abs(e[i] - e[j] - e[k])
-                 + 7 * abs(e[i]) * (a * gx[j] * gx[k] + c * gy[j] * gy[k] + b * G[i]))
+    # Term i of the sum pairs with (j, k) = (2, 3), (3, 1), (1, 2) for i = 1, 2, 3.
+    p1, p2, p3, cx, cy = v.p1, v.p2, v.p3, center.real, center.imag
+    qx1, qx2, qx3 = abs(p1.real - cx), abs(p2.real - cx), abs(p3.real - cx)
+    qy1, qy2, qy3 = abs(p1.imag - cy), abs(p2.imag - cy), abs(p3.imag - cy)
+    gx1, gx2, gx3 = qx2 + qx3 + abs(v1), qx3 + qx1 + abs(v2), qx1 + qx2 + abs(v3)
+    gy1, gy2, gy3 = qy2 + qy3 + abs(u1), qy3 + qy1 + abs(u2), qy1 + qy2 + abs(u3)
+    # G_i >= |u_j v_k| + |u_k v_j|
+    G1, G2, G3 = gx2 * gy3 + gx3 * gy2, gx3 * gy1 + gx1 * gy3, gx1 * gy2 + gx2 * gy1
+    ax1, ax2, ax3, aw1, aw2, aw3 = abs(x1), abs(x2), abs(x3), abs(w1), abs(w2), abs(w3)
+    a, b, c = abs(p22), abs(p12), abs(p11)
+    # |w_i| times e_i's relative error, over u
+    rel1 = 8 * (qx2 * qy3 + qy2 * qx3) + aw1 * (4 * (G2 / ax2 + G3 / ax3) + 3)
+    rel2 = 8 * (qx3 * qy1 + qy3 * qx1) + aw2 * (4 * (G3 / ax3 + G1 / ax1) + 3)
+    rel3 = 8 * (qx1 * qy2 + qy1 * qx2) + aw3 * (4 * (G1 / ax1 + G2 / ax2) + 3)
+    bound = (2 * (a * c + b * b)
+             + 0.5 * aw1 * rel1 * abs(e1 - e2 - e3) + 7 * abs(e1) * (a * gx2 * gx3 + c * gy2 * gy3 + b * G1)
+             + 0.5 * aw2 * rel2 * abs(e2 - e3 - e1) + 7 * abs(e2) * (a * gx3 * gx1 + c * gy3 * gy1 + b * G2)
+             + 0.5 * aw3 * rel3 * abs(e3 - e1 - e2) + 7 * abs(e3) * (a * gx1 * gx2 + c * gy1 * gy2 + b * G3))
     delta, det = 0.5 * EPS * bound, -conic.F
     guard.check(abs(det) <= delta, NoRealConic, "inconic degenerates for this center")
     # the minor semi-axis sqrt(det P / lmax), lmax >= p11 and p22, moves by under delta / sqrt(lmax det P)
-    guard.check((det > 0.0) & (delta > 1e-9 * largest(p11, p22) * ufuncs(det).sqrt(abs(det))),
+    f = ufuncs(det)
+    guard.check((det > 0.0) & (delta > 1e-9 * f.maximum(p11, p22) * f.sqrt(abs(det))),
                 DegenerateConic, "inconic axes not resolved to 1e-9")
     return conic
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, random_triangle
@@ -36,7 +36,7 @@ from orbitconics.billiard import SHAPE_CLASSES
 from orbitconics.centers import center_of, derived_of
 from orbitconics.circumbilliard import (DERIVED_TRIANGLES, circumbilliard_axes, circumbilliard_of,
                                          derived_triangle)
-from orbitconics.kernel import RAISE, Tri, ellipse_axes, inconic_of
+from orbitconics.kernel import RAISE, Tri, ellipse_axes, inconic_of, nonfinite
 
 CENTER_IDS = sorted(SUPPORTED_CENTERS) + [ORTHIC_CB_CENTER]
 TAU = 2.0 * math.pi
@@ -359,14 +359,24 @@ def _probe_triangle(draw):
 
 
 def _checked_parts(name, v, guard):
-    """``PARITY[name]`` after the vertex and area checks every family and ``from_tri`` make."""
-    guard.check(v.nonfinite(), ValueError, "non-finite vertex")
+    """``PARITY[name]`` after the checks a ``Triangle`` makes: finite vertices (as ``Point``) and area.
+
+    Not ``Tri.nonfinite``, which families and ``from_tri`` read off the
+    perimeter: a ``Triangle`` of finite vertices may have an infinite one.
+    """
+    zero = [p.real * 0.0 + p.imag * 0.0 for p in v.vertices]  # nan where a coordinate is not finite
+    guard.check(nonfinite(zero[0] + zero[1] + zero[2]), ValueError, "non-finite vertex")
     guard.check(v.thin(), DegenerateTriangle, "area below tolerance")
     return PARITY[name](v, guard)
 
 
 @settings(max_examples=150, deadline=None)
 @given(triangles=st.lists(_probe_triangle(), min_size=1, max_size=8))
+# the perimeter overflows, so the excentral's b + c - a reads 0 (t / s with s = inf)
+@example(triangles=[(1e-308j, complex(-1e308, -2.381665725338452), complex(-1e308, -0.7656147436456129))])
+# p2 p3 is a side whose squared length underflows, and the area is nan (inf - inf): the orthic's foot
+@example(triangles=[(complex(-1e308, -1.873911601806066), complex(4.7638425248632573e-175, 5e-324),
+                     complex(1e-308, 0.0))])
 def test_a_stacked_row_refuses_or_answers_as_its_one_number_call(triangles):
     # a row refuses with the type the one-number call raises, or both give the same finite bits;
     # any other exception (ZeroDivisionError, OverflowError) fails the test

@@ -37,7 +37,7 @@ from orbitconics import (
     solve_inconic,
 )
 from orbitconics.circumbilliard import circumbilliard_of
-from orbitconics.kernel import RAISE, Skips, circumconic_of, complex_of, ellipse_axes
+from orbitconics.kernel import RAISE, Skips, circumconic_of, complex_of, ellipse_axes, inconic_of
 
 UNIT_CIRCLE = Conic(-1.0, 0.0, -1.0, 0.0, 0.0, 1.0)
 
@@ -445,6 +445,38 @@ def test_inconic_refuses_axes_it_cannot_resolve():
                                 (-0.23278227499718196, 0.045695499794638716)])
     with pytest.raises(DegenerateConic, match="not resolved"):
         solve_inconic(tri, Point(-0.12473241010171544, -0.08360203103800229))
+
+
+#: Thresholds of the rounding bound on det P for the triangle (0, 0), (4, 0), (1, 3), measured and
+#: kept as numbers: about the point (x, y) of the midline through vertex i, the center
+#: (x, y + side h) is refused below the offset h and answered above it.  Near the midline through
+#: p_i the bound's term i is more than twice each other term, so an index slip in a term moves its
+#: threshold by far more than 1e-6, and a change of rounding by about 1e-16.
+_BOUND_THRESHOLDS = [
+    # (i, (x, y), side, h, refusal)
+    (1, (1.25, 0.75), -1.0, 1.0824674490095276e-14, NoRealConic),
+    (2, (2.25, 0.75), -1.0, 4.4797499043625066e-14, NoRealConic),
+    (3, (1.5, 1.5), 1.0, 9.43689570931383e-15, NoRealConic),
+    (3, (1.5, 1.5), -1.0, 1.0463685473638407e-10, DegenerateConic),  # inside: "not resolved"
+]
+
+
+def test_inconic_bound_refuses_below_each_threshold_and_answers_above_it():
+    tri = Triangle.from_coords([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)])
+    cases = [(Point(x, y + side * (h * f)), refusal if f < 1.0 else None)
+             for _, (x, y), side, h, refusal in _BOUND_THRESHOLDS for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+    skips = Skips(len(cases))
+    stack = Tri(*(np.full(len(cases), p.z) for p in tri.vertices))
+    many = inconic_of(stack, np.array([ctr.z for ctr, _ in cases]), skips)
+    for i, (ctr, refusal) in enumerate(cases):
+        if refusal is None:
+            one = solve_inconic(tri, ctr)
+            assert skips.reason(i) == ""
+            assert (many.A[i], many.B[i], many.C[i], many.F[i]) == (one.A, one.B, one.C, one.F)
+        else:
+            with pytest.raises(refusal):
+                solve_inconic(tri, ctr)
+            assert skips.reason(i) == refusal.__name__
 
 
 @settings(max_examples=200, deadline=None)
