@@ -5,10 +5,11 @@ on its Mittenpunkt; the triangle is then a billiard orbit of that
 ellipse (the boundary normal at each vertex bisects the vertex angle).
 It is the circumconic with perspector X1, ``a yz + b zx + c xy = 0`` in
 barycentrics, so it has a closed form (``circumbilliard_of``) that
-needs no linear solve.  Its ellipse is read off in closed form too
-(``circumbilliard_axes``): the center is X9 itself, and the semi-axes
-come from the area, s, r/R and one eigenvalue half-gap, where the
-generic read-off's AC - B^2 cancels on eccentric ellipses.
+needs no linear solve.  ``circumbilliard_axes`` builds it from the
+triangle alone and reads its ellipse off in closed form too: the center
+is X9 itself (``params.center``, also read as ``mittenpunkt``), and the
+semi-axes come from the area, s, r/R and one eigenvalue half-gap, where
+the generic read-off's AC - B^2 cancels on eccentric ellipses.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ DERIVED_TRIANGLES = ("excentral", "act", "medial", "orthic")
 class CircumbilliardResult:
     conic: Conic
     params: EllipseParams
-    mittenpunkt: Point
 
-    def __init__(self, conic, params, mittenpunkt):
+    def __init__(self, conic, params):
         d = self.__dict__
-        d["conic"], d["params"], d["mittenpunkt"] = conic, params, mittenpunkt
+        d["conic"], d["params"] = conic, params
+
+    @property
+    def mittenpunkt(self) -> Point:
+        return self.params.center
 
     @property
     def aspect(self) -> float:
@@ -43,8 +47,8 @@ def circumbilliard_of(v: Tri) -> Conic:
     return circumconic_of(v, (v.s1, v.s2, v.s3))
 
 
-def circumbilliard_axes(v: Tri, q: Conic, guard):
-    """Semi-major, semi-minor axis and major-axis angle of ``q = circumbilliard_of(v)``.
+def circumbilliard_axes(v: Tri, guard):
+    """``q = circumbilliard_of(v)`` with its semi-major, semi-minor axis and major-axis angle.
 
     For this conic A + C = -2abc(1 + r/R), AC - B^2 = 16 area^2 r (4R + r) and
     its level is 2 area^2 abc / (r (4R + r)) (Yiu; Johnson).  With w = 1 + r/R
@@ -55,6 +59,7 @@ def circumbilliard_axes(v: Tri, q: Conic, guard):
     is refused (ValueError) beyond.  Numbers or arrays; ``guard`` is RAISE
     or a Skips.
     """
+    q = circumbilliard_of(v)
     s1, s2, s3, area = v.s1, v.s2, v.s3, v.area
     s = 0.5 * (s1 + s2 + s3)
     k = 1.0 / (s1 * s2) / s3  # 1 / abc; no factor is 0 on a triangle that Tri.thin passes
@@ -67,16 +72,13 @@ def circumbilliard_axes(v: Tri, q: Conic, guard):
     # (of length degree 4, where abc and A, B, C are of 3) overflow first, from about 1e77
     guard.check(nonfinite(semi_major + q.D * 0.0 + q.E * 0.0), ValueError,
                 "non-finite ellipse center or semi-axes")
-    return semi_major, semi_minor, angle
+    return q, semi_major, semi_minor, angle
 
 
 def circumbilliard(t: Triangle) -> CircumbilliardResult:
     """Unique circumellipse of ``t`` centered on its Mittenpunkt X9."""
-    v = t.tri
-    conic = circumbilliard_of(v)
-    semi_major, semi_minor, angle = circumbilliard_axes(v, conic, RAISE)
-    x9 = center(t, 9)
-    return CircumbilliardResult(conic, EllipseParams(x9, semi_major, semi_minor, angle), x9)
+    conic, semi_major, semi_minor, angle = circumbilliard_axes(t.tri, RAISE)
+    return CircumbilliardResult(conic, EllipseParams(center(t, 9), semi_major, semi_minor, angle))
 
 
 def derived_cb(t: Triangle, which: str) -> CircumbilliardResult:

@@ -25,9 +25,9 @@ forms: a symmetric barycentric matrix mapped through the sidelines
 ``Tri`` in closed form in the dual plane, behind one rounding bound (``inconic_of``).
 Center, semi-axes, axis angle and hyperbola focal length are read off
 the six coefficients (``ellipse_axes``, ``focal_length``), except for
-the circumbilliard, whose invariants are known: ``circumbilliard``
-reads it off the triangle in closed form and shares only the half-gap
-and angle lines (``larger_eigenvalue_and_angle``).
+the circumbilliard, whose invariants are known: ``circumbilliard_axes``
+builds it from its triangle alone, reads it off in closed form and
+shares only the half-gap and angle lines (``larger_eigenvalue_and_angle``).
 """
 
 from __future__ import annotations
@@ -457,11 +457,6 @@ class Conic:
     def coeffs(self) -> tuple:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
 
-    def coeff_norm(self) -> float:
-        """Euclidean norm of the polynomial's coefficients (A, 2B, C, 2D, 2E, F)."""
-        A, B, C, D, E, F = self.coeffs
-        return math.sqrt(A * A + 4 * B * B + C * C + 4 * D * D + 4 * E * E + F * F)
-
     def gradient(self, p: Point) -> Point:
         x, y = p.x - self.anchor.real, p.y - self.anchor.imag
         return Point(
@@ -604,21 +599,17 @@ def circumconic_of(v: Tri, perspector) -> Conic:
     """Circumconic ``u1 yz + u2 zx + u3 xy = 0`` of perspector (u1 : u2 : u3), anchored at p1.
 
     ``Q = L^T M L`` for the barycentric matrix ``M = [[0, u3, u2], [u3, 0, u1],
-    [u2, u1, 0]]`` and the sidelines ``L`` about p1, written out.  With
-    q_k = p_k - p1 = x_k + i y_k the sidelines are (y2 - y3, x3 - x2, q2 x q3),
-    (y3, -x3, 0) and (-y2, x2, 0): the two through p1 have no constant
+    [u2, u1, 0]]`` and the sidelines ``L = Tri.sidelines(p1)``, written out.
+    The two sidelines through p1 have a signed zero for their constant
     term, so D and E keep one product each and F, the value at p1, is a
     zero.  F keeps the sign of the generic product (``cb`` prints it),
-    taken from the signed zeros of those two cross products.  Equal bit
+    taken from the signs of those two zeros.  Equal bit
     for bit to the generic form (``tests/oracles.circumconic_generic``)
     on every triangle of nonzero area, up to the sign of a D or E that
     underflows to zero.  Works on numbers and arrays alike.
     """
     u1, u2, u3 = perspector
-    q2, q3 = v.p2 - v.p1, v.p3 - v.p1
-    a1, b1, c1 = q2.imag - q3.imag, q3.real - q2.real, cross(q2, q3)
-    a2, b2, a3, b3 = q3.imag, -q3.real, -q2.imag, q2.real
-    c2, c3 = q3.real * 0.0 - q3.imag * 0.0, 0.0 * q2.imag - 0.0 * q2.real  # cross(q3, 0), cross(0, q2)
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = v.sidelines(v.p1)
     return Conic(
         u1 * (2 * (a2 * a3)) + u2 * (2 * (a3 * a1)) + u3 * (2 * (a1 * a2)),
         u1 * (a2 * b3 + a3 * b2) + u2 * (a3 * b1 + a1 * b3) + u3 * (a1 * b2 + a2 * b1),

@@ -27,7 +27,7 @@ from .billiard import (
     orbit,
     sample_grid,
 )
-from .circumbilliard import circumbilliard_axes, circumbilliard_of
+from .circumbilliard import circumbilliard_axes
 from .errors import IllConditioned
 from .kernel import CONDITION_LIMIT, ArrayView, Point, Points, Skips
 
@@ -99,7 +99,8 @@ def fit_locus(samples) -> LocusFitReport:
     """Least-squares fit of A x^2 + B y^2 = 1 through the samples.
 
     ``samples`` is a ``Points`` (read without building any Point) or a
-    sequence of Points or (x, y) pairs.
+    sequence of Points or (x, y) pairs.  Normal equations beyond the float
+    range, as for samples beyond about 1e38, are refused (ValueError).
     """
     pts = Points.of(samples)
     if len(pts) < MIN_SAMPLES:
@@ -107,11 +108,14 @@ def fit_locus(samples) -> LocusFitReport:
     x, y = pts.array.real, pts.array.imag
     x2, y2 = x * x, y * y
     # normal equations [[sxx, sxy], [sxy, syy]] (A, B) = (sx, sy) by Cramer's rule,
-    # refused when the first partial pivot squared exceeds CONDITION_LIMIT |det|
+    # refused when the first partial pivot squared exceeds CONDITION_LIMIT |det|; det's
+    # Python-float products overflow to inf or nan silently, so that is refused first
     sxx, sxy, syy = float((x2 * x2).sum()), float((x2 * y2).sum()), float((y2 * y2).sum())
     sx, sy = float(x2.sum()), float(y2.sum())
     det = sxx * syy - sxy * sxy
     pivot = max(abs(sxx), abs(sxy))
+    if not math.isfinite(det):
+        raise ValueError("non-finite normal equations")
     if det == 0.0 or pivot * pivot > CONDITION_LIMIT * abs(det):
         raise IllConditioned(f"pivot ratio beyond {CONDITION_LIMIT:.0e}")
     A, B = (sx * syy - sxy * sy) / det, (sxx * sy - sxy * sx) / det
@@ -223,10 +227,6 @@ def _rel_spread_stats(name: str, values, tol: float) -> QuantityStats:
     return _bounded(name, lo, hi, (hi - lo) / abs(float(values.sum() / values.size)), tol)
 
 
-def _cb_axes(v, skips):
-    return circumbilliard_axes(v, circumbilliard_of(v), skips)
-
-
 def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     """Family-invariance statistics over n orbit samples.
 
@@ -239,8 +239,8 @@ def invariant_report(shape: BilliardShape, n: int = 720) -> InvariantReport:
     with np.errstate(all="ignore"):
         v = orbit(shape, sample_grid(n), skips).tri
         x9n = abs(centers.center_of(v, 9, skips))
-        act, med = (_cb_axes(centers.derived_of(v, d, skips), skips) for d in ("act", "medial"))
-        rows = np.stack([v.perimeter(), v.inradius() / v.circumradius(), x9n, *act, *med])
+        act, med = (circumbilliard_axes(centers.derived_of(v, d, skips), skips) for d in ("act", "medial"))
+        rows = np.stack([v.perimeter(), v.inradius() / v.circumradius(), x9n, *act[1:], *med[1:]])
     keep = skips.kept(MIN_SAMPLES)
     (perimeter, rho, x9n, act_major, act_minor, act_angle,
      med_major, med_minor, med_angle) = rows[:, keep]
@@ -291,7 +291,7 @@ def poristic_report(ps, n: int = 360) -> PoristicReport:
     skips = Skips(n)
     with np.errstate(all="ignore"):
         v = orbit(ps, sample_grid(n), skips).tri
-        semi_major, semi_minor, _ = _cb_axes(v, skips)
+        _, semi_major, semi_minor, _ = circumbilliard_axes(v, skips)
         x9 = centers.center_of(v, 9, skips)
     keep = skips.kept(MIN_SAMPLES)
     aspects = semi_major[keep] / semi_minor[keep]

@@ -514,9 +514,9 @@ def intouch_superposition_check(shape: BilliardShape, t: float) -> Superposition
     act_touch = intouch_points(act(tri))
     res_act = max(abs(shape.boundary_value(p)) for p in act_touch)
     medial_cb = derived_cb(tri, "medial").conic
-    res_med = max(
-        abs(conic_eval(medial_cb, p)) / medial_cb.coeff_norm() for p in intouch_points(tri)
-    )
+    A, B, C, D, E, F = medial_cb.coeffs  # the norm of the polynomial's (A, 2B, C, 2D, 2E, F)
+    norm = math.sqrt(A * A + 4 * B * B + C * C + 4 * D * D + 4 * E * E + F * F)
+    res_med = max(abs(conic_eval(medial_cb, p)) / norm for p in intouch_points(tri))
     return SuperpositionReport(res_act, res_med)
 
 

@@ -24,7 +24,7 @@ from orbitconics import (
     orthic_cb_center,
     reflection_residual,
 )
-from orbitconics.circumbilliard import circumbilliard_axes, circumbilliard_of
+from orbitconics.circumbilliard import circumbilliard_axes
 from orbitconics.kernel import RAISE, Skips, Tri
 
 SHAPE = BilliardShape(1.5, 1.0)
@@ -101,7 +101,7 @@ def test_thin_triangles_match_the_decimal_circumbilliard(rng, log_height):
         assert abs(params.center.z - want_center) <= 1e-12 * max(tri.sidelengths())
     v = stack_tris(triangles)
     skips = Skips(len(triangles))
-    circumbilliard_axes(v, circumbilliard_of(v), skips)
+    circumbilliard_axes(v, skips)
     assert skips.valid.all()
 
 
@@ -128,15 +128,15 @@ def test_circumbilliard_axes_refuse_beyond_the_float_range_alike():
     for scale in (1e80, 1e110, 1e-110):
         one = Tri(*(z * scale for z in vertices))
         with pytest.raises(ValueError, match="^non-finite ellipse center or semi-axes$"):
-            circumbilliard_axes(one, circumbilliard_of(one), RAISE)
+            circumbilliard_axes(one, RAISE)
     stack = Tri(*(np.array([z * 1e110, z, z * 1e-110]) for z in vertices))
     skips = Skips(3)
     with np.errstate(all="ignore"):
-        major, minor, _ = circumbilliard_axes(stack, circumbilliard_of(stack), skips)
+        _, major, minor, _ = circumbilliard_axes(stack, skips)
     assert [skips.reason(i) for i in range(3)] == ["ValueError", "", "ValueError"]
     assert skips.failures == [(ValueError, "non-finite ellipse center or semi-axes")]
     unit = Tri(*vertices)
-    assert (major[1], minor[1]) == circumbilliard_axes(unit, circumbilliard_of(unit), RAISE)[:2]
+    assert (major[1], minor[1]) == circumbilliard_axes(unit, RAISE)[1:3]
 
 
 def test_random_triangles_reflection_law(rng):

@@ -176,6 +176,15 @@ def test_locus_bad_center_exit_1(capsys):
     assert code == 1
 
 
+def test_locus_fit_beyond_the_float_range_exit_1(capsys):
+    # the X7 locus of a/b = 1.5 scaled by 2^127, whose fit read NON_ELLIPTIC with exit 0
+    code, stdout, err = run_cli(capsys, ["locus", "--a", "2.5521177519070385e+38", "--b",
+                                         "1.7014118346046923e+38", "--center", "X7", "--fit"])
+    assert code == 1
+    assert stdout.startswith("t,x,y\n") and "verdict" not in stdout
+    assert err == "orbitconics: error: non-finite normal equations\n"
+
+
 def test_invariants_report(capsys, tmp_path):
     out_path = tmp_path / "inv.json"
     code, _, _ = run_cli(

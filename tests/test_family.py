@@ -34,8 +34,7 @@ from orbitconics import (
 )
 from orbitconics.billiard import SHAPE_CLASSES
 from orbitconics.centers import center_of, derived_of
-from orbitconics.circumbilliard import (DERIVED_TRIANGLES, circumbilliard_axes, circumbilliard_of,
-                                         derived_triangle)
+from orbitconics.circumbilliard import DERIVED_TRIANGLES, circumbilliard_axes, derived_triangle
 from orbitconics.kernel import RAISE, Tri, ellipse_axes, inconic_of, nonfinite
 
 CENTER_IDS = sorted(SUPPORTED_CENTERS) + [ORTHIC_CB_CENTER]
@@ -114,7 +113,7 @@ def test_batched_kernel_matches_scalar_api(alpha, ts, rotation, log_scale, offse
                           lambda t: derived_triangle(t, which).vertices[k], tol)
 
     skips = Skips(len(moved))
-    cb_major, cb_minor, cb_angle = circumbilliard_axes(v, circumbilliard_of(v), skips)
+    _, cb_major, cb_minor, cb_angle = circumbilliard_axes(v, skips)
     cb_center = center_of(v, 9, skips)
     for i, tri in enumerate(moved):
         want, reason = _outcome(lambda: circumbilliard(tri).params)
@@ -164,7 +163,7 @@ def test_batched_poristic_circumbilliard_matches_scalar_api(rho, thetas, log_sca
     ps = PoristicShape(rho * R, R)
     skips = Skips(len(thetas))
     v = ps.family(np.array(thetas), skips)
-    cb_major, cb_minor, cb_angle = circumbilliard_axes(v, circumbilliard_of(v), skips)
+    _, cb_major, cb_minor, cb_angle = circumbilliard_axes(v, skips)
     x9 = center_of(v, 9, skips)
     tol = 1e-12 * R
     for i, theta in enumerate(thetas):
@@ -246,7 +245,7 @@ def test_squares_round_alike_for_one_triangle_and_a_stack(rng):
     v = stack_tris(triangles)
     skips = Skips(len(triangles))
     x1156 = center_of(v, 1156, skips)
-    major, minor, _ = circumbilliard_axes(v, circumbilliard_of(v), skips)
+    _, major, minor, _ = circumbilliard_axes(v, skips)
     for i, tri in enumerate(triangles):
         if skips.valid[i]:
             assert center(tri, 1156).z == x1156[i]
@@ -302,7 +301,7 @@ def _derived_parts(which):
 
 def _circumbilliard_parts(v, guard):
     # not the axis angle: numpy's arctan2 and libm's atan2 may differ in the last bit
-    major, minor, _ = circumbilliard_axes(v, circumbilliard_of(v), guard)
+    _, major, minor, _ = circumbilliard_axes(v, guard)
     center_z = center_of(v, 9, guard)
     return (center_z.real, center_z.imag, major, minor)
 

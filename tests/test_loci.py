@@ -63,6 +63,21 @@ def test_fit_ill_conditioned_for_collinear_through_origin():
         fit_locus(pts)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_refuses_normal_equations_beyond_the_float_range():
+    # the normal equations multiply sums of fourth powers as Python floats, which overflow to
+    # inf or nan silently: the X7 locus at 2^127 gave A = B = 0 and at 2^128 a nan fit, both
+    # read NON_ELLIPTIC; at 2^126 the fit is the one at scale 1, to the bit
+    want = fit_locus(sweep_locus(SHAPE, 7).points)
+    got = fit_locus(sweep_locus(BilliardShape(1.5 * 2.0**126, 2.0**126), 7).points)
+    assert (got.fit_A * 2.0**252, got.fit_B * 2.0**252) == (want.fit_A, want.fit_B)
+    assert (got.rms_residual, got.verdict) == (want.rms_residual, Verdict.ELLIPTIC)
+    for k in (127, 128):
+        sweep = sweep_locus(BilliardShape(1.5 * 2.0**k, 2.0**k), 7)
+        with pytest.raises(ValueError, match="^non-finite normal equations$"):
+            fit_locus(sweep.points)
+
+
 def test_sweep_x9_stationary():
     sweep = sweep_locus(SHAPE, 9, n=360)
     assert len(sweep.points) == 360
