@@ -45,9 +45,8 @@ _LAZY_EXPORTS = {
         "macbeath_inconic_ratio", "poristic_cb_aspect", "poristic_triangle", "x3_inconic_ratio",
     ),
     "kernel": (
-        "Conic", "ConicClass", "EllipseParams", "Point", "Points", "Skips", "Tri", "Triangle",
-        "classify_conic", "conic_center", "conic_eval", "conic_to_ellipse_params", "focal_length",
-        "line_conic_tangency_residual", "solve_circumconic", "solve_inconic",
+        "Conic", "EllipseParams", "Point", "Points", "Skips", "Tri", "Triangle", "conic_center",
+        "conic_eval", "conic_to_ellipse_params", "focal_length", "solve_circumconic", "solve_inconic",
     ),
     "loci": (
         "CircleFit", "InvariantReport", "LocusFitReport", "LocusSweep", "Verdict",

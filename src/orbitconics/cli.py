@@ -21,6 +21,7 @@ numpy is loaded only by the subcommands that sweep arrays: ``family``,
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -38,12 +39,16 @@ def write_text_atomic(path: str, text: str) -> None:
     The file gets the mode ``open(path, "w")`` would give it: an existing
     target keeps its mode, a new file gets 0o666 less the umask.
     """
-    path = os.path.realpath(path)  # write through a symlink, as open(path, "w") does
+    real = os.path.realpath(path)  # write through a symlink, as open(path, "w") does
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        mode = stat.S_IMODE(os.stat(real).st_mode)
     except FileNotFoundError:
         mode = None
-    tmp = os.path.join(os.path.dirname(path), f".orbitconics-{os.urandom(8).hex()}")
+    # a directory, or a file in a missing one: refused under the name given, before any temp file
+    if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
+        code = errno.EISDIR if mode is not None else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    tmp = os.path.join(os.path.dirname(real), f".orbitconics-{os.urandom(8).hex()}")
     # O_EXCL: never write through a file or link already at the temp name
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -51,7 +56,7 @@ def write_text_atomic(path: str, text: str) -> None:
             if mode is not None:
                 os.fchmod(handle.fileno(), mode)
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

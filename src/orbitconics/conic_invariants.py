@@ -248,7 +248,10 @@ def billiard_intersections(shape: BilliardShape, hyp: Conic) -> list[Point]:
     Finds the sign changes of the hyperbola form (``kernel.conic_form``)
     on a boundary grid of INTERSECTION_GRID points, evaluated as one
     array, and refines each bracket by bisection through the same form.
+    A non-finite coefficient is refused (ValueError).
     """
+    if any(map(nonfinite, hyp.coeffs)):
+        raise ValueError(f"non-finite conic coefficients {hyp.coeffs}")
     grid = INTERSECTION_GRID
     ts = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     vals = conic_form(hyp, shape.a * np.cos(ts), shape.b * np.sin(ts))

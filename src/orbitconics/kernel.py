@@ -36,7 +36,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
-from enum import Enum
 from functools import reduce
 
 from .errors import (
@@ -423,13 +422,6 @@ class Tri:
                 (-d3.imag, d3.real, cross(q1, q2)))
 
 
-class ConicClass(Enum):
-    ELLIPSE = "ellipse"
-    HYPERBOLA = "hyperbola"
-    PARABOLA = "parabola"
-    DEGENERATE = "degenerate"
-
-
 @dataclass(frozen=True, init=False)
 class Conic:
     """``A x^2 + 2B xy + C y^2 + 2D x + 2E y + F = 0``, (x, y) relative to ``anchor``.
@@ -647,34 +639,6 @@ def determinants(q: Conic):
     return ac - bb, 1e-12 * (bb + abs(ac))
 
 
-def _unit(q: Conic):
-    """q divided, exactly, by the power of two that brings its largest coefficient into [0.5, 1).
-
-    Returns it with that coefficient as scaled; one conic of numbers.
-    """
-    big = max(map(abs, (q.A, 2 * q.B, q.C, 2 * q.D, 2 * q.E, q.F)))
-    scale, exponent = math.frexp(big)
-    return Conic(*[math.ldexp(x, -exponent) for x in q.coeffs], q.anchor), scale
-
-
-def classify_conic(conic: Conic) -> ConicClass:
-    """Ellipse / hyperbola / parabola of the ``_unit`` conic; a non-finite coefficient: ValueError."""
-    if any(map(nonfinite, conic.coeffs)):
-        raise ValueError(f"non-finite conic coefficients {conic.coeffs}")
-    unit, scale = _unit(conic)
-    A, B, C, D, E, F = unit.coeffs
-    det, band = determinants(unit)
-    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
-    # a line pair where |det3| is at most 1e-12 times the unit conic's largest coefficient cubed
-    if abs(det3) <= 1e-12 * scale**3:
-        return ConicClass.DEGENERATE
-    if det > band:
-        return ConicClass.ELLIPSE
-    if det < -band:
-        return ConicClass.HYPERBOLA
-    return ConicClass.PARABOLA
-
-
 def _center_and_level(q: Conic, det):
     """Center relative to the anchor, and the level K, given det = A C - B^2 != 0.
 
@@ -767,26 +731,6 @@ def focal_length(q: Conic, guard=RAISE):
     length = 2.0 * f.sqrt(abs(K) / where(m * f.sign(K) >= 0.0, big, -det / big))
     guard.check(nonfinite(length), ValueError, "non-finite focal length")
     return length
-
-
-def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
-    """Scaled discriminant of the ``_unit`` conic restricted to the line pq (0 = tangent).
-
-    A line in the conic has no discriminant (DegenerateConic); equal points span no line, and a
-    residual whose terms leave the float range cannot be measured (ValueError).
-    """
-    if p == q:
-        raise ValueError("tangency residual of a line through two equal points")
-    u, d = _unit(conic)[0], q - p
-    qa = u.A * d.x * d.x + 2 * u.B * d.x * d.y + u.C * d.y * d.y
-    qb, qc = u.gradient(p).dot(d), conic_eval(u, p)
-    if qa == qb == qc == 0.0:
-        raise DegenerateConic("the line lies in the conic")
-    size = abs(qa) + abs(qb) + abs(qc)
-    discriminant, squared = abs(qb * qb - 4.0 * qa * qc), size * size
-    if nonfinite(discriminant + squared):
-        raise ValueError("tangency residual beyond the float range")
-    return discriminant / squared
 
 
 def inconic_of(v: Tri, center, guard) -> Conic:

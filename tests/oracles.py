@@ -5,14 +5,16 @@ paths: the orbit oracle iterates the raw reflection map and solves the
 closure condition by bisection, the extremal-radius search measures
 ellipse axes by brute force along rays, and the excentral inconic axes,
 the inconic solve and the xy-hyperbola focal length are computed in
-high-precision decimals.  Then come references of
-another kind: the generic circumconic form and the point-by-point
-intersection loop, which the library's written-out and array versions
-must equal bit for bit.  The helpers at the end build test inputs and
-check classical facts through the library (trilinears to Cartesians,
-canonical ellipse parameters to a conic, the upright isosceles orbit,
-intouch points and their superposition facts, stacked triangles); only
-the tests use them, so the package does not export them.
+high-precision decimals.  Then come references of another kind: the
+generic circumconic form and the point-by-point intersection loop, which
+the library's written-out and array versions must equal bit for bit,
+and two measures the library never takes of its own conics: their type
+(``classify_conic``) and a line's tangency to them
+(``line_conic_tangency_residual``).  The helpers at the end build test
+inputs and check classical facts through the library (trilinears to
+Cartesians, canonical ellipse parameters to a conic, the upright
+isosceles orbit, intouch points and their superposition facts, stacked
+triangles); only the tests use them, so the package does not export them.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from enum import Enum
 
 import numpy as np
 
 from orbitconics import (
     BilliardShape,
     Conic,
-    ConicClass,
+    DegenerateConic,
     EllipseParams,
     Point,
     Tri,
@@ -38,7 +41,7 @@ from orbitconics import (
     orbit,
 )
 from orbitconics.centers import _point_of
-from orbitconics.kernel import RAISE, perp_foot
+from orbitconics.kernel import RAISE, determinants, nonfinite, perp_foot
 
 
 def reflection_map_orbit(a: float, b: float, t: float):
@@ -443,6 +446,67 @@ def billiard_intersections_pointwise(shape, hyp, grid: int = 4096):
                     lo, flo = mid, fm
             points.append(shape.boundary_point(0.5 * (lo + hi)))
     return points
+
+
+class ConicClass(Enum):
+    ELLIPSE = "ellipse"
+    HYPERBOLA = "hyperbola"
+    PARABOLA = "parabola"
+    DEGENERATE = "degenerate"
+
+
+def _unit(q: Conic):
+    """q divided, exactly, by the power of two that brings its largest coefficient into [0.5, 1).
+
+    Returns it with that coefficient as scaled; one conic of numbers.
+    """
+    big = max(map(abs, (q.A, 2 * q.B, q.C, 2 * q.D, 2 * q.E, q.F)))
+    scale, exponent = math.frexp(big)
+    return Conic(*[math.ldexp(x, -exponent) for x in q.coeffs], q.anchor), scale
+
+
+def classify_conic(conic: Conic) -> ConicClass:
+    """Ellipse / hyperbola / parabola of the ``_unit`` conic; a non-finite coefficient: ValueError.
+
+    The type read off the six coefficients with the library's dead band
+    (``kernel.determinants``), for conics the library builds without
+    reading their type: the tests check that a circumbilliard is an
+    ellipse, an xy-hyperbola a hyperbola.
+    """
+    if any(map(nonfinite, conic.coeffs)):
+        raise ValueError(f"non-finite conic coefficients {conic.coeffs}")
+    unit, scale = _unit(conic)
+    A, B, C, D, E, F = unit.coeffs
+    det, band = determinants(unit)
+    det3 = D * (B * E - C * D) + E * (B * D - A * E) + F * det
+    # a line pair where |det3| is at most 1e-12 times the unit conic's largest coefficient cubed
+    if abs(det3) <= 1e-12 * scale**3:
+        return ConicClass.DEGENERATE
+    if det > band:
+        return ConicClass.ELLIPSE
+    if det < -band:
+        return ConicClass.HYPERBOLA
+    return ConicClass.PARABOLA
+
+
+def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
+    """Scaled discriminant of the ``_unit`` conic restricted to the line pq (0 = tangent).
+
+    A line in the conic has no discriminant (DegenerateConic); equal points span no line, and a
+    residual whose terms leave the float range cannot be measured (ValueError).
+    """
+    if p == q:
+        raise ValueError("tangency residual of a line through two equal points")
+    u, d = _unit(conic)[0], q - p
+    qa = u.A * d.x * d.x + 2 * u.B * d.x * d.y + u.C * d.y * d.y
+    qb, qc = u.gradient(p).dot(d), conic_eval(u, p)
+    if qa == qb == qc == 0.0:
+        raise DegenerateConic("the line lies in the conic")
+    size = abs(qa) + abs(qb) + abs(qc)
+    discriminant, squared = abs(qb * qb - 4.0 * qa * qc), size * size
+    if nonfinite(discriminant + squared):
+        raise ValueError("tangency residual beyond the float range")
+    return discriminant / squared
 
 
 def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (ellipse_to_conic, inradius_to_circumradius_decimal, isosceles_dimensions,
-                     reflection_map_orbit)
+                     line_conic_tangency_residual, reflection_map_orbit)
 from orbitconics import (
     BilliardShape,
     InvalidShape,
@@ -16,7 +16,6 @@ from orbitconics import (
     classify_triangle,
     equilateral_orthic_threshold,
     inradius_to_circumradius,
-    line_conic_tangency_residual,
     obtuse_threshold,
     orbit,
     reflection_residual,

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import angle_dist_mod_pi, placed_triangle, random_triangle
-from oracles import circumbilliard_decimal, intouch_points, intouch_superposition_check, stack_tris
+from oracles import (ConicClass, circumbilliard_decimal, classify_conic, intouch_points,
+                     intouch_superposition_check, stack_tris)
 from orbitconics import (
     BilliardShape,
     Conic,
-    ConicClass,
     DegenerateConic,
     DegenerateTriangle,
     Point,
     Triangle,
     center,
     circumbilliard,
-    classify_conic,
     derived_cb,
     derived_triangle,
     equilateral_orthic_threshold,

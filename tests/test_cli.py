@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import io
 import json
@@ -522,14 +523,26 @@ def test_atomic_write_keeps_the_mode_of_an_existing_file(tmp_path, umask):
     assert _mode(out) == 0o640
 
 
-def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
-    target = tmp_path / "a-directory"
+def test_failed_atomic_write_leaves_no_temp_file(capsys, tmp_path):
+    # a directory and a file in a missing directory are refused under the name given, before a
+    # temp file is made in the directory or its parent
+    target, missing = tmp_path / "a-directory", tmp_path / "missing" / "x.csv"
     target.mkdir()
-    with pytest.raises(OSError):
+    with pytest.raises(IsADirectoryError) as refused:
         write_text_atomic(str(target), "text")
+    assert refused.value.filename == str(target)
+    with pytest.raises(FileNotFoundError) as refused:
+        write_text_atomic(str(missing), "text")
+    assert refused.value.filename == str(missing)
+    shape = ["--a", "1.5", "--b", "1", "--n", "16"]
+    for argv, out, code in ((["invariants", *shape], target, errno.EISDIR),
+                            (["locus", *shape, "--center", "X1"], missing, errno.ENOENT)):
+        message = f"orbitconics: error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
+        assert run_cli(capsys, [*argv, "--out", str(out)]) == (1, "", message)
     with pytest.raises(UnicodeEncodeError):
         write_text_atomic(str(tmp_path / "new.txt"), "\ud800")
     assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+    assert list(target.iterdir()) == []
 
 
 def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):

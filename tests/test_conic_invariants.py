@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, xy_coefficients
-from oracles import (billiard_intersections_pointwise, centers_decimal, excenters_decimal,
-                     excentral_inconic_axes_decimal, stack_tris, xy_focal_decimal)
+from oracles import (ConicClass, billiard_intersections_pointwise, centers_decimal, classify_conic,
+                     excenters_decimal, excentral_inconic_axes_decimal, stack_tris,
+                     xy_focal_decimal)
 from orbitconics import (
     BilliardShape,
     Conic,
-    ConicClass,
     DegenerateConic,
     DegenerateTriangle,
     FocalSample,
@@ -26,7 +26,6 @@ from orbitconics import (
     billiard_intersections,
     center,
     circumbilliard,
-    classify_conic,
     conic_center,
     conic_eval,
     conic_to_ellipse_params,

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_dist_mod_pi, five_coefficients, random_triangle, residual_scale
-from oracles import (axis_endpoints, circumconic_generic, ellipse_to_conic,
-                     excentral_inconic_axes_decimal, extremal_radii, incircle, inconic_decimal)
+from oracles import (ConicClass, axis_endpoints, circumconic_generic, classify_conic,
+                     ellipse_to_conic, excentral_inconic_axes_decimal, extremal_radii, incircle,
+                     inconic_decimal, line_conic_tangency_residual)
 from orbitconics import (
     BilliardShape,
     Conic,
-    ConicClass,
     DegenerateConic,
     DegenerateTriangle,
     EllipseParams,
@@ -27,11 +27,9 @@ from orbitconics import (
     Triangle,
     caustic,
     center,
-    classify_conic,
     conic_eval,
     conic_to_ellipse_params,
     excentral,
-    line_conic_tangency_residual,
     orbit,
     solve_circumconic,
     solve_inconic,
@@ -211,6 +209,13 @@ def test_classify_huge_coefficients():
     assert classify_conic(Conic(1e200, 0.0, -2e200, 0.0, 0.0, -3e200)) is ConicClass.HYPERBOLA
     # its x semi-axis is 10^-51.5 of its y semi-axis: a line pair at the relative threshold
     assert classify_conic(Conic(1e103, 0, 1, 0, 0, -1)) is ConicClass.DEGENERATE
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan],
+                         ids=["classify inf conic", "classify nan conic"])
+def test_classify_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="^non-finite conic coefficients"):
+        classify_conic(Conic(bad, 0.0, 1.0, 0.0, 0.0, -1.0))
 
 
 def _bits(x):

@@ -141,10 +141,14 @@ def test_scalar_results_are_plain_floats():
      oc.NotAnEllipse),
     ("ellipse as hyperbola", lambda: oc.focal_length(oc.Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)),
      oc.DegenerateConic),
-    ("classify inf conic", lambda: oc.classify_conic(oc.Conic(INF, 0.0, 1.0, 0.0, 0.0, -1.0)),
-     ValueError),
-    ("classify nan conic", lambda: oc.classify_conic(oc.Conic(NAN, 0.0, 1.0, 0.0, 0.0, -1.0)),
-     ValueError),
+    # refused before the grid is evaluated, where a nan coefficient gives no sign change (read as
+    # "no intersections") and an inf one gives inf * 0 = nan with a RuntimeWarning
+    ("intersect nan conic",
+     lambda: oc.billiard_intersections(SHAPE, oc.Conic(NAN, 0.0, 1.0, 0.0, 0.0, -1.0)), ValueError),
+    ("intersect inf conic",
+     lambda: oc.billiard_intersections(SHAPE, oc.Conic(INF, 0.0, -INF, 0.0, 0.0, -1.0)), ValueError),
+    ("intersect -inf conic",
+     lambda: oc.billiard_intersections(SHAPE, oc.Conic(0.0, 0.0, 1.0, -INF, 0.0, -1.0)), ValueError),
 ])
 def test_bad_inputs_raise_their_exception_types(label, call, exc):
     with pytest.raises(exc):
