@@ -5,9 +5,10 @@ The circumbilliard of a triangle
 Every triangle has a unique circumellipse centered on its Mittenpunkt
 (X9), and the triangle is a billiard orbit of that ellipse: at each
 vertex the ellipse normal bisects the vertex angle.  This script builds
-that ellipse for a hand-picked triangle, checks the reflection law, and
-then closes the loop: orbits generated inside a known billiard recover
-the billiard itself.
+that ellipse for a hand-picked triangle, shows that the triangle is a
+3-periodic of it by rebuilding the orbit through its first vertex with
+the billiard's own Poncelet construction, and then closes the loop:
+orbits generated inside a known billiard recover the billiard itself.
 """
 import math
 
@@ -17,7 +18,6 @@ from orbitconics import (
     Triangle,
     circumbilliard,
     orbit,
-    reflection_residual,
 )
 
 # An arbitrary scalene triangle.
@@ -30,7 +30,18 @@ print("ellipse center:      ", result.params.center)
 print("semi-axes:           ", result.params.semi_major, result.params.semi_minor)
 print("axis angle (deg):    ", math.degrees(result.params.axis_angle))
 print("aspect ratio:        ", result.aspect)
-print("reflection residual: ", reflection_residual(result.conic, tri), "rad")
+
+# In the circumbilliard's own frame (center at X9, major axis along x) the
+# triangle is the orbit whose first vertex sits at parameter t1, where
+# (x1, y1) = (a cos t1, b sin t1).  Both wind counterclockwise, so vertex
+# i of one is vertex i of the other.
+p = result.params
+turn = complex(math.cos(-p.axis_angle), math.sin(-p.axis_angle))
+moved = [Point.from_complex((v.z - p.center.z) * turn) for v in tri.vertices]
+t1 = math.atan2(moved[0].y / p.semi_minor, moved[0].x / p.semi_major)
+rebuilt = orbit(BilliardShape(p.semi_major, p.semi_minor), t1).triangle
+offset = max(u.dist(v) for u, v in zip(moved, rebuilt.vertices))
+print("rebuilt orbit offset:", f"{offset:.1e}", "(largest vertex distance)")
 
 # Now start from a billiard with semi-axes (1.5, 1.0), take the orbit
 # triangle at a few parameters, and ask for its circumbilliard.  The

@@ -36,7 +36,7 @@ _LAZY_EXPORTS = {
         "excentral", "medial", "orthic", "orthic_cb_center",
     ),
     "circumbilliard": (
-        "CircumbilliardResult", "circumbilliard", "derived_cb", "reflection_residual",
+        "CircumbilliardResult", "circumbilliard", "derived_cb",
     ),
     "conic_invariants": (
         "FocalProfile", "FocalSample", "PoristicShape", "billiard_intersections",

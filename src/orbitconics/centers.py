@@ -14,8 +14,6 @@ and a whole family of triangles for the batched kernel.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DegenerateTriangle, PointAtInfinity, RightTriangle, UndefinedForShape
 from .kernel import (
     EPS,
@@ -139,19 +137,17 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
     p1, p2, p3 = v.vertices
     degenerate = DegenerateTriangle
     if which == "excentral":
-        # a thin reference is refused before dividing; past it, every b + c - a is positive
+        # a thin reference is refused before dividing; past it, no t or k below is 0
         guard.check(v.thin(), DegenerateTriangle, "excentral of a triangle with area below tolerance")
         s1, s2, s3 = v.s1, v.s2, v.s3
         s, k, excenters = 0.5 * (s1 + s2 + s3), 2.0 * v.area, []
-        # past the float range s is inf and every b + c - a reads 0: refused before dividing
-        guard.check(s == math.inf, ValueError, "non-finite derived triangle")
         # p + (b e + c f) / (b + c - a), e = q - p, f = r - p, c = |e|, b = |f|; for t = b c + |e.f|,
-        # b + c - a is t / s where e.f >= 0, else (k/s)(k/t), k = 2 area (half-angle identity)
+        # 1 / (b + c - a) is s / t where e.f >= 0, else (s/k)(t/k), k = 2 area (half-angle identity)
         for p, q, r, b, c in ((p1, p2, p3, s2, s3), (p2, p3, p1, s3, s1), (p3, p1, p2, s1, s2)):
             e, f = q - p, r - p
             ef = dot(e, f)
             t = b * c + abs(ef)
-            excenters.append(p + (b * e + c * f) * (1.0 / where(ef >= 0.0, t / s, (k / s) * (k / t))))
+            excenters.append(p + (b * e + c * f) * where(ef >= 0.0, s / t, (s / k) * (t / k)))
         out = Tri(*excenters)
     elif which == "act":
         out = Tri(p2 + p3 - p1, p3 + p1 - p2, p1 + p2 - p3)

@@ -14,11 +14,9 @@ the generic read-off's AC - B^2 cancels on eccentric ellipses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .centers import center, derived_triangle
-from .errors import DegenerateConic
 from .kernel import (RAISE, Conic, EllipseParams, Point, Tri, Triangle, circumconic_of,
                      larger_eigenvalue_and_angle, nonfinite, ufuncs)
 
@@ -89,30 +87,3 @@ def derived_cb(t: Triangle, which: str) -> CircumbilliardResult:
     """
     return circumbilliard(derived_triangle(t, which))
 
-
-def reflection_residual(conic: Conic, t: Triangle) -> float:
-    """Largest angle between a conic normal and the vertex-angle bisector.
-
-    Zero (to rounding) exactly when ``t`` is a billiard orbit of the
-    conic; radians.  A conic whose gradient vanishes at a vertex has no
-    normal there (DegenerateConic).  The normal of an eccentric conic,
-    taken from its coefficients, is ill-conditioned: on the circumbilliards
-    of thin triangles this reads 3.9e-9 at heights of about 1e-4 of the
-    base and up to 1.6 rad below 1e-8, for an exact conic too, so it is no
-    oracle for thin triangles.
-    """
-    worst = 0.0
-    verts = t.vertices
-    for i in range(3):
-        p, q, r = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
-        g = conic.gradient(p)
-        norm = g.norm()
-        if norm == 0.0:
-            raise DegenerateConic("conic has no normal at a vertex: its gradient vanishes")
-        g = g / norm
-        u = (q - p) / q.dist(p)
-        v = (r - p) / r.dist(p)
-        bis = u + v
-        bis = bis / bis.norm()
-        worst = max(worst, math.asin(min(1.0, abs(bis.cross(g)))))
-    return worst

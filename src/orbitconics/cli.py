@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, InvalidShape) as exc:
+    except (ValueError, OSError, InvalidShape, MemoryError) as exc:
         sys.stderr.write(f"orbitconics: error: {exc}\n")
         return 1
     except OrbitConicsError as exc:

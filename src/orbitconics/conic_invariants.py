@@ -10,6 +10,7 @@ forms in the reference inradius and circumradius.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -294,15 +295,15 @@ def excentral_inconic_axes(t: Triangle, which: str) -> tuple[float, float]:
         raise PointAtInfinity("triangle area not resolved to 1e-9")
     R, r = t.circumradius(), t.inradius()
     d = math.sqrt(R * (((a - b) * (a - b) * (a + b - c) + c * (a - c) * (b - c)) / (4.0 * t.area())))
+    # R reads s1 s2 s3, which is subnormal or 0 below sides of about 3e-103 and inf above 5.6e102;
+    # where it is a normal float, only d's numerator can overflow
+    if not (sys.float_info.min <= math.prod(t.sidelengths()) < math.inf and math.isfinite(d)):
+        raise ValueError("non-finite inconic axes (coordinates beyond the float range)")
     if which == "x3":
-        axes = (R + d, 2.0 * R * r / (R + d))
-    elif which == "macbeath":
-        axes = (R, math.sqrt(2.0 * R * r))
-    else:
-        raise KeyError(f"unknown inconic {which!r}")
-    if not (math.isfinite(axes[0]) and math.isfinite(axes[1])):
-        raise ValueError(f"non-finite inconic axes {axes} (coordinates beyond the float range)")
-    return axes
+        return (R + d, 2.0 * R * r / (R + d))
+    if which == "macbeath":
+        return (R, math.sqrt(2.0 * R * r))
+    raise KeyError(f"unknown inconic {which!r}")
 
 
 def x3_inconic_ratio(rho: float) -> float:

@@ -194,7 +194,10 @@ def lengths(u, v, w):
     (numpy's complex ``abs`` and ``math.hypot`` each round differently.)
     """
     if type(u) is type(v) is type(w) is complex:
-        return abs(u), abs(v), abs(w)
+        try:
+            return abs(u), abs(v), abs(w)
+        except OverflowError:  # a length past the float range, which np.hypot reads as inf
+            return tuple(math.hypot(d.real, d.imag) for d in (u, v, w))
     import numpy as np
 
     return tuple(abs(d) if type(d) is complex else np.hypot(d.real, d.imag) for d in (u, v, w))
@@ -448,13 +451,6 @@ class Conic:
     @property
     def coeffs(self) -> tuple:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
-
-    def gradient(self, p: Point) -> Point:
-        x, y = p.x - self.anchor.real, p.y - self.anchor.imag
-        return Point(
-            2 * (self.A * x + self.B * y + self.D),
-            2 * (self.B * x + self.C * y + self.E),
-        )
 
 
 @dataclass(frozen=True, init=False)

@@ -8,9 +8,10 @@ the inconic solve and the xy-hyperbola focal length are computed in
 high-precision decimals.  Then come references of another kind: the
 generic circumconic form and the point-by-point intersection loop, which
 the library's written-out and array versions must equal bit for bit,
-and two measures the library never takes of its own conics: their type
-(``classify_conic``) and a line's tangency to them
-(``line_conic_tangency_residual``).  The helpers at the end build test
+and three measures the library never takes of its own conics: their type
+(``classify_conic``), a line's tangency to them
+(``line_conic_tangency_residual``) and the reflection law at a
+triangle's vertices (``reflection_residual``).  The helpers at the end build test
 inputs and check classical facts through the library (trilinears to
 Cartesians, canonical ellipse parameters to a conic, the upright
 isosceles orbit, intouch points and their superposition facts, stacked
@@ -499,7 +500,7 @@ def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
         raise ValueError("tangency residual of a line through two equal points")
     u, d = _unit(conic)[0], q - p
     qa = u.A * d.x * d.x + 2 * u.B * d.x * d.y + u.C * d.y * d.y
-    qb, qc = u.gradient(p).dot(d), conic_eval(u, p)
+    qb, qc = gradient(u, p).dot(d), conic_eval(u, p)
     if qa == qb == qc == 0.0:
         raise DegenerateConic("the line lies in the conic")
     size = abs(qa) + abs(qb) + abs(qc)
@@ -507,6 +508,43 @@ def line_conic_tangency_residual(conic: Conic, p: Point, q: Point) -> float:
     if nonfinite(discriminant + squared):
         raise ValueError("tangency residual beyond the float range")
     return discriminant / squared
+
+
+def gradient(conic: Conic, p: Point) -> Point:
+    """Gradient of the conic's quadratic form at ``p``."""
+    x, y = p.x - conic.anchor.real, p.y - conic.anchor.imag
+    return Point(
+        2 * (conic.A * x + conic.B * y + conic.D),
+        2 * (conic.B * x + conic.C * y + conic.E),
+    )
+
+
+def reflection_residual(conic: Conic, t: Triangle) -> float:
+    """Largest angle between a conic normal and the vertex-angle bisector.
+
+    Zero (to rounding) exactly when ``t`` is a billiard orbit of the
+    conic; radians.  A conic whose gradient vanishes at a vertex has no
+    normal there (DegenerateConic).  The normal of an eccentric conic,
+    taken from its coefficients, is ill-conditioned: on the circumbilliards
+    of thin triangles this reads 3.9e-9 at heights of about 1e-4 of the
+    base and up to 1.6 rad below 1e-8, for an exact conic too, so it is no
+    oracle for thin triangles.
+    """
+    worst = 0.0
+    verts = t.vertices
+    for i in range(3):
+        p, q, r = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
+        g = gradient(conic, p)
+        norm = g.norm()
+        if norm == 0.0:
+            raise DegenerateConic("conic has no normal at a vertex: its gradient vanishes")
+        g = g / norm
+        u = (q - p) / q.dist(p)
+        v = (r - p) / r.dist(p)
+        bis = u + v
+        bis = bis / bis.norm()
+        worst = max(worst, math.asin(min(1.0, abs(bis.cross(g)))))
+    return worst
 
 
 def trilinear_to_cartesian(t: Triangle, tri: tuple[float, float, float]) -> Point:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (ellipse_to_conic, inradius_to_circumradius_decimal, isosceles_dimensions,
-                     line_conic_tangency_residual, reflection_map_orbit)
+                     line_conic_tangency_residual, reflection_map_orbit, reflection_residual)
 from orbitconics import (
     BilliardShape,
     InvalidShape,
@@ -18,7 +18,6 @@ from orbitconics import (
     inradius_to_circumradius,
     obtuse_threshold,
     orbit,
-    reflection_residual,
     right_angle_vertex,
 )
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import angle_dist_mod_pi, placed_triangle, random_triangle
 from oracles import (ConicClass, circumbilliard_decimal, classify_conic, intouch_points,
-                     intouch_superposition_check, stack_tris)
+                     intouch_superposition_check, reflection_residual, stack_tris)
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -21,7 +21,6 @@ from orbitconics import (
     inradius_to_circumradius,
     orbit,
     orthic_cb_center,
-    reflection_residual,
 )
 from orbitconics.circumbilliard import circumbilliard_axes
 from orbitconics.kernel import RAISE, Skips, Tri

@@ -231,6 +231,26 @@ def test_bad_sample_count_exit_1(capsys, argv):
     assert "--n" in err and "need an integer >= 8" in err
 
 
+# numpy refuses an 8 PB sample grid before it touches memory: the request is past any 64-bit
+# host's address space
+@pytest.mark.parametrize("command", [["family", "--a", "1.5", "--b", "1"],
+                                     ["locus", "--a", "1.5", "--b", "1", "--center", "X1"],
+                                     ["invariants", "--a", "1.5", "--b", "1"],
+                                     ["poristic", "--r", "0.3625", "--R", "1"],
+                                     ["hyperbolae", "--a", "1.5", "--b", "1"]],
+                         ids=lambda command: command[0])
+def test_sample_count_too_large_to_allocate_exit_1(capsys, command):
+    code, out, err = run_cli(capsys, [*command, "--n", str(10**15)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("orbitconics: error: ") and err.count("\n") == 1
+
+
+def test_family_too_large_to_allocate_exits_1_without_traceback():
+    assert "allocate" in assert_exits_1_with_one_error_line(
+        ["family", "--a", "1.5", "--b", "1", "--n", str(10**15)])
+
+
 def test_poristic_invalid_exit_1(capsys):
     code, _, err = run_cli(capsys, ["poristic", "--r", "0.6", "--R", "1"])
     assert code == 1

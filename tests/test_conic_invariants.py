@@ -509,6 +509,21 @@ def test_excentral_inconic_axes_refusals():
             excentral_inconic_axes(huge, which)
 
 
+@pytest.mark.parametrize("which", ["x3", "macbeath"])
+def test_excentral_inconic_axes_answer_or_refuse_at_every_scale(which):
+    # R reads s1 s2 s3: below sides of about 3e-103 it goes subnormal (R drifted by 16% at 1e-108)
+    # and then 0 (a ZeroDivisionError for "x3", (0, 0) for "macbeath"); above 5.6e102 it is inf
+    for k in range(-120, 121):
+        v = [(0.0, 0.0), (3.0 * 10.0**k, 0.0), (10.0**k, 2.0 * 10.0**k)]
+        try:
+            got = excentral_inconic_axes(Triangle.from_coords(v), which)
+        except ValueError as exc:
+            assert "beyond the float range" in str(exc), k
+            continue
+        want = excentral_inconic_axes_decimal(v, which)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * want[0], k
+
+
 def test_inconic_ratio_limits():
     assert x3_inconic_ratio(0.5) == pytest.approx(1.0, abs=1e-12)
     assert macbeath_inconic_ratio(0.5) == pytest.approx(1.0, abs=1e-12)

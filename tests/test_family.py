@@ -371,8 +371,12 @@ def _checked_parts(name, v, guard):
 
 @settings(max_examples=150, deadline=None)
 @given(triangles=st.lists(_probe_triangle(), min_size=1, max_size=8))
-# the perimeter overflows, so the excentral's b + c - a reads 0 (t / s with s = inf)
+# the perimeter overflows, so the excentral's 1 / (b + c - a) is inf or nan (s / t with s = inf)
 @example(triangles=[(1e-308j, complex(-1e308, -2.381665725338452), complex(-1e308, -0.7656147436456129))])
+# b c overflows where the area stays finite, so the excentral's 1 / (b + c - a) is 0 or inf
+@example(triangles=[(complex(2.0359714777331855e-214, 2.0359714777331855e-214),
+                     complex(1.2195913147207567e+157, 2.0359714777331855e-214),
+                     complex(4.614116733194484e+156, 3.3623290086802485e+148))])
 # p2 p3 is a side whose squared length underflows, and the area is nan (inf - inf): the orthic's foot
 @example(triangles=[(complex(-1e308, -1.873911601806066), complex(4.7638425248632573e-175, 5e-324),
                      complex(1e-308, 0.0))])

@@ -34,7 +34,7 @@ EXPORTS = [
     "fit_by_shape_class", "fit_circle", "fit_locus", "focal_length", "focal_profile",
     "focal_ratio_closed_form", "inradius_to_circumradius", "invariant_report", "jerabek_excentral",
     "macbeath_inconic_ratio", "medial", "obtuse_threshold", "orbit", "orthic", "orthic_cb_center",
-    "orthic_center_transition", "poristic_cb_aspect", "poristic_triangle", "reflection_residual",
+    "orthic_center_transition", "poristic_cb_aspect", "poristic_triangle",
     "right_angle_vertex", "solve_circumconic", "solve_inconic", "sweep_locus", "x3_inconic_ratio",
 ]
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import orbitconics as oc
+from conftest import placed_triangle
 from orbitconics import kernel
 from orbitconics.circumbilliard import DERIVED_TRIANGLES
 
@@ -163,3 +164,64 @@ def test_an_integral_center_id_of_any_number_type_answers():
 def test_focal_length_of_a_thin_hyperbola_does_not_cancel():
     # eigenvalues 3 and -1e-20, K = -1: a^2 = 1 / 1e-20
     assert oc.focal_length(oc.Conic(3.0, 0.0, -1e-20, 0.0, 0.0, 1.0)) == pytest.approx(2e10, rel=1e-15)
+
+
+def _one_triangle_calls(t):
+    for index in sorted(oc.SUPPORTED_CENTERS):
+        yield f"X{index}", lambda: oc.center(t, index)
+    yield "X6*", lambda: oc.center(t, oc.ORTHIC_CB_CENTER)
+    yield "circumbilliard", lambda: oc.circumbilliard(t)
+    for which in DERIVED_TRIANGLES:
+        yield f"{which} cb", lambda which=which: oc.derived_cb(t, which)
+    yield "feuerbach", lambda: oc.focal_length(oc.feuerbach_hyperbola(t))
+    yield "jerabek", lambda: oc.focal_length(oc.jerabek_excentral(t))
+    yield "X9 inconic", lambda: oc.solve_inconic(t, oc.center(t, 9))
+    yield "x3 inconic", lambda: oc.solve_inconic(oc.excentral(t), oc.center(t, 40))
+    for which in ("x3", "macbeath"):
+        yield f"{which} axes", lambda which=which: oc.excentral_inconic_axes(t, which)
+
+
+def _placed_triangles(n, seed=20):
+    """Apex heights 1e-11..1 over a unit base, acute and obtuse, turned and moved, at 10^U(-320, 308)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield (rng.uniform(-1.5, 2.5), rng.uniform(-11.0, 0.0), rng.uniform(-320.0, 308.0),
+               rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0, 2))
+
+
+# b c overflows while the area, 2.05e305, stays finite: the excentral's 1 / (b + c - a) read 0 and
+# was then divided by
+BC_OVERFLOWS = [(2.0359714777331855e-214, 2.0359714777331855e-214),
+                (1.2195913147207567e+157, 2.0359714777331855e-214),
+                (4.614116733194484e+156, 3.3623290086802485e+148)]
+# s1 s2 s3 underflows to 0, so the excentral inconic's R read 0
+ABC_UNDERFLOWS = [(0.0, 0.0), (3e-110, 0.0), (1e-110, 2e-110)]
+
+
+def test_no_one_triangle_call_raises_an_untyped_error_at_any_scale():
+    makers = [lambda: oc.Triangle.from_coords(BC_OVERFLOWS),
+              lambda: oc.Triangle.from_coords(ABC_UNDERFLOWS)]
+    makers += [lambda args=args: placed_triangle(*args) for args in _placed_triangles(2000)]
+    answered = 0
+    for make in makers:
+        try:
+            t = make()
+        except (oc.OrbitConicsError, ValueError):
+            continue
+        for name, call in _one_triangle_calls(t):
+            try:
+                call()
+                answered += 1
+            except (oc.OrbitConicsError, ValueError, KeyError):
+                pass
+            except Exception as exc:
+                raise AssertionError(f"{name} of {t!r} raised {type(exc).__name__}") from exc
+    assert answered > 10_000  # of about 66,000 calls: most scales near 1 answer, not only refuse
+
+
+def test_the_excentral_of_a_triangle_whose_b_c_overflows_is_refused_as_its_stacked_row():
+    t = oc.Triangle.from_coords(BC_OVERFLOWS)
+    for call in (oc.excentral, lambda t: oc.center(t, 168), lambda t: oc.derived_cb(t, "excentral"),
+                 oc.jerabek_excentral):
+        with pytest.raises(ValueError, match="non-finite derived triangle"):
+            call(t)
