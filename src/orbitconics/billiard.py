@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import centers
-from .errors import DegenerateTriangle, InvalidShape
+from .errors import InvalidShape
 from .kernel import (RAISE, Conic, EllipseParams, Point, Skips, Tri, Triangle, complex_of, is_array,
                      nonfinite, ufuncs, where)
 
@@ -87,10 +87,8 @@ class BilliardShape:
     def family(self, t, guard) -> Tri:
         """Orbit triangles at t, a number (``guard`` RAISE) or an array (``guard`` a Skips)."""
         major, minor = _caustic_axes(self)
-        tri = Tri(*poncelet_vertices(t, self.a, self.b, 0.0, major**2, minor**2, guard))
-        guard.check(tri.nonfinite(), ValueError, "non-finite orbit vertex")
-        guard.check(tri.thin(), DegenerateTriangle, "orbit triangle area below tolerance")
-        return tri
+        return Tri(*poncelet_vertices(t, self.a, self.b, 0.0, major**2, minor**2, guard)).checked(
+            guard, "orbit triangle")
 
 
 @dataclass(frozen=True)

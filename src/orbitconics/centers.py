@@ -91,7 +91,8 @@ def center_of(v: Tri, center_id, guard):
         return orthic_cb_center_of(v, guard)
     w = _BARYCENTRICS.get(center_id)
     if w is not None:
-        s1, s2, s3 = v.s1, v.s2, v.s3
+        k = v.unit_factor()  # so that no weight under- or overflows
+        s1, s2, s3 = v.s1 * k, v.s2 * k, v.s3 * k
         if center_id in _UNDEFINED_AT_EQUILATERAL:  # refuse sides equal within rounding
             spread = largest(abs(s2 - s3), abs(s3 - s1), abs(s1 - s2))
             guard.check(EPS * largest(s1, s2, s3) > 1e-9 * spread, UndefinedForShape,
@@ -164,9 +165,7 @@ def derived_of(v: Tri, which: str, guard) -> Tri:
         degenerate = RightTriangle
     else:
         raise KeyError(f"unknown derived triangle {which!r}")
-    guard.check(out.thin(), degenerate, "derived triangle area below tolerance")
-    guard.check(out.nonfinite(), ValueError, "non-finite derived triangle")
-    return out
+    return out.checked(guard, "derived triangle", degenerate)
 
 
 def derived_triangle(t: Triangle, which: str) -> Triangle:

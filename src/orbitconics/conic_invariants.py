@@ -19,8 +19,7 @@ import numpy as np
 from . import centers
 from .billiard import (MIN_SAMPLES, BilliardShape, inradius_to_circumradius, orbit,
                        poncelet_vertices, sample_grid)
-from .errors import (ClosureFailure, DegenerateConic, DegenerateTriangle, InvalidShape,
-                     PointAtInfinity)
+from .errors import ClosureFailure, DegenerateConic, InvalidShape, PointAtInfinity
 from .kernel import (
     EPS,
     RAISE,
@@ -81,13 +80,11 @@ class PoristicShape:
         r2 = self.r * self.r
         v1, v2, v3 = poncelet_vertices(theta, self.R, self.R, self.d, r2, r2, guard)
         out = Tri(v1, v2, v3)
-        guard.check(out.nonfinite(), ValueError, "non-finite orbit vertex")
         # distance of the incircle center (d, 0) from the third side, minus r, times |v2 v3|
         side = out.s1
         guard.check(abs(abs(cross(v3 - v2, self.d - v2)) - self.r * side) > 1e-9 * self.R * side,
                     ClosureFailure, "third side misses the incircle")
-        guard.check(out.thin(), DegenerateTriangle, "poristic triangle area below tolerance")
-        return out
+        return out.checked(guard, "poristic triangle")
 
 
 def poristic_triangle(ps: PoristicShape, theta: float) -> Triangle:

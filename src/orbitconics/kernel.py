@@ -244,6 +244,7 @@ class _Scalars:
     """``math`` and builtins under numpy's names, nan-propagating like numpy."""
 
     sqrt, cos, sin, copysign, arctan2 = math.sqrt, math.cos, math.sin, math.copysign, math.atan2
+    frexp = math.frexp
 
     def maximum(self, a, b):
         return a if a >= b or a != a else b
@@ -395,15 +396,26 @@ class Tri:
     def perimeter(self):
         return self.s1 + self.s2 + self.s3
 
-    def nonfinite(self):
-        """Whether a vertex is nan or infinite, read off the perimeter (numbers or arrays)."""
-        return nonfinite(self.s1 + self.s2 + self.s3)
+    def unit_factor(self):
+        """2^-e for the perimeter m 2^e, m in [0.5, 1): the sides times it are exact and sum to m,
+        so products of them neither under- nor overflow."""
+        perimeter = self.s1 + self.s2 + self.s3
+        return ufuncs(perimeter).frexp(perimeter)[0] / perimeter
 
     def inradius(self):
         return self.area / (0.5 * self.perimeter())
 
     def circumradius(self):
-        return self.s1 * self.s2 * self.s3 / (4 * self.area)
+        """s1 s2 s3 / (4 area), on the triangle scaled by ``unit_factor``.
+
+        The scaling is exact, so R keeps its bits wherever the plain form stays in range, and
+        nothing under- or overflows on the way.  The area is taken again from the scaled edges,
+        since ``area`` is inf from sides of about 1e154.
+        """
+        k = self.unit_factor()
+        b, c = self.p2 - self.p1, self.p3 - self.p1
+        twice_area = abs((b.real * k) * (c.imag * k) - (b.imag * k) * (c.real * k))
+        return (self.s1 * k) * (self.s2 * k) * (self.s3 * k) / (2.0 * twice_area) / k
 
     def thin(self):
         """Area below AREA_TOL times the square of the longest side, or 0, or two vertices equal."""
@@ -412,6 +424,14 @@ class Tri:
         # equal vertices of nan area (0 times an edge that overflows); any other nan area passes
         return ((area < AREA_TOL * s1 * s1) | (area < AREA_TOL * s2 * s2) | (area < AREA_TOL * s3 * s3)
                 | (area <= 0.0) | (s1 == 0.0) | (s2 == 0.0) | (s3 == 0.0))
+
+    def checked(self, guard, what: str, degenerate=DegenerateTriangle) -> "Tri":
+        """This Tri, past the one validity rule: refused if ``thin`` (``degenerate``), then if a vertex
+        or side is nan or infinite, read off the perimeter (ValueError).  Numbers or arrays.
+        """
+        guard.check(self.thin(), degenerate, f"{what} area below tolerance")
+        guard.check(nonfinite(self.s1 + self.s2 + self.s3), ValueError, f"non-finite {what}")
+        return self
 
     def sidelines(self, g):
         """Sidelines opposite p1, p2, p3 as (a, b, c): a x + b y + c = 0, (x, y) relative to g.
@@ -491,10 +511,8 @@ class Triangle:
         self._bind(Tri(p1.z, p2.z, p3.z), (p1, p2, p3))
 
     def _bind(self, v: Tri, vertices) -> None:
-        _set_tri(self, v)
+        _set_tri(self, v.checked(RAISE, "triangle"))
         _set_vertices(self, vertices)
-        if v.thin():
-            raise DegenerateTriangle(f"area {v.area:.3e} below tolerance")
 
     def __setattr__(self, name, *value):
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -523,8 +541,6 @@ class Triangle:
     @classmethod
     def from_tri(cls, v: Tri) -> "Triangle":
         """Triangle of a one-triangle Tri, kept as its ``tri`` (the same bits)."""
-        if v.nonfinite():
-            list(map(Point.from_complex, v.vertices))  # raises Point's ValueError
         t = cls.__new__(cls)
         t._bind(v, None)
         return t

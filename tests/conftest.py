@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from orbitconics import Point, Triangle, conic_eval
+from orbitconics import DegenerateTriangle, Point, Triangle, conic_eval
 
 
 def angle_dist_mod_pi(x: float, y: float) -> float:
@@ -29,6 +31,33 @@ def placed_triangle(apex_x, log_height, log_scale, angle, offset) -> Triangle:
     shift = complex(*offset) * 10.0**log_scale
     z = [w * p + shift for p in (0.0, 1.0, complex(apex_x, 10.0**log_height))]
     return Triangle(*(Point(p.real, p.imag) for p in z))
+
+
+#: ``scaled_pair``'s arguments: ``placed_triangle``'s at unit scale, and the exponent k.
+SCALED_PAIRS = dict(apex_x=st.floats(-1.5, 2.5), log_height=st.floats(-11.0, 0.0),
+                    angle=st.floats(0.0, 6.3),
+                    offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                    k=st.integers(-1000, 1000))
+
+
+def scaled_pair(apex_x, log_height, angle, offset, k):
+    """``placed_triangle`` at unit scale and its copy scaled by 2^k, or None if either is refused.
+
+    In a hypothesis test: a unit triangle whose coordinates (or their products) would leave the
+    normal range, so that the copy is not exact, is assumed away.
+    """
+    try:
+        unit = placed_triangle(apex_x, log_height, 0.0, angle, offset)
+    except DegenerateTriangle:
+        return None
+    assume(all(c == 0.0 or abs(c) >= 2.0**-400 for p in unit.vertices for c in p.as_tuple()))
+    coords = [(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in unit.vertices]
+    assume(all(math.ldexp(x, -k) == p.x and math.ldexp(y, -k) == p.y
+               for (x, y), p in zip(coords, unit.vertices)))
+    try:
+        return unit, Triangle.from_coords(coords)
+    except (DegenerateTriangle, ValueError):  # the area underflows, or a side overflows
+        return None
 
 
 def origin_form(conic):

@@ -141,6 +141,18 @@ def circumcircle(vertices):
     return O, float(np.linalg.norm(A - O))
 
 
+def circumradius_decimal(vertices, digits: int = 60) -> float:
+    """abc / (4K) in ``digits``-digit decimals from the float vertices taken exactly, K from the cross
+    product: in range wherever the result is (``circumcircle`` squares float coordinates)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = [(Decimal(x), Decimal(y)) for x, y in vertices]
+        a, b, c = _sides_decimal(p)
+        (x1, y1), (x2, y2), (x3, y3) = p
+        twice_area = abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
+        return float(a * b * c / (2 * twice_area))
+
+
 def excentral_inconic_axes_decimal(vertices, which: str, digits: int = 60):
     """Semi-axes of the excentral X3 or MacBeath inconic, in ``digits``-digit decimals.
 

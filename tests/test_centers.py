@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import placed_triangle, random_triangle
+from conftest import SCALED_PAIRS, placed_triangle, random_triangle, scaled_pair
 from oracles import (centers_decimal, circumcircle, cosines_decimal, euler_centers_decimal,
                      excenters_decimal, incircle, stack_tris, trilinear_to_cartesian)
 from orbitconics import (
@@ -124,19 +124,61 @@ DECIMAL_ORACLE_BOUNDS = {
 }
 
 
+def _oracle_tolerance(t, index):
+    """DECIMAL_ORACLE_BOUNDS of the longest side, over the sides' relative spread for X11, X100, X1156."""
+    sides = t.sidelengths()
+    tol = DECIMAL_ORACLE_BOUNDS[index] * max(sides)
+    if index in (11, 100, 1156):
+        spread = max(abs(sides[1] - sides[2]), abs(sides[2] - sides[0]), abs(sides[0] - sides[1]))
+        tol *= sys.float_info.epsilon * max(sides) / spread
+    return tol
+
+
+#: The direct centers and their affine combinations X142 and X144: every step scales exactly by a
+#: power of two (X3 and the centers built on it do not yet, ROADMAP item 10).
+EXACTLY_SCALED_CENTERS = (1, 2, 6, 7, 8, 9, 10, 11, 69, 100, 142, 144, 1156)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SCALED_PAIRS)
+def test_direct_centers_scale_exactly_by_a_power_of_two(apex_x, log_height, angle, offset, k):
+    pair = scaled_pair(apex_x, log_height, angle, offset, k)
+    if pair is None:
+        return
+    unit, scaled = pair
+    for index in EXACTLY_SCALED_CENTERS:
+        try:
+            want = center(unit, index)
+        except (UndefinedForShape, PointAtInfinity) as exc:  # refusals that do not read the scale
+            with pytest.raises(type(exc)):
+                center(scaled, index)
+            continue
+        try:
+            got = center(scaled, index)
+        except ValueError:  # "non-finite triangle center": 2^k times it is past the float range
+            assert math.frexp(max(abs(want.x), abs(want.y)))[1] + k > 1019
+            continue
+        assert (got.x, got.y) == (math.ldexp(want.x, k), math.ldexp(want.y, k)), index
+
+
+@pytest.mark.parametrize("k", [-150, -110, -108, -105, -70, -60, 0, 103, 150, 300])
+@pytest.mark.parametrize("index", [1, 6, 9, 69, 142, 144, 1156])
+def test_direct_centers_match_a_decimal_oracle_at_every_scale(index, k):
+    # weight times vertex underflowed below 1e-105 and the weights overflowed from 1e103
+    vertices = [(0.0, 0.0), (3 * 10.0**k, 0.0), (10.0**k, 2 * 10.0**k)]
+    t = Triangle.from_coords(vertices)
+    want = centers_decimal(vertices, index)
+    assert abs(center(t, index).z - want) <= _oracle_tolerance(t, index)
+
+
 @pytest.mark.parametrize("index", sorted(SUPPORTED_CENTERS))
 @pytest.mark.parametrize("alpha", [1.0 + 1e-5, 1.5, 10.0, 100.0, 300.0])
 def test_every_center_matches_a_decimal_oracle(rng, alpha, index):
     shape = BilliardShape(alpha, 1.0)
     for k in range(24):
         moved = _moved(rng, orbit(shape, (k + 0.5) * 2 * math.pi / 24).triangle, alpha)
-        sides = moved.sidelengths()
-        tol = DECIMAL_ORACLE_BOUNDS[index] * max(sides)
-        if index in (11, 100, 1156):
-            spread = max(abs(sides[1] - sides[2]), abs(sides[2] - sides[0]), abs(sides[0] - sides[1]))
-            tol *= sys.float_info.epsilon * max(sides) / spread
         want = centers_decimal([p.as_tuple() for p in moved.vertices], index)
-        assert abs(center(moved, index).z - want) <= tol
+        assert abs(center(moved, index).z - want) <= _oracle_tolerance(moved, index)
 
 
 def test_trilinear_equilateral_centroid():

@@ -446,6 +446,12 @@ def test_cb_beyond_the_float_range_exits_1_without_traceback(scale):
     assert_exits_1_with_one_error_line(["cb", f"--vertices={vertices}"])
 
 
+def test_cb_of_a_triangle_whose_side_overflows_exits_1():
+    # its vertices are finite, but |p2 p3| is not
+    assert assert_exits_1_with_one_error_line(["cb", "--vertices=0,0,1.5e308,0,0,1.5e308"]) == (
+        "orbitconics: error: non-finite triangle\n")
+
+
 @pytest.mark.parametrize("argv", [["invariants", "--a", "7.5e76", "--b", "5e76"],
                                   ["poristic", "--r", "0.725e77", "--R", "2e77"]],
                          ids=["invariants", "poristic"])

@@ -358,10 +358,10 @@ def _probe_triangle(draw):
 
 
 def _checked_parts(name, v, guard):
-    """``PARITY[name]`` after the checks a ``Triangle`` makes: finite vertices (as ``Point``) and area.
+    """``PARITY[name]`` after finite vertices (as ``Point`` checks them) and ``Tri.thin``.
 
-    Not ``Tri.nonfinite``, which families and ``from_tri`` read off the
-    perimeter: a ``Triangle`` of finite vertices may have an infinite one.
+    Wider than ``Tri.checked``, the rule every ``Triangle`` passes: a row of
+    finite vertices whose perimeter overflows still reaches the formulas here.
     """
     zero = [p.real * 0.0 + p.imag * 0.0 for p in v.vertices]  # nan where a coordinate is not finite
     guard.check(nonfinite(zero[0] + zero[1] + zero[2]), ValueError, "non-finite vertex")

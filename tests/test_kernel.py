@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_dist_mod_pi, five_coefficients, random_triangle, residual_scale
-from oracles import (ConicClass, axis_endpoints, circumconic_generic, classify_conic,
-                     ellipse_to_conic, excentral_inconic_axes_decimal, extremal_radii, gradient,
-                     incircle, inconic_decimal, line_conic_tangency_residual)
+from conftest import (SCALED_PAIRS, angle_dist_mod_pi, five_coefficients, random_triangle,
+                      residual_scale, scaled_pair)
+from oracles import (ConicClass, axis_endpoints, circumconic_generic, circumradius_decimal,
+                     classify_conic, ellipse_to_conic, excentral_inconic_axes_decimal, extremal_radii,
+                     gradient, incircle, inconic_decimal, line_conic_tangency_residual)
 from orbitconics import (
     BilliardShape,
     Conic,
@@ -63,6 +64,46 @@ def test_triangle_rejects_degenerate():
         Triangle(Point(0, 0), Point(1, 1), Point(2, 2))
 
 
+def test_both_triangle_constructors_refuse_a_side_past_the_float_range():
+    # finite vertices whose hypotenuse overflows: Tri reads that side as inf and the area as inf,
+    # which passes the area test, so only the finite-perimeter half of the rule refuses it
+    coords = [(0.0, 0.0), (1.5e308, 0.0), (0.0, 1.5e308)]
+    v = Tri(*(complex(x, y) for x, y in coords))
+    assert (v.s1, v.s2, v.s3, v.area) == (math.inf, 1.5e308, 1.5e308, math.inf)
+    for make in (lambda: Triangle.from_coords(coords), lambda: Triangle.from_tri(v)):
+        with pytest.raises(ValueError, match="^non-finite triangle$"):
+            make()
+    # the area test comes first, for both alike
+    for make in (lambda: Triangle.from_coords([(0, 0), (1, 1), (2, 2)]),
+                 lambda: Triangle.from_tri(Tri(0j, 1 + 1j, 2 + 2j))):
+        with pytest.raises(DegenerateTriangle, match="^triangle area below tolerance$"):
+            make()
+
+
+@pytest.mark.parametrize("k", [-161, -150, -110, -108, -105, 0, 103, 150, 300, 307])
+def test_circumradius_matches_a_decimal_oracle_at_every_scale(k):
+    # s1 s2 s3 left the normal range below sides of about 1e-103 (0.0 at 1e-110) and overflowed
+    # from 1e103; from 1e-161 the area itself is subnormal
+    vertices = [(0.0, 0.0), (3 * 10.0**k, 0.0), (10.0**k, 2 * 10.0**k)]
+    want = circumradius_decimal(vertices)
+    assert abs(Triangle.from_coords(vertices).circumradius() - want) <= 4e-16 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SCALED_PAIRS)
+def test_circumradius_scales_exactly_by_a_power_of_two(apex_x, log_height, angle, offset, k):
+    pair = scaled_pair(apex_x, log_height, angle, offset, k)
+    if pair is None:
+        return
+    unit, scaled = pair
+    R = unit.circumradius()
+    got = scaled.circumradius()
+    if math.frexp(R)[1] + k > 1024:  # R 2^k is past the float range
+        assert got == math.inf
+    else:
+        assert got == math.ldexp(R, k)
+
+
 def test_point_is_a_frozen_value():
     p = Point(1.5, -0.1)
     assert p == Point(1.5, -0.1) and p != Point(1.5, 0.1) and p != (1.5, -0.1)
@@ -87,6 +128,7 @@ def test_triangle_from_tri_builds_the_same_points_lazily():
     assert lazy.tri is v
     eager = Triangle(*(Point(z.real, z.imag) for z in v.vertices))
     assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert lazy != lazy.vertices and lazy != v  # equal to Triangles only
     for got, want in zip(lazy.vertices, eager.vertices):
         assert (got.x, got.y) == (want.x, want.y)
     assert (lazy.p1, lazy.p2, lazy.p3) == eager.vertices
@@ -101,7 +143,7 @@ def test_triangle_from_tri_builds_the_same_points_lazily():
         lazy.p1 = eager.p1
     with pytest.raises(FrozenInstanceError):
         del lazy.tri
-    with pytest.raises(ValueError, match="non-finite point"):
+    with pytest.raises(ValueError, match="non-finite triangle"):
         Triangle.from_tri(Tri(0j, 1 + 0j, complex(math.nan, 1.0)))
     with pytest.raises(DegenerateTriangle):
         Triangle.from_tri(Tri(0j, 1 + 1j, 2 + 2j))

@@ -278,6 +278,7 @@ def test_points_view_is_a_read_only_sequence():
     assert view == list(view) and view == tuple(view)
     assert view == sweep_locus(acute, 7, n=16).points
     assert view != sweep_locus(acute, 7, n=24).points
+    assert view != 7 and view != {0: view[0]}  # a foreign type is not equal
     assert view != list(view)[:-1]
     with pytest.raises(IndexError):
         view[16]
